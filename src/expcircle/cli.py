@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 a verification failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -75,7 +76,7 @@ def _num(v: float):
 
 
 def _dump(record) -> str:
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    return json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -247,23 +248,37 @@ def cmd_pi1(cfg: RunConfig, case: str) -> int:
     return 0 if ok else 1
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; built once per process, since building it costs far
+    more than a parse."""
     parser = argparse.ArgumentParser(
         prog="expcircle",
         description="charts, curves, homology and group certificates for "
                     "subset spaces of the circle",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    parser.add_argument("--tol", type=_finite_float, default=1e-9, help="numeric tolerance")
     parser.add_argument("--mesh-n", type=int, default=3, help="grid subdivisions per circle")
     parser.add_argument("--samples", type=int, default=720, help="samples per curve")
-    parser.add_argument("--eps", type=float, default=0.1, help="band distance from the core")
+    parser.add_argument("--eps", type=_finite_float, default=0.1, help="band distance from the core")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None,
                         help="output format (default: json, csv for knot curves)")
     parser.add_argument("--out", default=None, help="write output to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coord", help="chart coordinates of 1 to 3 circle points")
-    p.add_argument("points", type=float, nargs="+", help="angles in radians")
+    p.add_argument("points", type=_finite_float, nargs="+", help="angles in radians")
 
     p = sub.add_parser("knot", help="boundary torus curve samples and windings")
     p.add_argument("--core", action="store_true", help="sample the core circle instead")
@@ -296,19 +311,22 @@ def _run(argv) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "coord":
-        if len(args.points) > 3:
-            parser.error("at most 3 points are supported")
-        return cmd_coord(cfg, args.points)
-    if args.command == "knot":
-        try:
+    if args.command == "coord" and len(args.points) > 3:
+        parser.error("at most 3 points are supported")
+    # input the parser cannot judge (points too close to chart, an eps off
+    # the band, an unwritable --out) is a usage error, not a traceback;
+    # verification failures are reported by the commands with exit 1
+    try:
+        if args.command == "coord":
+            return cmd_coord(cfg, args.points)
+        if args.command == "knot":
             return cmd_knot(cfg, core=args.core)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "homology":
-        return cmd_homology(cfg, args.k, args.relative)
-    return cmd_pi1(cfg, args.case)
+        if args.command == "homology":
+            return cmd_homology(cfg, args.k, args.relative)
+        return cmd_pi1(cfg, args.case)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

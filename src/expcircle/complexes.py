@@ -9,18 +9,17 @@ second subdivision is streamed straight into the quotient so the large
 intermediate complex is never materialized.
 
 Homology is computed over the integers through Smith normal form with exact
-(arbitrary precision) arithmetic: a sparse elimination phase consumes all
-unit pivots by greedy minimal fill, and a dense textbook pass finishes the
-small remainder and restores the divisibility chain.
+(arbitrary precision) arithmetic: the column reduction of persistent homology
+(each column reduced on its lowest row index) consumes the unit pivots, and
+a dense textbook pass finishes the small remainder of non-unit columns, the
+only place torsion can appear.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +465,12 @@ class HomologyResult:
 
 
 class SparseIntMatrix:
-    """Integer matrix in row-major sparse form with a column index."""
+    """Integer matrix in column-major sparse form: cols[c] maps row -> value."""
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}
-        self.col_rows: dict[int, set[int]] = {}
-
-    @classmethod
-    def from_triplets(cls, nrows, ncols, triplets):
-        m = cls(nrows, ncols)
-        for r, c, v in triplets:
-            m.set(r, c, int(v))
-        return m
+        self.cols: dict[int, dict[int, int]] = {}
 
     @classmethod
     def from_dense(cls, dense):
@@ -488,48 +479,29 @@ class SparseIntMatrix:
         m = cls(nrows, ncols)
         for r, row in enumerate(dense):
             for c, v in enumerate(row):
-                if v:
-                    m.rows.setdefault(r, {})[c] = int(v)
-                    m.col_rows.setdefault(c, set()).add(r)
+                m.set(r, c, int(v))
         return m
 
     def set(self, r, c, v):
         if v:
-            self.rows.setdefault(r, {})[c] = v
-            self.col_rows.setdefault(c, set()).add(r)
+            self.cols.setdefault(c, {})[r] = v
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
-
-    def to_dense(self):
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out[r][c] = v
-        return out
-
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        m.rows = {r: dict(row) for r, row in self.rows.items()}
-        m.col_rows = {c: set(rs) for c, rs in self.col_rows.items()}
-        return m
+        return sum(len(col) for col in self.cols.values())
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         out = SparseIntMatrix(self.nrows, other.ncols)
-        for r, row in self.rows.items():
+        for c, ocol in other.cols.items():
             acc: dict[int, int] = {}
-            for k, v in row.items():
-                orow = other.rows.get(k)
-                if not orow:
-                    continue
-                for c, w in orow.items():
-                    acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out.rows.setdefault(r, {})[c] = v
-                    out.col_rows.setdefault(c, set()).add(r)
+            for k, w in ocol.items():
+                col = self.cols.get(k)
+                if col:
+                    for r, v in col.items():
+                        acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                out.cols[c] = {r: v for r, v in acc.items() if v}
         return out
 
 
@@ -668,94 +640,76 @@ def _dense_snf(a, track: bool = False):
 def smith_normal_form(matrix, with_transforms: bool = False):
     """Diagonal invariants d1 | d2 | ... of an integer matrix.
 
-    Accepts a dense list of rows or a SparseIntMatrix.  Small matrices go
-    straight to the dense routine; larger ones run a sparse unit-pivot
-    elimination (greedy minimal fill-in) first, with exact arithmetic
-    throughout.  With with_transforms (dense inputs only), also returns
-    unimodular U, V such that U M V has the invariants on its diagonal.
+    A SparseIntMatrix goes through the sparse column reduction; a dense list
+    of rows goes through the textbook routine, which with with_transforms
+    also returns unimodular U, V such that U M V has the invariants on its
+    diagonal.  Arithmetic is exact throughout.
     """
     if isinstance(matrix, SparseIntMatrix):
         if with_transforms:
             raise ValueError("transforms are only tracked for dense inputs")
-        if matrix.nrows < 200 and matrix.ncols < 200:
-            return _dense_snf(matrix.to_dense())
-        return _sparse_snf_invariants(matrix.copy())
-    if with_transforms:
-        diag, u, v = _dense_snf(matrix, track=True)
-        return diag, u, v
-    return _dense_snf(matrix)
+        return _sparse_snf_invariants(matrix)
+    return _dense_snf(matrix, track=with_transforms)
+
+
+def _subtract(col: dict, q: int, pivot: dict) -> None:
+    """col -= q * pivot, dropping entries that cancel."""
+    for r, w in pivot.items():
+        x = col.get(r, 0) - q * w
+        if x:
+            col[r] = x
+        else:
+            del col[r]
 
 
 def _sparse_snf_invariants(m: SparseIntMatrix):
-    rows, col_rows = m.rows, m.col_rows
-    heap = []
-    for r, row in rows.items():
-        for c, v in row.items():
-            if v in (1, -1):
-                heap.append(((len(row) - 1) * (len(col_rows[c]) - 1), r, c))
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        row = rows.get(r)
-        if row is None:
+    """Column reduction on the lowest row index, pivoting on units only.
+
+    Columns are reduced in index order: while a column's lowest row holds
+    the pivot of an earlier column, that column is subtracted.  A column
+    left with a +-1 there becomes the pivot of its lowest row; one left with
+    another value goes to a residual list.  The pivot block is unimodular,
+    so each pivot contributes an invariant 1 once the residual columns are
+    cleared off every pivot row; the residual rows x columns, the only place
+    torsion can appear, finish in the dense routine.  The input is not
+    modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # lowest row -> column with +1 there
+    residual = []
+    for c in sorted(m.cols):
+        col = dict(m.cols[c])
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                break
+            _subtract(col, col[low], pivot)
+        if not col:
             continue
-        v = row.get(c)
-        if v not in (1, -1):
-            continue
-        cur = (len(row) - 1) * (len(col_rows[c]) - 1)
-        if cur > cost:
-            heapq.heappush(heap, (cur, r, c))
-            continue
-        # eliminate pivot (r, c)
-        prow = rows.pop(r)
-        for cc in prow:
-            col_rows[cc].discard(r)
-        if v < 0:
-            prow = {cc: -vv for cc, vv in prow.items()}
-        for rr in list(col_rows.get(c, ())):
-            target = rows[rr]
-            mult = target[c]
-            for cc, vv in prow.items():
-                w = target.get(cc, 0) - mult * vv
-                if w:
-                    target[cc] = w
-                    col_rows[cc].add(rr)
-                else:
-                    if cc in target:
-                        del target[cc]
-                        col_rows[cc].discard(rr)
-            if not target:
-                del rows[rr]
-                continue
-            for cc, vv in target.items():
-                if vv in (1, -1):
-                    heapq.heappush(
-                        heap, ((len(target) - 1) * (len(col_rows[cc]) - 1), rr, cc)
-                    )
-        col_rows.pop(c, None)
-        units += 1
-    # whatever remains has no unit entries; finish densely
-    leftover_rows = sorted(rows)
-    leftover_cols = sorted({c for row in rows.values() for c in row})
-    diag = [1] * units
-    if leftover_rows:
-        cindex = {c: i for i, c in enumerate(leftover_cols)}
-        dense = [[0] * len(leftover_cols) for _ in leftover_rows]
-        for i, r in enumerate(leftover_rows):
-            for c, v in rows[r].items():
-                dense[i][cindex[c]] = v
-        diag += _dense_snf(dense)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            if y % x:
-                g = gcd(x, y)
-                diag[i], diag[i + 1] = g, x // g * y
-                changed = True
-    return diag
+        v = col[low]
+        if v == 1:
+            pivots[low] = col
+        elif v == -1:
+            pivots[low] = {r: -x for r, x in col.items()}
+        else:
+            residual.append(col)
+    # a row may have gained its pivot after a residual column was swept past
+    # it; clear the highest pivot row first, since subtracting a pivot column
+    # can only add entries at smaller row indices than its own
+    for col in residual:
+        while True:
+            hit = [r for r in col if r in pivots]
+            if not hit:
+                break
+            r = max(hit)
+            _subtract(col, col[r], pivots[r])
+    rows = sorted({r for col in residual for r in col})
+    index = {r: i for i, r in enumerate(rows)}
+    dense = [[0] * len(residual) for _ in rows]
+    for j, col in enumerate(residual):
+        for r, v in col.items():
+            dense[index[r]][j] = v
+    return [1] * len(pivots) + _dense_snf(dense)
 
 
 class ChainComplexZ:

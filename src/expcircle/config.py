@@ -34,8 +34,11 @@ from .moebius import (
     norm_angle,
 )
 
-# Two circle points closer than this collapse to one at construction.
-DISTINCT_TOL = 1e-9
+# Two circle points closer than this collapse to one at construction.  The
+# charts reject a pair whose projective cross |sin(gap / 2)| is at most
+# ANGLE_TOL, that is a gap up to about 2 * ANGLE_TOL; merging below twice
+# that leaves every subset that stays distinct chartable despite rounding.
+DISTINCT_TOL = 4.0 * ANGLE_TOL
 
 EXCEPTIONAL_POINT = cmath.exp(1j * math.pi / 3.0)
 

@@ -165,7 +165,7 @@ def test_criterion_4_coalescence():
                            to_boundary(2 * math.atan(rv))).z
             assert abs(z - 1.0) < 1e-6
         for alpha in (0.5, 2.0, 5.5):
-            # gaps below the 1e-9 distinctness tolerance would merge points
+            # gaps below the distinctness tolerance (DISTINCT_TOL) would merge points
             seq = [FiniteSubset([alpha - e, alpha, alpha + e])
                    for e in (1e-1, 1e-3, 1e-6, 1e-8)]
             out = edge_collapse_limit(seq, tol=1e-7)

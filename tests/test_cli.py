@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from expcircle import cli
 from expcircle.cli import main
 
 
@@ -64,6 +65,37 @@ def test_coord_too_many_points():
 def test_coord_csv_rejected():
     code, _, err = run_proc("--format", "csv", "coord", "0")
     assert code == 2
+
+
+def test_input_error_is_usage_error(monkeypatch, capsys):
+    def refuse(subset):
+        raise ValueError("cannot chart")
+
+    monkeypatch.setattr(cli, "exp3_coord", refuse)
+    assert main(["coord", "0", "1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot chart\n"
+
+
+def test_non_finite_input_is_usage_error():
+    for args in (("coord", "nan"), ("coord", "0", "inf"), ("--tol", "nan", "coord", "0"),
+                 ("--eps", "inf", "knot")):
+        code, out, err = run_proc(*args)
+        assert code == 2
+        assert out == b""
+        assert b"not a finite number" in err
+        assert b"Traceback" not in err
+
+
+def test_coord_near_coincident_triple():
+    code, out = run_cli("coord", "0", "2e-9", "3")
+    assert code == 0
+    assert json.loads(out)["tag"] in ("C2", "C3")
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_knot_csv_output():

@@ -4,9 +4,11 @@ import pytest
 
 from expcircle.complexes import (
     AbelianInvariants,
+    ChainComplexZ,
     HomologyResult,
     SimplicialComplex,
     SparseIntMatrix,
+    _dense_snf,
     barycentric_subdivision,
     build_exp_complex,
     build_torus_complex,
@@ -98,17 +100,58 @@ def test_snf_transforms_are_unimodular():
             assert y % x == 0
 
 
-def test_snf_sparse_matches_dense():
-    rng = random.Random(37)
-    for _ in range(20):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        m = [[rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(cols)] for _ in range(rows)]
-        sparse = SparseIntMatrix.from_dense(m)
-        # force the sparse path regardless of size
-        from expcircle.complexes import _sparse_snf_invariants
+def test_sparse_mul_matches_dense():
+    rng = random.Random(53)
+    for _ in range(50):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(k)]
+        prod = SparseIntMatrix.from_dense(a).mul(SparseIntMatrix.from_dense(b))
+        assert prod.cols == SparseIntMatrix.from_dense(_matmul(a, b)).cols
 
-        assert _sparse_snf_invariants(sparse.copy()) == smith_normal_form(m)
+
+def test_nonzero_boundary_squared_is_refused():
+    d1 = SparseIntMatrix.from_dense([[1, 1]])
+    d2 = SparseIntMatrix.from_dense([[1], [1]])
+    with pytest.raises(ValueError):
+        ChainComplexZ([1, 2, 1], [d1, d2]).homology()
+
+
+SNF_ENTRIES = (0, 0, 0, 1, -1, 2, 3, -4, 6)
+
+
+def test_snf_sparse_matches_dense():
+    # small matrices with non-unit entries reach the residual path, where a
+    # column must be cleared off pivot rows that appeared after its sweep
+    rng = random.Random(37)
+    for _ in range(300):
+        rows = rng.randint(1, 12)
+        cols = rng.randint(1, 12)
+        m = [[rng.choice(SNF_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(SparseIntMatrix.from_dense(m)) == _dense_snf(m)
+
+
+def test_snf_sparse_large_with_torsion():
+    # random blocks down the diagonal of a 210 x 240 matrix, rows and columns
+    # shuffled: the invariants carry torsion from many blocks at once
+    rng = random.Random(43)
+    m = [[0] * 240 for _ in range(210)]
+    r0 = c0 = 0
+    while r0 < 204 and c0 < 232:
+        h, w = rng.randint(2, 6), rng.randint(2, 8)
+        for i in range(h):
+            for j in range(w):
+                m[r0 + i][c0 + j] = rng.choice(SNF_ENTRIES)
+        r0 += h
+        c0 += w
+    row_order = list(range(210))
+    col_order = list(range(240))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    m = [[m[r][c] for c in col_order] for r in row_order]
+    diag = smith_normal_form(SparseIntMatrix.from_dense(m))
+    assert diag == _dense_snf(m)
+    assert any(x > 1 for x in diag)
 
 
 # ---------------------------------------------------------------------------

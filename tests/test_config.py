@@ -5,6 +5,7 @@ import random
 import pytest
 
 from expcircle.config import (
+    DISTINCT_TOL,
     EXCEPTIONAL_POINT,
     C2Coord,
     FiniteSubset,
@@ -90,6 +91,21 @@ def test_subset_collapses_repeats():
         FiniteSubset([0.0, 1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         FiniteSubset([])
+
+
+def test_near_coincident_subsets_chart():
+    # every subset the merge keeps distinct can be put in normal form
+    for angles in ((0.0, 2e-9, 3.0), (1.0, 1.0 + 1.5e-9, 4.0),
+                   (0.5, 3.0, 3.0 + 1.9e-9), (5.0, 2.0, 5.0 + 1.2e-9)):
+        s = FiniteSubset(angles)
+        assert s.size in (2, 3)
+        assert exp3_coord(s).tag == f"C{s.size}"
+    rng = random.Random(11)
+    for _ in range(500):
+        base = rng.uniform(-10.0, 10.0)
+        gap = DISTINCT_TOL * rng.choice((1.0 + 1e-9, 1.01, 1.5, 3.0))
+        s = FiniteSubset([base, base + gap, base + rng.uniform(0.1, 6.0)])
+        assert exp3_coord(s).tag == f"C{s.size}"
 
 
 def test_hausdorff_examples():
