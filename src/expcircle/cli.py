@@ -46,6 +46,13 @@ from .groups import (
 )
 
 
+# Size caps, checked before any work.  The subset-space model of the
+# k-subsets at mesh n has n**k * ((k+1)!)**2 top simplices: the cap admits
+# k = 3 up to n = 5 (72 000) and k = 2 up to n = 47.
+MAX_TOP_SIMPLICES = 80_000
+MAX_SAMPLES = 100_000
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters shared by the subcommands."""
@@ -63,8 +70,8 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.mesh_n < 3:
             raise ValueError("mesh size must be at least 3")
-        if self.samples < 8:
-            raise ValueError("sample count must be at least 8")
+        if not 8 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"sample count must lie in [8, {MAX_SAMPLES}]")
 
 
 def _num(v: float):
@@ -313,6 +320,11 @@ def _run(argv) -> int:
         parser.error(str(exc))
     if args.command == "coord" and len(args.points) > 3:
         parser.error("at most 3 points are supported")
+    if args.command == "homology":
+        tops = cfg.mesh_n ** args.k * math.factorial(args.k + 1) ** 2
+        if tops > MAX_TOP_SIMPLICES:
+            parser.error(f"mesh size {cfg.mesh_n} gives {tops} top simplices for k = {args.k}, "
+                         f"more than the cap of {MAX_TOP_SIMPLICES}")
     # input the parser cannot judge (points too close to chart, an eps off
     # the band, an unwritable --out) is a usage error, not a traceback;
     # verification failures are reported by the commands with exit 1

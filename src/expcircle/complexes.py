@@ -4,9 +4,12 @@ The k-fold torus carries the permutation-symmetric staircase triangulation,
 so both the coordinate-permutation action and the finer identification of
 tuples with equal underlying sets act simplicially.  Quotients are taken
 after two barycentric subdivisions, the standard regularity margin that makes
-the identified complex compute the homology of the identified space; the
-second subdivision is streamed straight into the quotient so the large
-intermediate complex is never materialized.
+the identified complex compute the homology of the identified space.  The
+second subdivision is enumerated chain by chain and each chain is mapped
+straight to its quotient simplex: the flag memo holds every chain, but the
+second subdivision is never validated or sorted as a complex of its own.
+Torus coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres
+of barycentres that key the identification are exact without fractions.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic: the column reduction of persistent homology
@@ -18,8 +21,8 @@ only place torsion can appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +144,10 @@ def _subdivision_data(k: SimplicialComplex):
     return ids, origin
 
 
-def _chains_by_dim(k: SimplicialComplex, ids):
-    """All chains of the face poset, as id tuples; a chain of length L is an
-    (L-1)-simplex of the subdivision.  Ids increase along every chain because
-    they are assigned in dimension order."""
+def _flags(k: SimplicialComplex, ids):
+    """Every chain of the face poset, as an id tuple; a chain of length L is
+    an (L-1)-simplex of the subdivision.  Ids increase along every chain
+    because they are assigned in dimension order."""
     memo: dict[tuple, list] = {}
     for ss in k.simplices:
         for s in ss:
@@ -154,36 +157,31 @@ def _chains_by_dim(k: SimplicialComplex, ids):
                 for c in memo[f]:
                     cs.append(c + (sid,))
             memo[s] = cs
-    out = [[] for _ in range(k.dim + 1)]
-    for cs in memo.values():
-        for c in cs:
-            out[len(c) - 1].append(c)
-    return out
+            yield from cs
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     """First barycentric subdivision (combinatorial flags construction)."""
     ids, origin = _subdivision_data(k)
-    return SimplicialComplex(len(origin), _chains_by_dim(k, ids))
+    out = [[] for _ in range(k.dim + 1)]
+    for c in _flags(k, ids):
+        out[len(c) - 1].append(c)
+    return SimplicialComplex(len(origin), out)
 
 
-def _lift_near(x: Fraction, ref: Fraction, n: int) -> Fraction:
-    """Representative of x modulo n within n/2 of ref; valid because every
-    simplex in the torus pipeline has diameter below n/2."""
-    d = (x - ref) % n
-    if 2 * d > n:
-        d -= n
-    return ref + d
-
-
-def _barycenter(simplex, coords, n):
+def _barycenter(simplex, coords, period: int):
+    """Mean of the vertex coordinates, each lifted to within period/2 of the
+    first vertex; valid because every simplex in the torus pipeline has
+    diameter below period/2.  Coordinates are integers scaled so that every
+    mean taken in the pipeline divides exactly."""
     pts = [coords[v] for v in simplex]
-    ref = pts[0]
-    k = len(ref)
     out = []
-    for j in range(k):
-        lifted = [_lift_near(p[j], ref[j], n) for p in pts]
-        out.append((sum(lifted) / len(lifted)) % n)
+    for j, ref in enumerate(pts[0]):
+        total = 0
+        for p in pts:
+            d = (p[j] - ref) % period
+            total += d - period if 2 * d > period else d
+        out.append((ref + total // len(pts)) % period)
     return tuple(out)
 
 
@@ -191,74 +189,55 @@ def _barycenter(simplex, coords, n):
 # torus complexes and quotients
 # ---------------------------------------------------------------------------
 
+def _grid_point(i: int, k: int, n: int) -> tuple:
+    """Grid point of vertex i of the k-torus: its base-n digits, most
+    significant first."""
+    digits = []
+    for _ in range(k):
+        i, r = divmod(i, n)
+        digits.append(r)
+    return tuple(reversed(digits))
+
+
+def _grid_index(pt, n: int) -> int:
+    """Vertex id of a grid point, coordinates taken modulo n."""
+    out = 0
+    for x in pt:
+        out = out * n + x % n
+    return out
+
+
 def build_torus_complex(k: int, n: int) -> SimplicialComplex:
     """Staircase (Freudenthal) triangulation of the k-torus on an n-grid.
 
     Each grid cube is cut into k! simplices along coordinate orderings; the
     triangulation is invariant under permuting the torus coordinates.
     """
-    cx, _ = _torus_complex_with_coords(k, n)
-    return cx
-
-
-def _torus_complex_with_coords(k: int, n: int):
     if k not in (2, 3):
         raise ValueError(f"only k = 2 or 3 supported, got {k}")
     if n < 3:
         raise ValueError(f"grid must have n >= 3 subdivisions, got {n}")
-
-    def vid(pt):
-        out = 0
-        for x in pt:
-            out = out * n + int(x) % n
-        return out
-
     tops = set()
-    for base_idx in range(n**k):
-        base = []
-        t = base_idx
-        for _ in range(k):
-            base.append(t % n)
-            t //= n
+    for i in range(n**k):
         for perm in permutations(range(k)):
-            v = list(base)
-            simplex = [vid(v)]
+            v = list(_grid_point(i, k, n))
+            simplex = [i]
             for axis in perm:
                 v[axis] += 1
-                simplex.append(vid(v))
+                simplex.append(_grid_index(v, n))
             tops.add(tuple(sorted(simplex)))
-    cx = SimplicialComplex.from_maximal(tops)
-    coords = []
-    for i in range(n**k):
-        digits = []
-        t = i
-        for _ in range(k):
-            digits.append(Fraction(t % n))
-            t //= n
-        coords.append(tuple(reversed(digits)))
-    return cx, coords
+    return SimplicialComplex.from_maximal(tops)
 
 
 def coordinate_permutation_action(k: int, n: int) -> list[list[int]]:
     """Vertex permutations of the torus grid induced by transposing the
     first two coordinates and by cycling all coordinates; these generate the
     full symmetric group acting on the torus complex."""
-    def vid(pt):
-        out = 0
-        for x in pt:
-            out = out * n + x % n
-        return out
-
     def induced(cperm):
-        table = [0] * (n**k)
+        table = []
         for i in range(n**k):
-            digits = []
-            t = i
-            for _ in range(k):
-                digits.append(t % n)
-                t //= n
-            pt = list(reversed(digits))
-            table[i] = vid([pt[cperm[j]] for j in range(k)])
+            pt = _grid_point(i, k, n)
+            table.append(_grid_index([pt[c] for c in cperm], n))
         return table
 
     gens = [induced([1, 0] + list(range(2, k)))]
@@ -298,58 +277,43 @@ def _check_simplicial(k: SimplicialComplex, perm) -> None:
                 raise ValueError("action does not carry simplices to simplices")
 
 
-def _identify_after_two_subdivisions(k1: SimplicialComplex, key_fn, mark_fn=None):
-    """Subdivide k1 once more, identifying along key_fn on the fly.
+def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
+    """Subdivide k1 once more, identifying vertices on the fly.
 
     k1 is the first subdivision; its simplices are the vertices of the
-    second.  key_fn maps an sd1 simplex to a hashable identification key;
-    equal keys become one quotient vertex.  mark_fn, when given, maps an sd1
-    simplex to a bitmask; a quotient simplex is marked when some preimage
+    second.  label_fn maps an sd1 simplex to (key, mask): equal keys become
+    one quotient vertex, and a quotient simplex is marked when some preimage
     chain has a nonzero AND of its element masks (used to trace subcomplexes
-    through the quotient).  Raises if the identification degenerates a
-    simplex, the telltale of an insufficiently subdivided action.
+    through the quotient).  Returns the quotient and its marked simplices
+    per dimension.  Raises if the identification degenerates a simplex, the
+    telltale of an insufficiently subdivided action.
     """
     ids, origin = _subdivision_data(k1)
     qid_by_key: dict = {}
     qid_of_vertex = []
+    masks = []
     for s in origin:
-        key = key_fn(s)
-        if key not in qid_by_key:
-            qid_by_key[key] = len(qid_by_key)
-        qid_of_vertex.append(qid_by_key[key])
-    masks = [mark_fn(s) for s in origin] if mark_fn else None
+        key, mask = label_fn(s)
+        qid_of_vertex.append(qid_by_key.setdefault(key, len(qid_by_key)))
+        masks.append(mask)
 
-    dim = k1.dim
-    out = [set() for _ in range(dim + 1)]
-    marked = [set() for _ in range(dim + 1)] if mark_fn else None
-    memo: dict[tuple, list] = {}
-    for ss in k1.simplices:
-        for s in ss:
-            sid = ids[s]
-            cs = [(sid,)]
-            for f in _proper_faces(s):
-                for c in memo[f]:
-                    cs.append(c + (sid,))
-            memo[s] = cs
-            for c in cs:
-                q = tuple(sorted(qid_of_vertex[v] for v in c))
-                if len(set(q)) != len(q):
-                    raise ValueError(
-                        "identification degenerates a simplex; the action is not "
-                        "regular even after two subdivisions"
-                    )
-                d = len(q) - 1
-                out[d].add(q)
-                if mark_fn:
-                    m = masks[c[0]]
-                    for v in c[1:]:
-                        m &= masks[v]
-                    if m:
-                        marked[d].add(q)
+    out = [set() for _ in range(k1.dim + 1)]
+    marked = [set() for _ in range(k1.dim + 1)]
+    for c in _flags(k1, ids):
+        q = tuple(sorted(qid_of_vertex[v] for v in c))
+        if len(set(q)) != len(q):
+            raise ValueError(
+                "identification degenerates a simplex; the action is not "
+                "regular even after two subdivisions"
+            )
+        out[len(q) - 1].add(q)
+        m = masks[c[0]]
+        for v in c[1:]:
+            m &= masks[v]
+        if m:
+            marked[len(q) - 1].add(q)
     cx = SimplicialComplex(len(qid_by_key), [sorted(s) for s in out])
-    if mark_fn:
-        return cx, [sorted(s) for s in marked]
-    return cx
+    return cx, [sorted(s) for s in marked]
 
 
 def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
@@ -364,57 +328,43 @@ def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
     for perm in group:
         _check_simplicial(k, perm)
     ids, origin = _subdivision_data(k)
-    k1 = SimplicialComplex(len(origin), _chains_by_dim(k, ids))
-    if len(group) == 1:
-        return _identify_after_two_subdivisions(k1, key_fn=lambda s: s)
-
     # lift the action from vertices of k to simplices of k (= vertices of k1)
-    lifted = []
-    for perm in group:
-        lifted.append([ids[tuple(sorted(perm[v] for v in s))] for s in origin])
+    lifted = [[ids[tuple(sorted(perm[v] for v in s))] for s in origin] for perm in group]
 
-    def key_fn(s):
-        return min(tuple(sorted(table[v] for v in s)) for table in lifted)
+    def label_fn(s):
+        return min(tuple(sorted(table[v] for v in s)) for table in lifted), 0
 
-    return _identify_after_two_subdivisions(k1, key_fn)
-
-
-def _exp_key(coords1, n):
-    """Identification key for the subset-space quotient: the underlying set
-    of the tuple's coordinates.  This merges coordinate permutations and
-    collapses repeated entries onto smaller subsets in one stroke."""
-    def key_fn(s):
-        bc = _barycenter(s, coords1, n)
-        return tuple(sorted(set(bc)))
-
-    return key_fn
-
-
-def _diagonal_mask(coords1, n, k):
-    pairs = list(combinations(range(k), 2))
-
-    def mark_fn(s):
-        bc = _barycenter(s, coords1, n)
-        m = 0
-        for bit, (i, j) in enumerate(pairs):
-            if (bc[i] - bc[j]) % n == 0:
-                m |= 1 << bit
-        return m
-
-    return mark_fn
+    cx, _ = _identify_after_two_subdivisions(barycentric_subdivision(k), label_fn)
+    return cx
 
 
 def _build_exp_with_boundary(k: int, n: int):
     """Subset-space complex plus the subcomplex of degenerate tuples
-    (the image of the smaller subset space inside it)."""
-    k0, coords0 = _torus_complex_with_coords(k, n)
-    ids0, origin0 = _subdivision_data(k0)
-    chains0 = _chains_by_dim(k0, ids0)
-    k1 = SimplicialComplex(len(origin0), chains0)
-    coords1 = [_barycenter(s, coords0, n) for s in origin0]
-    return _identify_after_two_subdivisions(
-        k1, key_fn=_exp_key(coords1, n), mark_fn=_diagonal_mask(coords1, n, k)
-    )
+    (the image of the smaller subset space inside it).
+
+    A vertex of the second subdivision is keyed by the underlying set of its
+    barycentre's coordinates, which merges coordinate permutations and
+    collapses repeated entries onto smaller subsets in one stroke; its mask
+    has one bit per coordinate pair, set where the two coordinates agree.
+    """
+    k0 = build_torus_complex(k, n)
+    # means of at most k + 1 points, taken twice, divide exactly
+    scale = lcm(*range(1, k + 2)) ** 2
+    period = n * scale
+    coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
+    _, origin0 = _subdivision_data(k0)
+    coords1 = [_barycenter(s, coords0, period) for s in origin0]
+    pairs = list(combinations(range(k), 2))
+
+    def label_fn(s):
+        bc = _barycenter(s, coords1, period)
+        mask = 0
+        for bit, (i, j) in enumerate(pairs):
+            if bc[i] == bc[j]:
+                mask |= 1 << bit
+        return tuple(sorted(set(bc))), mask
+
+    return _identify_after_two_subdivisions(barycentric_subdivision(k0), label_fn)
 
 
 def build_exp_complex(k: int, n: int) -> SimplicialComplex:
@@ -748,17 +698,7 @@ class ChainComplexZ:
 
 def chain_complex(k: SimplicialComplex) -> ChainComplexZ:
     """Simplicial chain complex with the orientation from sorted vertices."""
-    dims = k.counts()
-    boundaries = []
-    for d in range(1, k.dim + 1):
-        index = {s: i for i, s in enumerate(k.simplices[d - 1])}
-        mat = SparseIntMatrix(dims[d - 1], dims[d])
-        for col, s in enumerate(k.simplices[d]):
-            for i in range(d + 1):
-                face = s[:i] + s[i + 1:]
-                mat.set(index[face], col, -1 if i % 2 else 1)
-        boundaries.append(mat)
-    return ChainComplexZ(dims, boundaries)
+    return relative_chain_complex(k, ())
 
 
 def homology(k: SimplicialComplex) -> HomologyResult:
@@ -793,17 +733,19 @@ def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ
     return ChainComplexZ(dims, boundaries)
 
 
+def _with_base_point(rel: HomologyResult) -> HomologyResult:
+    """Homology of a quotient space from the relative homology of the pair:
+    the reduced groups agree, and the base point restores one free rank in
+    dimension zero."""
+    g0 = rel.groups[0]
+    return HomologyResult((AbelianInvariants(g0.rank + 1, g0.torsion),) + rel.groups[1:])
+
+
 def relative_quotient_homology(n: int) -> HomologyResult:
     """Homology of the subset space with its pair stratum collapsed to a
-    point (k = 3): the reduced homology of the quotient is the relative
-    homology of the pair, and dimension zero regains the base point.
-    """
+    point (k = 3)."""
     cx, marked = _build_exp_with_boundary(3, n)
-    rel = relative_chain_complex(cx, marked).homology()
-    groups = list(rel.groups)
-    g0 = groups[0]
-    groups[0] = AbelianInvariants(g0.rank + 1, g0.torsion)
-    return HomologyResult(tuple(groups))
+    return _with_base_point(relative_chain_complex(cx, marked).homology())
 
 
 def collapsed_cell_complex(cells_per_dim, dense_boundaries, collapsed_dims) -> HomologyResult:
@@ -811,9 +753,7 @@ def collapsed_cell_complex(cells_per_dim, dense_boundaries, collapsed_dims) -> H
 
     cells_per_dim counts the cells, dense_boundaries[d] is the matrix of the
     boundary map from (d+1)-cells to d-cells, and collapsed_dims names the
-    dimensions whose cells form the collapsed subcomplex.  The reduced
-    homology of the quotient is the relative homology of the pair; the base
-    point restores one free rank in dimension zero.
+    dimensions whose cells form the collapsed subcomplex.
     """
     keep = [d not in collapsed_dims for d in range(len(cells_per_dim))]
     dims = [cells_per_dim[d] if keep[d] else 0 for d in range(len(cells_per_dim))]
@@ -825,10 +765,7 @@ def collapsed_cell_complex(cells_per_dim, dense_boundaries, collapsed_dims) -> H
                 for c, v in enumerate(row):
                     mat.set(r, c, v)
         boundaries.append(mat)
-    rel = ChainComplexZ(dims, boundaries).homology()
-    groups = list(rel.groups)
-    groups[0] = AbelianInvariants(groups[0].rank + 1, groups[0].torsion)
-    return HomologyResult(tuple(groups))
+    return _with_base_point(ChainComplexZ(dims, boundaries).homology())
 
 
 def rp3_collapse_oracle() -> HomologyResult:

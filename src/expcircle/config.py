@@ -477,9 +477,15 @@ def boundary_torus_curve(eps: float, samples: int = 720) -> SampledLoop:
 
     Pairs of separation pi - 2*eps, slid around the circle; closure needs a
     full turn of the sliding parameter, which passes the core position twice.
+    The charts fold a pair onto the core side only beyond ANGLE_TOL of it, so
+    eps must clear that with a margin for rounding: at 2 * ANGLE_TOL or less
+    the curve cannot be told from the core.
     """
-    if not 0.0 < eps < math.pi / 4.0:
-        raise ValueError(f"eps must lie in (0, pi/4), got {eps!r}")
+    if not 2.0 * ANGLE_TOL < eps < math.pi / 4.0:
+        raise ValueError(
+            f"eps must lie in (2 * ANGLE_TOL, pi/4) = ({2.0 * ANGLE_TOL:g}, pi/4) "
+            f"to tell the curve from the core, got {eps!r}"
+        )
     if samples < 2:
         raise ValueError("need at least 2 samples")
     sep = math.pi - 2.0 * eps

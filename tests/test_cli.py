@@ -125,6 +125,55 @@ def test_knot_json_format():
     assert rec["eps"] == 0.05
 
 
+def test_knot_small_eps_is_refused_or_banded(capsys):
+    # a curve too close to the core to be told from it is refused; none may
+    # pass for the core's windings or fail the band check
+    for eps in ("1e-12", "1e-10", "5e-10", "1e-9", "2e-9", "3e-9"):
+        code = main(["--eps", eps, "--format", "json", "knot"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), (eps, err)
+        if code == 0:
+            assert json.loads(out)["windings"] == [2, 3], eps
+        else:
+            assert out == ""
+            assert err.startswith("error: ")
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("size cap checked after work started")
+
+
+@pytest.mark.parametrize("args", [
+    ("--mesh-n", "50", "homology", "2"),
+    ("--mesh-n", "6", "homology", "3"),
+    ("--mesh-n", "6", "homology", "3", "--relative"),
+    ("--samples", "100000000", "knot"),
+])
+def test_size_caps_are_usage_errors(monkeypatch, capsys, args):
+    for name in ("build_exp_complex", "relative_quotient_homology", "boundary_torus_curve"):
+        monkeypatch.setattr(cli, name, _refuse_work)
+    assert main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_size_cap_admits_exp3_at_n5(monkeypatch):
+    # the cap is checked, then the build is swapped for a small one
+    calls = []
+    build = cli.build_exp_complex
+
+    def small_exp(k, n):
+        calls.append((k, n))
+        return build(2, 3)
+
+    monkeypatch.setattr(cli, "build_exp_complex", small_exp)
+    code, out = run_cli("--mesh-n", "5", "homology", "3")
+    assert code == 0
+    assert calls == [(3, 5)]
+    assert json.loads(out)["n"] == 5
+
+
 def test_knot_bad_samples_is_usage_error():
     code, _, err = run_proc("--samples", "4", "knot")
     assert code == 2

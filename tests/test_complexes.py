@@ -8,6 +8,7 @@ from expcircle.complexes import (
     HomologyResult,
     SimplicialComplex,
     SparseIntMatrix,
+    _build_exp_with_boundary,
     _dense_snf,
     barycentric_subdivision,
     build_exp_complex,
@@ -263,6 +264,28 @@ def test_exp2_is_closed_band():
     assert homology(e2b) == H((1, ()), (1, ()), (0, ()))
 
 
+def test_exp2_top_count_closed_form():
+    # n**k * ((k+1)!)**2 top simplices, the figure the CLI's size cap uses
+    for n in range(3, 7):
+        assert build_exp_complex(2, n).counts()[-1] == 36 * n**2
+
+
+def _assert_subcomplex(marked):
+    have = [set(m) for m in marked]
+    for d in range(1, len(marked)):
+        for s in marked[d]:
+            for i in range(d + 1):
+                assert s[:i] + s[i + 1:] in have[d - 1]
+
+
+def test_exp2_marked_stratum_is_singleton_circle():
+    cx, marked = _build_exp_with_boundary(2, 3)
+    assert [len(m) for m in marked] == [12, 12, 0]
+    _assert_subcomplex(marked)
+    for d, m in enumerate(marked):
+        assert set(m) <= set(cx.simplices[d])
+
+
 def test_text_roundtrip():
     k = rp2_complex()
     text = complex_to_text(k)
@@ -294,6 +317,15 @@ def test_exp3_homology_is_sphere_n3():
     e3 = build_exp_complex(3, 3)
     assert e3.euler_characteristic() == 0
     assert homology(e3) == H((1, ()), (0, ()), (0, ()), (1, ()))
+
+
+@pytest.mark.slow
+def test_exp3_marked_stratum_is_exp2():
+    # the degenerate triples are the pair space, simplex for simplex in count
+    _, marked = _build_exp_with_boundary(3, 3)
+    assert [len(m) for m in marked] == build_exp_complex(2, 3).counts() + [0]
+    assert [len(m) for m in marked] == [168, 492, 324, 0]
+    _assert_subcomplex(marked)
 
 
 @pytest.mark.slow
