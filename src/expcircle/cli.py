@@ -57,13 +57,12 @@ MAX_SAMPLES = 100_000
 class RunConfig:
     """Validated run parameters shared by the subcommands."""
 
-    command: str
-    tol: float = 1e-9
-    mesh_n: int = 3
-    samples: int = 720
-    eps: float = 0.1
-    fmt: str = "json"
-    out: str | None = None
+    tol: float
+    mesh_n: int
+    samples: int
+    eps: float
+    fmt: str
+    out: str | None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -308,7 +307,6 @@ def _run(argv) -> int:
         parser.error("csv output is only available for knot curves")
     try:
         cfg = RunConfig(
-            command=args.command,
             tol=args.tol,
             mesh_n=args.mesh_n,
             samples=args.samples,

@@ -6,8 +6,8 @@ tuples with equal underlying sets act simplicially.  Quotients are taken
 after two barycentric subdivisions, the standard regularity margin that makes
 the identified complex compute the homology of the identified space.  The
 second subdivision is enumerated chain by chain and each chain is mapped
-straight to its quotient simplex: the flag memo holds every chain, but the
-second subdivision is never validated or sorted as a complex of its own.
+straight to its quotient simplex: the flag memo holds no chain of a top
+simplex, and the second subdivision is never validated or sorted as a whole.
 Torus coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres
 of barycentres that key the identification are exact without fractions.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +147,18 @@ def _subdivision_data(k: SimplicialComplex):
 def _flags(k: SimplicialComplex, ids):
     """Every chain of the face poset, as an id tuple; a chain of length L is
     an (L-1)-simplex of the subdivision.  Ids increase along every chain
-    because they are assigned in dimension order."""
+    because they are assigned in dimension order.  Only chains ending below
+    the top dimension are memoised: a top simplex is no one's face."""
     memo: dict[tuple, list] = {}
-    for ss in k.simplices:
+    for d, ss in enumerate(k.simplices):
         for s in ss:
             sid = ids[s]
             cs = [(sid,)]
             for f in _proper_faces(s):
                 for c in memo[f]:
                     cs.append(c + (sid,))
-            memo[s] = cs
+            if d < k.dim:
+                memo[s] = cs
             yield from cs
 
 
@@ -455,50 +457,16 @@ class SparseIntMatrix:
         return out
 
 
-def _dense_snf(a, track: bool = False):
-    """Textbook Smith normal form on a dense list-of-lists of python ints.
-
-    Returns the diagonal invariants (nonzero, divisibility-ordered); when
-    track is set, also unimodular U, V with U @ M @ V = D.
-    """
+def _dense_snf(a):
+    """Textbook Smith normal form on a dense list-of-lists of python ints:
+    the diagonal invariants, nonzero and in divisibility order."""
     a = [list(map(int, row)) for row in a]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for c in range(n):
-            ai[c] -= q * aj[c]
-        if track:
-            ui, uj = u[i], u[j]
-            for c in range(m):
-                ui[c] -= q * uj[c]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            a[r][i] -= q * a[r][j]
-        if track:
-            for r in range(n):
-                v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        if track:
-            for r in range(n):
-                v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     diag = []
     t = 0
@@ -517,19 +485,19 @@ def _dense_snf(a, track: bool = False):
                 break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         while True:
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
             moved = False
             for r in range(t + 1, m):
                 if a[r][t]:
                     q = a[r][t] // p
-                    row_op(r, t, q)
+                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
                     if a[r][t]:
-                        swap_rows(t, r)
+                        a[t], a[r] = a[r], a[t]
                         moved = True
                         break
             if moved:
@@ -537,7 +505,8 @@ def _dense_snf(a, track: bool = False):
             for c in range(t + 1, n):
                 if a[t][c]:
                     q = a[t][c] // p
-                    col_op(c, t, q)
+                    for row in a:
+                        row[c] -= q * row[t]
                     if a[t][c]:
                         swap_cols(t, c)
                         moved = True
@@ -547,59 +516,25 @@ def _dense_snf(a, track: bool = False):
         diag.append(a[t][t])
         t += 1
 
-    def ext_gcd(x, y):
-        old_r, r = x, y
-        old_s, s = 1, 0
-        old_t, tt = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, tt = tt, old_t - q * tt
-        return old_r, old_s, old_t
-
-    # restore the divisibility chain d1 | d2 | ... ; with tracking, each
-    # repair is the unimodular 2x2 identity
-    #   [[s, t], [-y/g, x/g]] @ diag(x, y) @ [[1, -t y/g], [1, s x/g]]
-    #   = diag(g, x y / g)          where  s x + t y = g.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            if y % x:
-                g, s0, t0 = ext_gcd(x, y)
-                diag[i], diag[i + 1] = g, x // g * y
-                changed = True
-                if track:
-                    j = i + 1
-                    for mat in (a, u):
-                        ri, rj = mat[i], mat[j]
-                        mat[i] = [s0 * p + t0 * q for p, q in zip(ri, rj)]
-                        mat[j] = [-(y // g) * p + (x // g) * q for p, q in zip(ri, rj)]
-                    for mat in (a, v):
-                        for row in mat:
-                            ci, cj = row[i], row[j]
-                            row[i] = ci + cj
-                            row[j] = -(t0 * y // g) * ci + (s0 * x // g) * cj
-    if track:
-        return diag, u, v
+    # restore the divisibility chain d1 | d2 | ...: diag(x, y) is equivalent
+    # to diag(gcd, lcm), and one pass over the pairs leaves each d_i dividing
+    # every later entry
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
     return diag
 
 
-def smith_normal_form(matrix, with_transforms: bool = False):
+def smith_normal_form(matrix):
     """Diagonal invariants d1 | d2 | ... of an integer matrix.
 
-    A SparseIntMatrix goes through the sparse column reduction; a dense list
-    of rows goes through the textbook routine, which with with_transforms
-    also returns unimodular U, V such that U M V has the invariants on its
-    diagonal.  Arithmetic is exact throughout.
+    A SparseIntMatrix goes through the sparse column reduction, a dense list
+    of rows through the textbook routine.  Arithmetic is exact throughout.
     """
     if isinstance(matrix, SparseIntMatrix):
-        if with_transforms:
-            raise ValueError("transforms are only tracked for dense inputs")
         return _sparse_snf_invariants(matrix)
-    return _dense_snf(matrix, track=with_transforms)
+    return _dense_snf(matrix)
 
 
 def _subtract(col: dict, q: int, pivot: dict) -> None:

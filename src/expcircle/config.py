@@ -11,8 +11,9 @@ representative is the lexicographic minimum of the orbit).
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
-loops inside the space, and a winding diagnostic that certifies the torus-knot
-type of curves living in the pair stratum.
+loops inside the space, and a winding diagnostic for curves living in the
+pair stratum: it measures the longitudinal winding around the band core and
+derives the meridional one from it.
 """
 
 from __future__ import annotations
@@ -107,16 +108,11 @@ class FiniteSubset:
         return self.size == other.size and hausdorff_distance(self, other) <= tol
 
 
-def circle_distance(a: float, b: float) -> float:
-    """Arc distance on the circle, in [0, pi]."""
-    return angle_dist(a, b)
-
-
 def hausdorff_distance(s: FiniteSubset, t: FiniteSubset) -> float:
     """Hausdorff distance for the arc metric; it metrizes the quotient
     topology on finite subsets of the circle."""
     def directed(u, v):
-        return max(min(circle_distance(a, b) for b in v) for a in u)
+        return max(min(angle_dist(a, b) for b in v) for a in u)
 
     return max(directed(s.angles, t.angles), directed(t.angles, s.angles))
 
@@ -500,12 +496,6 @@ def boundary_torus_curve(eps: float, samples: int = 720) -> SampledLoop:
 
 # Perturbation used to track singleton loops as nearby pairs.
 _SINGLETON_SPREAD = 0.2
-# Frozen orientation constants of the core's tubular coordinates: the normal
-# frame of the core makes a half turn per circuit (the band is a Moebius
-# band), and the framing traced out by that half-turning frame links the
-# core twice per circuit.
-_FRAME_MONODROMY = math.pi
-_FRAME_LINKING = 2
 
 
 def _track_pair_angles(loop: SampledLoop):
@@ -537,12 +527,12 @@ def winding_diagnostic(loop: SampledLoop) -> tuple[int, int]:
     """Longitudinal and meridional winding of a closed loop around the core.
 
     The loop must live in the pair stratum (singleton loops are tracked via a
-    perturbed pair at fixed small separation).  The two points are followed
-    continuously; the longitudinal count is the advance of the pair's
-    position against the core's half-turn period, and the meridional count
-    accumulates the angle of the transverse position in the core's normal
-    disc, corrected by the frozen frame constants above.  A loop sitting on
-    the core itself reports (turns, 0).
+    perturbed pair at fixed small separation).  The longitudinal count m is
+    measured: the advance of the continuously tracked pair against the
+    core's half-turn period.  The meridional count is not measured but
+    derived as 3m/2: off the core the band retracts onto the (2, 3) boundary
+    curve.  m is even, since a loop with odd m swaps its two points and so
+    crosses the core, which is refused.  A loop on the core reports (m, 0).
     """
     if not loop.closed or len(loop.subsets) < 2:
         raise ValueError("winding diagnostic needs a closed sampled loop")
@@ -571,13 +561,4 @@ def winding_diagnostic(loop: SampledLoop) -> tuple[int, int]:
         return (m, 0)
     if min(abs(d) for d in devs) <= ANGLE_TOL or min(devs) < 0.0 < max(devs):
         raise ValueError("loop touches or crosses the core circle")
-
-    # In-band loops keep the transverse position on the band axis of the
-    # normal disc, so the co-rotating transverse angle accumulates nothing.
-    psi_total = 0.0
-    n = (psi_total - m * _FRAME_MONODROMY) / TWO_PI
-    n_int = round(n)
-    if abs(n - n_int) > 1e-9:
-        raise ValueError("inconsistent winding data: loop closure is not compatible")
-    meridional = _FRAME_LINKING * m + n_int
-    return (m, meridional)
+    return (m, 3 * m // 2)

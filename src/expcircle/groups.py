@@ -45,6 +45,14 @@ def _invert(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
+def _exponent_sums(word, n: int) -> list[int]:
+    """Exponent sum of each of the n generators in the word."""
+    sums = [0] * n
+    for x in word:
+        sums[abs(x) - 1] += 1 if x > 0 else -1
+    return sums
+
+
 def _canonical_relator(word) -> Word:
     """Least rotation of the cyclic word or its inverse; a normal form for
     relator comparison."""
@@ -84,18 +92,9 @@ class Presentation:
     def __repr__(self):
         return f"Presentation({format_presentation(self)!r})"
 
-    def word_from_names(self, text: str) -> Word:
-        return parse_word(text, self.generators)
-
     def rank_data(self):
         """Exponent-sum matrix of the relators, one row per relator."""
-        rows = []
-        for w in self.relators:
-            row = [0] * len(self.generators)
-            for x in w:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            rows.append(row)
-        return rows
+        return [_exponent_sums(w, len(self.generators)) for w in self.relators]
 
 
 def canonical_form(p: Presentation) -> tuple:
@@ -246,15 +245,14 @@ def _is_abelian_free_presentation(p: Presentation) -> bool:
     """True when every relator is a commutator of generators, so the group
     is free abelian on its generators and word triviality is decidable by
     exponent sums."""
-    for w in p.relators:
-        if _canonical_relator(w) not in {
-            _canonical_relator((i, j, -i, -j))
-            for i in range(1, len(p.generators) + 1)
-            for j in range(1, len(p.generators) + 1)
-            if i != j
-        }:
-            return False
-    return True
+    n = len(p.generators)
+    commutators = {
+        _canonical_relator((i, j, -i, -j))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    }
+    return all(_canonical_relator(w) in commutators for w in p.relators)
 
 
 @dataclass
@@ -298,20 +296,16 @@ class GroupHom:
             if bad:
                 raise ValueError(f"relator image {bad[0]} is nontrivial in the free target")
             return True
+        n = len(self.target.generators)
         if _is_abelian_free_presentation(self.target):
             for w in images_of_relators:
-                sums = [0] * len(self.target.generators)
-                for x in w:
-                    sums[abs(x) - 1] += 1 if x > 0 else -1
-                if any(sums):
+                if any(_exponent_sums(w, n)):
                     raise ValueError("relator image nontrivial in the free-abelian target")
             return True
         # necessary condition in homology
         mat = self.target.rank_data()
         for w in images_of_relators:
-            sums = [0] * len(self.target.generators)
-            for x in w:
-                sums[abs(x) - 1] += 1 if x > 0 else -1
+            sums = _exponent_sums(w, n)
             if any(sums) and not _in_row_span(mat, sums):
                 raise ValueError("relator image fails the abelianized necessary condition")
         return False
@@ -345,28 +339,29 @@ def pushout(data: PushoutData) -> Presentation:
     both, plus left(c) right(c)^-1 for each corner generator c."""
     a, b = data.left.target, data.right.target
     names = list(a.generators)
-    rename_b = {}
     for name in b.generators:
-        new = name
-        while new in names:
-            new += "_"
-        rename_b[name] = new
-        names.append(new)
+        while name in names:
+            name += "_"
+        names.append(name)
     offset = len(a.generators)
-    rels = list(a.relators)
-    for w in b.relators:
-        rels.append(tuple((1 if x > 0 else -1) * (abs(x) + offset) for x in w))
-    for i in range(len(data.corner.generators)):
-        wa = data.left.images[i]
-        wb = data.right.images[i]
-        wb_shift = tuple((1 if x > 0 else -1) * (abs(x) + offset) for x in wb)
-        rels.append(_free_reduce(wa + _invert(wb_shift)))
+
+    def shift(word):  # letters of b follow those of a
+        return tuple(x + offset if x > 0 else x - offset for x in word)
+
+    rels = list(a.relators) + [shift(w) for w in b.relators]
+    for wa, wb in zip(data.left.images, data.right.images):
+        rels.append(_free_reduce(wa + _invert(shift(wb))))
     return Presentation(names, rels)
 
 
 # ---------------------------------------------------------------------------
 # Tietze simplification
 # ---------------------------------------------------------------------------
+
+# Guards on loops that terminate by construction.
+TIETZE_STEP_BUDGET = 1000
+REWRITE_ROUNDS = 64
+
 
 @dataclass
 class TietzeResult:
@@ -430,11 +425,11 @@ def _power_rule_rewrites(p: Presentation):
     return rules
 
 
-def _rewrite_all(word: Word, letter: int, count: int, repl: Word, max_rounds: int = 64) -> Word:
+def _rewrite_all(word: Word, letter: int, count: int, repl: Word) -> Word:
     """Replace every run (letter)^count (and its inverse) by repl, repeatedly
     until none remains; the replacement never reintroduces the pattern
-    letter, so this terminates."""
-    for _ in range(max_rounds):
+    letter, so this terminates (REWRITE_ROUNDS guards it anyway)."""
+    for _ in range(REWRITE_ROUNDS):
         hit = False
         for sign in (1, -1):
             pat = (sign * letter,) * count
@@ -451,7 +446,7 @@ def _rewrite_all(word: Word, letter: int, count: int, repl: Word, max_rounds: in
     return word
 
 
-def tietze_simplify(p: Presentation, step_budget: int = 1000) -> TietzeResult:
+def tietze_simplify(p: Presentation) -> TietzeResult:
     """Deterministic presentation cleanup.
 
     Rules, in fixed priority: drop trivial relators and duplicates (up to
@@ -459,8 +454,8 @@ def tietze_simplify(p: Presentation, step_budget: int = 1000) -> TietzeResult:
     in some relator by solving for it; shrink relators through power-relation
     rewrites when that strictly shortens them.  The generator count never
     increases and (generators, total length) strictly decreases with every
-    applied rule, so the loop terminates; an exhausted budget returns the
-    current state flagged incomplete.  Every run re-checks that the
+    applied rule, so the loop terminates; exhausting TIETZE_STEP_BUDGET
+    returns the current state flagged incomplete.  Every run re-checks that the
     abelianization is unchanged.
     """
 
@@ -471,7 +466,7 @@ def tietze_simplify(p: Presentation, step_budget: int = 1000) -> TietzeResult:
 
     steps = 0
     cur = Presentation(p.generators, p.relators)
-    while steps < step_budget:
+    while steps < TIETZE_STEP_BUDGET:
         # drop duplicates and empties
         seen = {}
         for w in cur.relators:

@@ -483,6 +483,9 @@ def test_winding_boundary_torus_curve():
         for samples in (360, 1440):
             w = winding_diagnostic(boundary_torus_curve(eps, samples))
             assert (abs(w[0]), abs(w[1])) == (2, 3)
+    # clockwise traversal flips both counts
+    reversed_curve = SampledLoop(list(reversed(boundary_torus_curve(0.1, 720).subsets)))
+    assert winding_diagnostic(reversed_curve) == (-2, -3)
 
 
 def test_winding_singleton_matches_torus_curve():
@@ -501,3 +504,10 @@ def test_winding_rejections():
         winding_diagnostic(open_path)
     with pytest.raises(ValueError):
         winding_diagnostic(core_circle(samples=2))
+    # the two points trade places (m = 1): the separation passes antipodal
+    swap = SampledLoop([
+        FiniteSubset([t, 1.0 + t * (2.0 * math.pi - 1.0)])
+        for t in (k / 64 for k in range(65))
+    ])
+    with pytest.raises(ValueError, match="crosses the core"):
+        winding_diagnostic(swap)
