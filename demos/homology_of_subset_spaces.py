@@ -8,7 +8,7 @@ The pair space comes out a closed band (circle homology); the triple space
 comes out a homology 3-sphere, and collapsing the pair stratum reproduces
 the table of projective 3-space modulo its 1-skeleton.
 
-Expect about fifteen seconds of total runtime.
+Expect about nine seconds of total runtime.
 """
 
 import time

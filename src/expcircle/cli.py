@@ -150,50 +150,47 @@ def cmd_knot(cfg: RunConfig, core: bool = False) -> int:
     return 0
 
 
-def _homology_record(cfg: RunConfig, k: int) -> tuple[dict, int]:
-    cx = build_exp_complex(k, cfg.mesh_n)
+def cmd_homology(cfg: RunConfig, k: int, relative: bool) -> int:
+    if relative and k != 3:
+        print("error: relative mode needs k = 3", file=sys.stderr)
+        return 2
+    # the inputs are validated by now, so a ValueError from the build or the
+    # homology (a degenerate identification, an asymmetric torus, a nonzero
+    # d∘d) is a failed verification in either mode
     try:
-        h = homology(cx)
+        if relative:
+            rel = relative_quotient_homology(cfg.mesh_n)
+            oracle = rp3_collapse_oracle()
+            record = {
+                "k": 3,
+                "n": cfg.mesh_n,
+                "mode": "relative",
+                "betti": rel.betti,
+                "torsion": [list(t) for t in rel.torsion],
+                "oracle_betti": oracle.betti,
+                "oracle_torsion": [list(t) for t in oracle.torsion],
+                "match": rel == oracle,
+            }
+            ok = record["match"]
+        else:
+            cx = build_exp_complex(k, cfg.mesh_n)
+            h = homology(cx)
+            record = {
+                "k": k,
+                "n": cfg.mesh_n,
+                "mode": "absolute",
+                "counts": cx.counts(),
+                "euler": cx.euler_characteristic(),
+                "betti": h.betti,
+                "torsion": [list(t) for t in h.torsion],
+                "boundary_check": True,
+            }
+            ok = True
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return {}, 1
-    record = {
-        "k": k,
-        "n": cfg.mesh_n,
-        "mode": "absolute",
-        "counts": cx.counts(),
-        "euler": cx.euler_characteristic(),
-        "betti": h.betti,
-        "torsion": [list(t) for t in h.torsion],
-        "boundary_check": True,
-    }
-    return record, 0
-
-
-def cmd_homology(cfg: RunConfig, k: int, relative: bool) -> int:
-    if relative:
-        if k != 3:
-            print("error: relative mode needs k = 3", file=sys.stderr)
-            return 2
-        rel = relative_quotient_homology(cfg.mesh_n)
-        oracle = rp3_collapse_oracle()
-        record = {
-            "k": 3,
-            "n": cfg.mesh_n,
-            "mode": "relative",
-            "betti": rel.betti,
-            "torsion": [list(t) for t in rel.torsion],
-            "oracle_betti": oracle.betti,
-            "oracle_torsion": [list(t) for t in oracle.torsion],
-            "match": rel == oracle,
-        }
-        _emit(_dump(record), cfg.out)
-        return 0 if record["match"] else 1
-    record, code = _homology_record(cfg, k)
-    if code:
-        return code
+        return 1
     _emit(_dump(record), cfg.out)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_pi1(cfg: RunConfig, case: str) -> int:

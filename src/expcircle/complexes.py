@@ -8,6 +8,13 @@ the identified complex compute the homology of the identified space.  The
 second subdivision is enumerated chain by chain and each chain is mapped
 straight to its quotient simplex: the flag memo holds no chain of a top
 simplex, and the second subdivision is never validated or sorted as a whole.
+Only chains ending at one chosen sd1 simplex per orbit of the group action
+are mapped.  Keys are invariant under the group, so a chain and its images
+land on the same quotient simplex with the same marking, and each orbit of
+chains has a member ending at a chosen simplex.  For the subset spaces that
+is a sixth of the top chains at k = 3 (the symmetric group acts freely on
+top simplices); it rests on the torus triangulation being symmetric under
+coordinate permutations, which the build checks before relying on it.
 Torus coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres
 of barycentres that key the identification are exact without fractions.
 
@@ -144,22 +151,31 @@ def _subdivision_data(k: SimplicialComplex):
     return ids, origin
 
 
-def _flags(k: SimplicialComplex, ids):
+def _flags(k: SimplicialComplex, ids, ends=None):
     """Every chain of the face poset, as an id tuple; a chain of length L is
     an (L-1)-simplex of the subdivision.  Ids increase along every chain
     because they are assigned in dimension order.  Only chains ending below
-    the top dimension are memoised: a top simplex is no one's face."""
+    the top dimension are memoised: a top simplex is no one's face.
+
+    If ends is given, only chains whose last element s has ends[ids[s]] true
+    are yielded; the memo stays complete, since any simplex can be a face of
+    a wanted one, but a top simplex that is not wanted builds no chains."""
     memo: dict[tuple, list] = {}
+    top = k.dim
     for d, ss in enumerate(k.simplices):
         for s in ss:
             sid = ids[s]
+            wanted = ends is None or ends[sid]
+            if d == top and not wanted:
+                continue
             cs = [(sid,)]
             for f in _proper_faces(s):
                 for c in memo[f]:
                     cs.append(c + (sid,))
-            if d < k.dim:
+            if d < top:
                 memo[s] = cs
-            yield from cs
+            if wanted:
+                yield from cs
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -283,25 +299,36 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     """Subdivide k1 once more, identifying vertices on the fly.
 
     k1 is the first subdivision; its simplices are the vertices of the
-    second.  label_fn maps an sd1 simplex to (key, mask): equal keys become
-    one quotient vertex, and a quotient simplex is marked when some preimage
-    chain has a nonzero AND of its element masks (used to trace subcomplexes
-    through the quotient).  Returns the quotient and its marked simplices
-    per dimension.  Raises if the identification degenerates a simplex, the
-    telltale of an insufficiently subdivided action.
+    second.  label_fn maps an sd1 simplex to (key, mask, is_representative):
+    equal keys become one quotient vertex, and a quotient simplex is marked
+    when some preimage chain has a nonzero AND of its element masks (used to
+    trace subcomplexes through the quotient).  Returns the quotient and its
+    marked simplices per dimension.  Raises if the identification
+    degenerates a simplex, the telltale of an insufficiently subdivided
+    action.
+
+    Only chains ending at a representative are mapped.  The caller picks
+    exactly one representative from each orbit of a simplicial group action
+    on k1 under which keys are invariant and mask nonzero-ness is preserved.
+    Then a chain c and its image g.c have the same quotient tuple, the same
+    degeneracy and the same marked status, and every orbit of chains holds a
+    chain ending at a representative (move its last element there), so the
+    representatives' chains give exactly the quotient of all chains.
     """
     ids, origin = _subdivision_data(k1)
     qid_by_key: dict = {}
     qid_of_vertex = []
     masks = []
+    ends = []
     for s in origin:
-        key, mask = label_fn(s)
+        key, mask, is_representative = label_fn(s)
         qid_of_vertex.append(qid_by_key.setdefault(key, len(qid_by_key)))
         masks.append(mask)
+        ends.append(is_representative)
 
     out = [set() for _ in range(k1.dim + 1)]
     marked = [set() for _ in range(k1.dim + 1)]
-    for c in _flags(k1, ids):
+    for c in _flags(k1, ids, ends):
         q = tuple(sorted(qid_of_vertex[v] for v in c))
         if len(set(q)) != len(q):
             raise ValueError(
@@ -334,7 +361,8 @@ def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
     lifted = [[ids[tuple(sorted(perm[v] for v in s))] for s in origin] for perm in group]
 
     def label_fn(s):
-        return min(tuple(sorted(table[v] for v in s)) for table in lifted), 0
+        key = min(tuple(sorted(table[v] for v in s)) for table in lifted)
+        return key, 0, key == s
 
     cx, _ = _identify_after_two_subdivisions(barycentric_subdivision(k), label_fn)
     return cx
@@ -348,8 +376,15 @@ def _build_exp_with_boundary(k: int, n: int):
     barycentre's coordinates, which merges coordinate permutations and
     collapses repeated entries onto smaller subsets in one stroke; its mask
     has one bit per coordinate pair, set where the two coordinates agree.
+    Both are invariant under permuting coordinates (the mask up to a
+    permutation of its bits), so only chains ending at the sd1 simplex whose
+    barycentre is sorted are mapped: barycentres of distinct simplices are
+    distinct, so each orbit has exactly one.  That needs the torus
+    triangulation to be symmetric, which is checked, not assumed.
     """
     k0 = build_torus_complex(k, n)
+    for g in coordinate_permutation_action(k, n):
+        _check_simplicial(k0, g)
     # means of at most k + 1 points, taken twice, divide exactly
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
@@ -364,7 +399,7 @@ def _build_exp_with_boundary(k: int, n: int):
         for bit, (i, j) in enumerate(pairs):
             if bc[i] == bc[j]:
                 mask |= 1 << bit
-        return tuple(sorted(set(bc))), mask
+        return tuple(sorted(set(bc))), mask, list(bc) == sorted(bc)
 
     return _identify_after_two_subdivisions(barycentric_subdivision(k0), label_fn)
 

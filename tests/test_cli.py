@@ -4,8 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from expcircle import cli
+from expcircle import cli, complexes
 from expcircle.cli import main
 
 
@@ -86,6 +87,52 @@ def test_non_finite_input_is_usage_error():
         assert out == b""
         assert b"not a finite number" in err
         assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("fail, message", [
+    ("dd", "boundary of boundary is nonzero"),
+    ("identification", "identification degenerates a simplex"),
+    ("symmetry", "action does not carry simplices to simplices"),
+])
+def test_homology_verification_failure_exits_1(monkeypatch, request, capsys, fail, message,
+                                               relative):
+    if fail == "dd":
+        monkeypatch.setattr(complexes.ChainComplexZ, "check_boundary_squared", lambda self: False)
+    elif fail == "identification":
+        # every sd1 simplex gets one key, so the first edge degenerates
+        identify = complexes._identify_after_two_subdivisions
+        monkeypatch.setattr(complexes, "_identify_after_two_subdivisions",
+                            lambda k1, label_fn: identify(k1, lambda s: (0,) + label_fn(s)[1:]))
+    else:
+        request.getfixturevalue("asymmetric_torus")
+    if relative:
+        # the relative pipeline on the small exp2 complex: the failures are
+        # the same, the build is quicker
+        build = complexes._build_exp_with_boundary
+        monkeypatch.setattr(complexes, "_build_exp_with_boundary", lambda k, n: build(2, n))
+    args = ["homology", "3", "--relative"] if relative else ["homology", "2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=4))
+def test_coord_never_raises(values):
+    # any float, finite or not, gives a chart record or a usage error
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["coord", *map(str, values)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in output"))
+    else:
+        assert out.getvalue() == ""
 
 
 def test_coord_near_coincident_triple():

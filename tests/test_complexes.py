@@ -4,6 +4,7 @@ from math import gcd, prod
 
 import pytest
 
+from expcircle import complexes
 from expcircle.complexes import (
     AbelianInvariants,
     ChainComplexZ,
@@ -12,6 +13,8 @@ from expcircle.complexes import (
     SparseIntMatrix,
     _build_exp_with_boundary,
     _dense_snf,
+    _flags,
+    _subdivision_data,
     barycentric_subdivision,
     build_exp_complex,
     build_torus_complex,
@@ -286,6 +289,94 @@ def test_exp2_marked_stratum_is_singleton_circle():
     _assert_subcomplex(marked)
     for d, m in enumerate(marked):
         assert set(m) <= set(cx.simplices[d])
+
+
+# ---------------------------------------------------------------------------
+# the orbit filter of the second subdivision
+# ---------------------------------------------------------------------------
+
+def _identify_all_chains(k1, label_fn):
+    """Reference for complexes._identify_after_two_subdivisions: maps every
+    chain of the second subdivision, whether or not it ends at an orbit
+    representative."""
+    ids, origin = _subdivision_data(k1)
+    qid_by_key = {}
+    qid_of_vertex = []
+    masks = []
+    for s in origin:
+        key, mask, _ = label_fn(s)
+        qid_of_vertex.append(qid_by_key.setdefault(key, len(qid_by_key)))
+        masks.append(mask)
+    out = [set() for _ in range(k1.dim + 1)]
+    marked = [set() for _ in range(k1.dim + 1)]
+    for c in _flags(k1, ids):
+        q = tuple(sorted(qid_of_vertex[v] for v in c))
+        if len(set(q)) != len(q):
+            raise ValueError("identification degenerates a simplex")
+        out[len(q) - 1].add(q)
+        m = masks[c[0]]
+        for v in c[1:]:
+            m &= masks[v]
+        if m:
+            marked[len(q) - 1].add(q)
+    cx = SimplicialComplex(len(qid_by_key), [sorted(s) for s in out])
+    return cx, [sorted(s) for s in marked]
+
+
+def _quotient_data(result):
+    cx, marked = result if isinstance(result, tuple) else (result, None)
+    return cx.vertex_count, cx.simplices, marked
+
+
+def _reflection(n):
+    return [(-i) % n for i in range(n)]
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: _build_exp_with_boundary(2, n) for n in range(3, 7)),
+    lambda: quotient_complex(circle_complex(8), [_reflection(8)]),
+    lambda: quotient_complex(circle_complex(5), [_reflection(5)]),
+    *(lambda n=n: quotient_complex(build_torus_complex(2, n), coordinate_permutation_action(2, n))
+      for n in (3, 5)),
+], ids=["exp2-n3", "exp2-n4", "exp2-n5", "exp2-n6", "circle-n8", "circle-n5", "T2-n3", "T2-n5"])
+def test_orbit_filter_matches_all_chains(monkeypatch, build):
+    got = _quotient_data(build())
+    monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
+    assert got == _quotient_data(build())
+
+
+@pytest.mark.slow
+def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
+    # S_3 acts freely on the 3888 top sd1 simplices, so a sixth of them are
+    # representatives; 68 840 of the 407 160 chains are mapped
+    counts = {"top_representatives": 0, "mapped": 0}
+    identify = complexes._identify_after_two_subdivisions
+
+    def counting_identify(k1, label_fn):
+        def label(s):
+            key, mask, is_representative = label_fn(s)
+            if is_representative and len(s) == k1.dim + 1:
+                counts["top_representatives"] += 1
+            return key, mask, is_representative
+        return identify(k1, label)
+
+    def counting_flags(k, ids, ends=None):
+        for c in _flags(k, ids, ends):
+            counts["mapped"] += ends is not None
+            yield c
+
+    monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", counting_identify)
+    monkeypatch.setattr(complexes, "_flags", counting_flags)
+    got = _quotient_data(_build_exp_with_boundary(3, 3))
+    assert counts == {"top_representatives": 648, "mapped": 68840}
+    monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
+    assert got == _quotient_data(_build_exp_with_boundary(3, 3))
+
+
+def test_asymmetric_torus_is_refused(asymmetric_torus):
+    # the orbit filter is only sound for a symmetric triangulation
+    with pytest.raises(ValueError, match="action does not carry simplices"):
+        _build_exp_with_boundary(2, 3)
 
 
 def test_text_roundtrip():

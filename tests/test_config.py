@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from expcircle.config import (
     DISTINCT_TOL,
@@ -129,6 +131,79 @@ def test_rotate():
         d1 = hausdorff_distance(rotate(zeta, a), rotate(zeta, b))
         assert abs(d0 - d1) < 1e-9
         assert rotate(zeta, a).size == a.size  # the action preserves strata
+
+
+# ---------------------------------------------------------------------------
+# property tests: the charts under permutation and rotation
+# ---------------------------------------------------------------------------
+
+# gaps within 10x of the merge threshold, ordinary gaps, and near-antipodal
+# pairs, which sit on the band's core where the chart folds
+NEAR_GAPS = st.floats(1.001, 10.0).map(lambda f: f * DISTINCT_TOL)
+FAR_GAPS = st.floats(1e-3, 3.0)
+ANTIPODAL_GAPS = st.floats(-1e-8, 1e-8).map(lambda f: math.pi + f)
+
+
+@st.composite
+def subset_angles(draw):
+    """One to three angles whose gaps stay clear of the merge threshold."""
+    pts = [draw(st.floats(0.0, 2 * math.pi, exclude_max=True))]
+    size = draw(st.integers(1, 3))
+    for _ in range(size - 1):
+        gaps = NEAR_GAPS | FAR_GAPS | ANTIPODAL_GAPS if size == 2 else NEAR_GAPS | FAR_GAPS
+        pts.append(pts[-1] + draw(gaps))
+    return pts
+
+
+def _hyperbolic_dist(z, w):
+    return math.acosh(1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag))
+
+
+def _min_gap(s):
+    a = s.angles
+    return min(angle_dist(x, y) for i, x in enumerate(a) for y in a[i + 1:])
+
+
+def _band_dist(a, phi, theta):
+    # the band identifies (phi, theta) with (pi - phi, theta - 2 phi)
+    return min(max(abs(a.phi - p), angle_dist(a.theta, t))
+               for p, t in ((phi, theta), (math.pi - phi, theta - 2 * phi)))
+
+
+@given(subset_angles())
+def test_charts_invariant_under_permutation(angles):
+    ref = exp3_coord(FiniteSubset(angles))
+    for perm in permutations(angles):
+        s = FiniteSubset(perm)
+        assert exp3_coord(s) == ref
+        if s.size == 3:
+            assert c3_orbit(s) == c3_orbit(FiniteSubset(angles))
+
+
+@given(subset_angles(), st.floats(-2 * math.pi, 2 * math.pi))
+def test_charts_equivariant_under_rotation(angles, zeta):
+    # rotating by zeta keeps the frame point z and turns theta by -zeta, up
+    # to rounding.  An angle's rounding error reaches theta magnified by
+    # 1 / (smallest gap), and reaches z, in hyperbolic distance, magnified
+    # by 1 / (smallest gap * shortest arc holding the subset): in 40 000
+    # random triples the products stayed below 2.3e-15 and 7e-15
+    s = FiniteSubset(angles)
+    r = rotate(zeta, s)
+    assert r.size == s.size
+    c, cr = exp3_coord(s), exp3_coord(r)
+    if s.size == 1:
+        assert angle_dist(cr.c1, c.c1 + zeta) <= 1e-12
+        return
+    gap = _min_gap(s)
+    if s.size == 2:
+        assert _band_dist(cr.c2, c.c2.phi, c.c2.theta - zeta) <= 1e-12 / gap
+        return
+    a = s.angles
+    arc = 2 * math.pi - max(a[1] - a[0], a[2] - a[1], 2 * math.pi - a[2] + a[0])
+    rotated = c3_orbit(r)
+    for f in c3_orbit(s):
+        assert any(_hyperbolic_dist(f.z, g.z) <= 1e-12 / (gap * arc)
+                   and angle_dist(g.theta, f.theta - zeta) <= 1e-12 / gap for g in rotated)
 
 
 # ---------------------------------------------------------------------------
