@@ -5,18 +5,20 @@ so both the coordinate-permutation action and the finer identification of
 tuples with equal underlying sets act simplicially.  Quotients are taken
 after two barycentric subdivisions, the standard regularity margin that makes
 the identified complex compute the homology of the identified space.  The
-second subdivision is enumerated chain by chain and each chain is mapped
-straight to its quotient simplex: the flag memo holds no chain of a top
-simplex, and the second subdivision is never validated or sorted as a whole.
+identifier also returns each quotient vertex's key, so a stratum is the full
+subcomplex on the vertices whose keys satisfy a predicate.  The second
+subdivision is enumerated chain by chain and each chain is mapped straight
+to its quotient simplex: the flag memo holds no chain of a top simplex, and
+the second subdivision is never validated or sorted as a whole.
 Only chains ending at one chosen sd1 simplex per orbit of the group action
 are mapped.  Keys are invariant under the group, so a chain and its images
-land on the same quotient simplex with the same marking, and each orbit of
-chains has a member ending at a chosen simplex.  For the subset spaces that
-is a sixth of the top chains at k = 3 (the symmetric group acts freely on
-top simplices); it rests on the torus triangulation being symmetric under
-coordinate permutations, which the build checks before relying on it.
-Torus coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres
-of barycentres that key the identification are exact without fractions.
+land on the same quotient simplex, and each orbit of chains has a member
+ending at a chosen simplex.  For the subset spaces that is a sixth of the
+top chains at k = 3 (the symmetric group acts freely on top simplices); it
+rests on the torus triangulation being symmetric under coordinate
+permutations, which the build checks before relying on it.  Torus
+coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres of
+barycentres that key the identification are exact without fractions.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic: the column reduction of persistent homology
@@ -86,6 +88,13 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
+
+    def induced(self, vertices) -> list[list[tuple]]:
+        """Full subcomplex on a vertex set: per dimension, the simplices whose
+        vertices all lie in the set, in this complex's ids.  All dim + 1
+        lists are kept, empty ones included."""
+        keep = set(vertices)
+        return [[s for s in ss if keep.issuperset(s)] for ss in self.simplices]
 
     def __repr__(self):
         return f"SimplicialComplex(counts={self.counts()})"
@@ -299,35 +308,30 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     """Subdivide k1 once more, identifying vertices on the fly.
 
     k1 is the first subdivision; its simplices are the vertices of the
-    second.  label_fn maps an sd1 simplex to (key, mask, is_representative):
-    equal keys become one quotient vertex, and a quotient simplex is marked
-    when some preimage chain has a nonzero AND of its element masks (used to
-    trace subcomplexes through the quotient).  Returns the quotient and its
-    marked simplices per dimension.  Raises if the identification
-    degenerates a simplex, the telltale of an insufficiently subdivided
-    action.
+    second.  label_fn maps an sd1 simplex to (key, is_representative), and
+    equal keys become one quotient vertex.  Returns the quotient and the list
+    of its vertex keys, keys[q] being the key of quotient vertex q.  Raises
+    if the identification degenerates a simplex, the telltale of an
+    insufficiently subdivided action.
 
     Only chains ending at a representative are mapped.  The caller picks
     exactly one representative from each orbit of a simplicial group action
-    on k1 under which keys are invariant and mask nonzero-ness is preserved.
-    Then a chain c and its image g.c have the same quotient tuple, the same
-    degeneracy and the same marked status, and every orbit of chains holds a
-    chain ending at a representative (move its last element there), so the
-    representatives' chains give exactly the quotient of all chains.
+    on k1 under which keys are invariant.  Then a chain c and its image g.c
+    have the same quotient tuple and the same degeneracy, and every orbit of
+    chains holds a chain ending at a representative (move its last element
+    there), so the representatives' chains give exactly the quotient of all
+    chains.
     """
     ids, origin = _subdivision_data(k1)
     qid_by_key: dict = {}
     qid_of_vertex = []
-    masks = []
     ends = []
     for s in origin:
-        key, mask, is_representative = label_fn(s)
+        key, is_representative = label_fn(s)
         qid_of_vertex.append(qid_by_key.setdefault(key, len(qid_by_key)))
-        masks.append(mask)
         ends.append(is_representative)
 
     out = [set() for _ in range(k1.dim + 1)]
-    marked = [set() for _ in range(k1.dim + 1)]
     for c in _flags(k1, ids, ends):
         q = tuple(sorted(qid_of_vertex[v] for v in c))
         if len(set(q)) != len(q):
@@ -336,13 +340,8 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
                 "regular even after two subdivisions"
             )
         out[len(q) - 1].add(q)
-        m = masks[c[0]]
-        for v in c[1:]:
-            m &= masks[v]
-        if m:
-            marked[len(q) - 1].add(q)
     cx = SimplicialComplex(len(qid_by_key), [sorted(s) for s in out])
-    return cx, [sorted(s) for s in marked]
+    return cx, list(qid_by_key)
 
 
 def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
@@ -362,7 +361,7 @@ def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
 
     def label_fn(s):
         key = min(tuple(sorted(table[v] for v in s)) for table in lifted)
-        return key, 0, key == s
+        return key, key == s
 
     cx, _ = _identify_after_two_subdivisions(barycentric_subdivision(k), label_fn)
     return cx
@@ -370,17 +369,28 @@ def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
 
 def _build_exp_with_boundary(k: int, n: int):
     """Subset-space complex plus the subcomplex of degenerate tuples
-    (the image of the smaller subset space inside it).
+    (the image of the smaller subset space inside it), per dimension.
 
     A vertex of the second subdivision is keyed by the underlying set of its
     barycentre's coordinates, which merges coordinate permutations and
-    collapses repeated entries onto smaller subsets in one stroke; its mask
-    has one bit per coordinate pair, set where the two coordinates agree.
-    Both are invariant under permuting coordinates (the mask up to a
-    permutation of its bits), so only chains ending at the sd1 simplex whose
-    barycentre is sorted are mapped: barycentres of distinct simplices are
-    distinct, so each orbit has exactly one.  That needs the torus
-    triangulation to be symmetric, which is checked, not assumed.
+    collapses repeated entries onto smaller subsets in one stroke.  The key
+    is invariant under permuting coordinates, so only chains ending at the
+    sd1 simplex whose barycentre is sorted are mapped: barycentres of
+    distinct simplices are distinct, so each orbit has exactly one.  That
+    needs the torus triangulation to be symmetric, which is checked, not
+    assumed.
+
+    The degenerate subcomplex is the full subcomplex on the quotient
+    vertices whose key has fewer than k points, that is the quotient
+    simplices over a chain whose elements' barycentres share a diagonal
+    x_i = x_j.  An sd1 simplex is a flag of torus simplices, and its
+    barycentre lies in the relative interior of the flag's top torus simplex
+    sigma; each staircase simplex lies on one side of every diagonal, so
+    that point is on a diagonal iff sigma is.  Along a chain of sd1 simplices
+    each top simplex is a face of the last one's, so the diagonals holding
+    the barycentres only shrink along the chain, and those common to the
+    whole chain are the last element's.  Hence a quotient simplex is
+    degenerate iff every vertex key is short.
     """
     k0 = build_torus_complex(k, n)
     for g in coordinate_permutation_action(k, n):
@@ -391,17 +401,13 @@ def _build_exp_with_boundary(k: int, n: int):
     coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
     _, origin0 = _subdivision_data(k0)
     coords1 = [_barycenter(s, coords0, period) for s in origin0]
-    pairs = list(combinations(range(k), 2))
 
     def label_fn(s):
         bc = _barycenter(s, coords1, period)
-        mask = 0
-        for bit, (i, j) in enumerate(pairs):
-            if bc[i] == bc[j]:
-                mask |= 1 << bit
-        return tuple(sorted(set(bc))), mask, list(bc) == sorted(bc)
+        return tuple(sorted(set(bc))), list(bc) == sorted(bc)
 
-    return _identify_after_two_subdivisions(barycentric_subdivision(k0), label_fn)
+    cx, keys = _identify_after_two_subdivisions(barycentric_subdivision(k0), label_fn)
+    return cx, cx.induced({q for q, key in enumerate(keys) if len(key) < k})
 
 
 def build_exp_complex(k: int, n: int) -> SimplicialComplex:
@@ -727,14 +733,11 @@ def collapsed_cell_complex(cells_per_dim, dense_boundaries, collapsed_dims) -> H
     """
     keep = [d not in collapsed_dims for d in range(len(cells_per_dim))]
     dims = [cells_per_dim[d] if keep[d] else 0 for d in range(len(cells_per_dim))]
-    boundaries = []
-    for d, dense in enumerate(dense_boundaries):
-        mat = SparseIntMatrix(dims[d], dims[d + 1])
-        if keep[d] and keep[d + 1]:
-            for r, row in enumerate(dense):
-                for c, v in enumerate(row):
-                    mat.set(r, c, v)
-        boundaries.append(mat)
+    boundaries = [
+        SparseIntMatrix.from_dense(dense) if keep[d] and keep[d + 1]
+        else SparseIntMatrix(dims[d], dims[d + 1])
+        for d, dense in enumerate(dense_boundaries)
+    ]
     return _with_base_point(ChainComplexZ(dims, boundaries).homology())
 
 

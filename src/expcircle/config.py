@@ -31,7 +31,7 @@ from .moebius import (
     angle_dist,
     cross,
     frame,
-    gamma_frame_action,
+    gamma_orbit,
     norm_angle,
 )
 
@@ -203,10 +203,7 @@ class C3Coord:
     theta: float
 
     def orbit(self) -> tuple[Frame, Frame, Frame]:
-        f0 = Frame(self.z, self.theta)
-        f1 = gamma_frame_action(f0)
-        f2 = gamma_frame_action(f1)
-        return (f0, f1, f2)
+        return gamma_orbit(Frame(self.z, self.theta))
 
     def approx_eq(self, other: "C3Coord", tol: float = ANGLE_TOL) -> bool:
         return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol
@@ -244,10 +241,7 @@ def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
     if s.size != 3:
         raise ValueError("c3 chart needs a subset of exactly 3 points")
     pts = [to_boundary(a) for a in s.angles]
-    f0 = frame(normalize_triple(*pts))
-    f1 = gamma_frame_action(f0)
-    f2 = gamma_frame_action(f1)
-    return (f0, f1, f2)
+    return gamma_orbit(frame(normalize_triple(*pts)))
 
 
 def c3_coord(s: FiniteSubset) -> C3Coord:
@@ -377,8 +371,7 @@ def fold_to_domain(f: Frame, tol: float = 1e-7) -> Frame:
     fundamental-domain picture.  Ties on the wedge boundary break towards
     smaller Re z.
     """
-    orbit = [f, gamma_frame_action(f), gamma_frame_action(gamma_frame_action(f))]
-    inside = [g for g in orbit if abs(g.z) <= 1.0 + tol and abs(g.z - 1.0) <= 1.0 + tol]
+    inside = [g for g in gamma_orbit(f) if abs(g.z) <= 1.0 + tol and abs(g.z - 1.0) <= 1.0 + tol]
     if not inside:
         raise ValueError("no orbit representative inside the wedge domain")
     return _lex_min_frame(inside)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 from .complexes import AbelianInvariants, smith_normal_form
 
@@ -107,10 +107,8 @@ def canonical_form(p: Presentation) -> tuple:
     if n > 7:
         raise ValueError("canonical form only supported for up to 7 generators")
     base = [_canonical_relator(w) for w in p.relators]
-    from itertools import permutations as _perms
-
     best = None
-    for perm in _perms(range(1, n + 1)):
+    for perm in permutations(range(1, n + 1)):
         mapped = tuple(sorted(
             _canonical_relator(tuple((1 if x > 0 else -1) * perm[abs(x) - 1] for x in w))
             for w in base
@@ -689,13 +687,14 @@ class FiniteGroup:
         for row in self.table:
             if len(row) != self.order:
                 raise ValueError("multiplication table must be square")
-        self.identity = next(
-            e for e in range(self.order)
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order))
-        )
-        self.inverse = [next(y for y in range(self.order)
-                             if self.table[x][y] == self.identity)
-                        for x in range(self.order)]
+        t, elems = self.table, range(self.order)
+        identities = [e for e in elems if all(t[e][x] == x == t[x][e] for x in elems)]
+        if not identities:
+            raise ValueError("multiplication table has no identity")
+        self.identity = identities[0]
+        if any(self.identity not in row for row in self.table):
+            raise ValueError("multiplication table has an element with no inverse")
+        self.inverse = [row.index(self.identity) for row in self.table]
 
     def mul(self, x, y):
         return self.table[x][y]
@@ -703,9 +702,7 @@ class FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n as a multiplication table (n small)."""
-    from itertools import permutations as perms
-
-    elems = sorted(perms(range(n)))
+    elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     table = [
         [index[tuple(p[q[i]] for i in range(n))] for q in elems]

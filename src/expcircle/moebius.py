@@ -208,6 +208,12 @@ def gamma_frame_action(f: Frame) -> Frame:
     return Frame(apply_interior(gamma(), f.z), f.theta - 2.0 * cmath.phase(f.z))
 
 
+def gamma_orbit(f: Frame) -> tuple[Frame, Frame, Frame]:
+    """The orbit (f, gamma f, gamma^2 f) of a frame under the order-3 gamma."""
+    f1 = gamma_frame_action(f)
+    return (f, f1, gamma_frame_action(f1))
+
+
 def tau_frame_action(f: Frame) -> Frame:
     """Action of tau on frames: (z, theta) -> (-1/z, theta - 2 arg z)."""
     return Frame(apply_interior(tau(), f.z), f.theta - 2.0 * cmath.phase(f.z))

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -11,9 +11,11 @@ from expcircle.complexes import (
     HomologyResult,
     SimplicialComplex,
     SparseIntMatrix,
+    _barycenter,
     _build_exp_with_boundary,
     _dense_snf,
     _flags,
+    _grid_point,
     _subdivision_data,
     barycentric_subdivision,
     build_exp_complex,
@@ -283,6 +285,18 @@ def _assert_subcomplex(marked):
                 assert s[:i] + s[i + 1:] in have[d - 1]
 
 
+def test_induced_is_full_subcomplex():
+    # {0, 2} spans no edge of the square, though both are vertices
+    assert circle_complex(4).induced({0, 2}) == [[(0,), (2,)], []]
+    k = rp2_complex()
+    for vs in ({0, 1, 2}, {0, 1, 3, 4}, {1, 2, 3, 4, 5}):
+        sub = k.induced(vs)
+        assert sub == [[s for s in ss if all(v in vs for v in s)] for ss in k.simplices]
+        _assert_subcomplex(sub)
+    assert k.induced(range(k.vertex_count)) == k.simplices
+    assert k.induced(()) == [[], [], []]
+
+
 def test_exp2_marked_stratum_is_singleton_circle():
     cx, marked = _build_exp_with_boundary(2, 3)
     assert [len(m) for m in marked] == [12, 12, 0]
@@ -301,26 +315,54 @@ def _identify_all_chains(k1, label_fn):
     representative."""
     ids, origin = _subdivision_data(k1)
     qid_by_key = {}
-    qid_of_vertex = []
-    masks = []
-    for s in origin:
-        key, mask, _ = label_fn(s)
-        qid_of_vertex.append(qid_by_key.setdefault(key, len(qid_by_key)))
-        masks.append(mask)
+    qid_of_vertex = [qid_by_key.setdefault(label_fn(s)[0], len(qid_by_key)) for s in origin]
     out = [set() for _ in range(k1.dim + 1)]
-    marked = [set() for _ in range(k1.dim + 1)]
     for c in _flags(k1, ids):
         q = tuple(sorted(qid_of_vertex[v] for v in c))
         if len(set(q)) != len(q):
             raise ValueError("identification degenerates a simplex")
         out[len(q) - 1].add(q)
+    cx = SimplicialComplex(len(qid_by_key), [sorted(s) for s in out])
+    return cx, list(qid_by_key)
+
+
+def _marked_by_masks(k, n):
+    """Reference for the pair stratum of _build_exp_with_boundary, traced by
+    coordinate-pair masks instead of vertex keys: each sd1 simplex gets one
+    bit per coordinate pair, set where its barycentre's two coordinates
+    agree, and a quotient simplex is marked when some chain of the second
+    subdivision over it has a nonzero AND of its element masks.  Quotient
+    vertices are numbered in first-seen order of their keys, as the build
+    numbers them."""
+    k0 = build_torus_complex(k, n)
+    scale = lcm(*range(1, k + 2)) ** 2
+    period = n * scale
+    coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
+    _, origin0 = _subdivision_data(k0)
+    coords1 = [_barycenter(s, coords0, period) for s in origin0]
+    k1 = barycentric_subdivision(k0)
+    ids, origin = _subdivision_data(k1)
+    pairs = list(combinations(range(k), 2))
+    qid_by_key = {}
+    qid_of_vertex = []
+    masks = []
+    for s in origin:
+        bc = _barycenter(s, coords1, period)
+        qid_of_vertex.append(qid_by_key.setdefault(tuple(sorted(set(bc))), len(qid_by_key)))
+        masks.append(sum(1 << bit for bit, (i, j) in enumerate(pairs) if bc[i] == bc[j]))
+    marked = [set() for _ in range(k + 1)]
+    for c in _flags(k1, ids):
         m = masks[c[0]]
         for v in c[1:]:
             m &= masks[v]
         if m:
-            marked[len(q) - 1].add(q)
-    cx = SimplicialComplex(len(qid_by_key), [sorted(s) for s in out])
-    return cx, [sorted(s) for s in marked]
+            marked[len(c) - 1].add(tuple(sorted(qid_of_vertex[v] for v in c)))
+    return [sorted(s) for s in marked]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_exp2_marked_stratum_matches_masks(n):
+    assert _build_exp_with_boundary(2, n)[1] == _marked_by_masks(2, n)
 
 
 def _quotient_data(result):
@@ -354,10 +396,10 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
 
     def counting_identify(k1, label_fn):
         def label(s):
-            key, mask, is_representative = label_fn(s)
+            key, is_representative = label_fn(s)
             if is_representative and len(s) == k1.dim + 1:
                 counts["top_representatives"] += 1
-            return key, mask, is_representative
+            return key, is_representative
         return identify(k1, label)
 
     def counting_flags(k, ids, ends=None):
@@ -369,6 +411,7 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
     monkeypatch.setattr(complexes, "_flags", counting_flags)
     got = _quotient_data(_build_exp_with_boundary(3, 3))
     assert counts == {"top_representatives": 648, "mapped": 68840}
+    assert got[2] == _marked_by_masks(3, 3)
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
     assert got == _quotient_data(_build_exp_with_boundary(3, 3))
 

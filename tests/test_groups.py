@@ -280,6 +280,10 @@ def test_finite_group_tables():
     assert z5.inverse[2] == 3
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1]])
+    with pytest.raises(ValueError, match="no identity"):
+        FiniteGroup([[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="no inverse"):
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 # ---------------------------------------------------------------------------
