@@ -21,15 +21,21 @@ coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres of
 barycentres that key the identification are exact without fractions.
 
 Homology is computed over the integers through Smith normal form with exact
-(arbitrary precision) arithmetic: the column reduction of persistent homology
-(each column reduced on its lowest row index) consumes the unit pivots, and
-a dense textbook pass finishes the small remainder of non-unit columns, the
-only place torsion can appear.
+(arbitrary precision) arithmetic.  Each boundary matrix is assembled in one
+pass, a column dict per simplex.  After the d o d check the boundaries are
+reduced top-down, the highest first, by the column reduction of persistent
+homology: each column is reduced on its lowest row index, read off a
+max-heap of the column's rows, and the unit pivots are consumed.  Clearing
+(Chen-Kerber) skips every column of a boundary that is a unit pivot row of
+the boundary one degree up, since that column is an integer combination of
+the others (see ChainComplexZ.homology).  A dense textbook pass finishes the
+small remainder of non-unit columns, the only place torsion can appear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from math import gcd, lcm
 
@@ -340,7 +346,7 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
                 "regular even after two subdivisions"
             )
         out[len(q) - 1].add(q)
-    cx = SimplicialComplex(len(qid_by_key), [sorted(s) for s in out])
+    cx = SimplicialComplex(len(qid_by_key), out)
     return cx, list(qid_by_key)
 
 
@@ -567,28 +573,39 @@ def _dense_snf(a):
     return diag
 
 
-def smith_normal_form(matrix):
+def smith_normal_form(matrix, clearing=None):
     """Diagonal invariants d1 | d2 | ... of an integer matrix.
 
     A SparseIntMatrix goes through the sparse column reduction, a dense list
     of rows through the textbook routine.  Arithmetic is exact throughout.
+    clearing, a set, is for the sparse reduction of a chain complex's
+    boundaries (see ChainComplexZ.homology): on entry it names columns to
+    skip, on return it holds the rows of this reduction's unit pivots.
     """
     if isinstance(matrix, SparseIntMatrix):
-        return _sparse_snf_invariants(matrix)
+        return _sparse_snf_invariants(matrix, clearing)
+    if clearing is not None:
+        raise ValueError("columns are cleared only from a SparseIntMatrix")
     return _dense_snf(matrix)
 
 
-def _subtract(col: dict, q: int, pivot: dict) -> None:
-    """col -= q * pivot, dropping entries that cancel."""
+def _subtract(col: dict, q: int, pivot: dict, heap: list) -> None:
+    """col -= q * pivot, dropping entries that cancel; a row the column
+    gains is pushed on heap, its max-heap of negated rows."""
     for r, w in pivot.items():
-        x = col.get(r, 0) - q * w
-        if x:
-            col[r] = x
+        x = col.get(r)
+        if x is None:
+            col[r] = -q * w
+            heappush(heap, -r)
         else:
-            del col[r]
+            x -= q * w
+            if x:
+                col[r] = x
+            else:
+                del col[r]
 
 
-def _sparse_snf_invariants(m: SparseIntMatrix):
+def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
     """Column reduction on the lowest row index, pivoting on units only.
 
     Columns are reduced in index order: while a column's lowest row holds
@@ -599,40 +616,60 @@ def _sparse_snf_invariants(m: SparseIntMatrix):
     cleared off every pivot row; the residual rows x columns, the only place
     torsion can appear, finish in the dense routine.  The input is not
     modified.
+
+    The working column is a dict with a max-heap of its rows beside it.
+    Rows are pushed when the column gains them and never removed, so the
+    lowest row is the heap's top once tops that have cancelled are popped.
+    A column that takes many steps to reduce then costs a heap operation
+    per changed entry, not a scan of the whole column per step.
+
+    Columns in clearing are skipped; if clearing is given it is replaced by
+    the rows of the unit pivots on return.
     """
+    skip = clearing or ()
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> column with +1 there
     residual = []
     for c in sorted(m.cols):
+        if c in skip:
+            continue
         col = dict(m.cols[c])
-        while col:
-            low = max(col)
+        heap = [-r for r in col]
+        heapify(heap)
+        while heap:
+            low = -heap[0]
+            v = col.get(low)
+            if v is None:
+                heappop(heap)
+                continue
             pivot = pivots.get(low)
             if pivot is None:
                 break
-            _subtract(col, col[low], pivot)
+            _subtract(col, v, pivot, heap)
         if not col:
             continue
-        v = col[low]
         if v == 1:
             pivots[low] = col
         elif v == -1:
             pivots[low] = {r: -x for r, x in col.items()}
         else:
-            residual.append(col)
+            residual.append((col, heap))
     # a row may have gained its pivot after a residual column was swept past
     # it; clear the highest pivot row first, since subtracting a pivot column
-    # can only add entries at smaller row indices than its own
-    for col in residual:
-        while True:
-            hit = [r for r in col if r in pivots]
-            if not hit:
-                break
-            r = max(hit)
-            _subtract(col, col[r], pivots[r])
-    rows = sorted({r for col in residual for r in col})
+    # can only add entries at smaller row indices than its own, so a row
+    # popped here is never gained again
+    for col, heap in residual:
+        while heap:
+            r = -heappop(heap)
+            v = col.get(r)
+            if v is not None and r in pivots:
+                _subtract(col, v, pivots[r], heap)
+    if clearing is not None:
+        clearing.clear()
+        clearing.update(pivots)
+    rows = sorted({r for col, _ in residual for r in col})
     index = {r: i for i, r in enumerate(rows)}
     dense = [[0] * len(residual) for _ in rows]
-    for j, col in enumerate(residual):
+    for j, (col, _) in enumerate(residual):
         for r, v in col.items():
             dense[index[r]][j] = v
     return [1] * len(pivots) + _dense_snf(dense)
@@ -658,10 +695,30 @@ class ChainComplexZ:
         return True
 
     def homology(self) -> HomologyResult:
+        """Integer homology from the Smith invariants of every boundary.
+
+        After the d o d check the boundaries are reduced top-down with
+        clearing (Chen-Kerber): each reduction skips the columns that are
+        unit pivot rows of the boundary one degree up.  Over the integers
+        that keeps the invariants.  Say the reduction of the upper boundary
+        left a column z with lowest row r and z_r = +-1.  z is an integer
+        combination of the upper boundary's columns, so the lower boundary
+        maps it to 0, and z has nothing below row r; so column r of the
+        lower boundary is an integer combination of columns left of it.
+        Subtracting those combinations from the cleared columns is one upper
+        unitriangular, hence unimodular, column operation, and it leaves the
+        cleared columns zero, so dropping them changes neither rank nor
+        torsion.  A non-unit lowest entry proves only that a multiple of the
+        column is a combination, so those columns are never cleared, and
+        torsion still comes from the dense pass.
+        """
         if not self.check_boundary_squared():
             raise ValueError("boundary of boundary is nonzero")
         top = len(self.dims) - 1
-        invs = [smith_normal_form(b) for b in self.boundaries]
+        invs = [None] * top
+        clearing: set[int] = set()
+        for d in reversed(range(top)):
+            invs[d] = smith_normal_form(self.boundaries[d], clearing)
         groups = []
         for d in range(top + 1):
             rank_in = len(invs[d]) if d < top else 0  # rank of d_{d+1}
@@ -697,14 +754,17 @@ def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ
     dims = [len(b) for b in bases]
     boundaries = []
     for d in range(1, k.dim + 1):
-        index = {s: i for i, s in enumerate(bases[d - 1])}
+        row_of = {s: i for i, s in enumerate(bases[d - 1])}.get
+        faces = [(i, -1 if i % 2 else 1) for i in range(d + 1)]
         mat = SparseIntMatrix(dims[d - 1], dims[d])
         for col, s in enumerate(bases[d]):
-            for i in range(d + 1):
-                face = s[:i] + s[i + 1:]
-                row = index.get(face)
+            entries = {}
+            for i, sign in faces:
+                row = row_of(s[:i] + s[i + 1:])
                 if row is not None:
-                    mat.set(row, col, -1 if i % 2 else 1)
+                    entries[row] = sign
+            if entries:
+                mat.cols[col] = entries
         boundaries.append(mat)
     return ChainComplexZ(dims, boundaries)
 

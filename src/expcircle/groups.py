@@ -687,6 +687,8 @@ class FiniteGroup:
         for row in self.table:
             if len(row) != self.order:
                 raise ValueError("multiplication table must be square")
+            if any(x not in range(self.order) for x in row):
+                raise ValueError("multiplication table has an entry outside 0..order-1")
         t, elems = self.table, range(self.order)
         identities = [e for e in elems if all(t[e][x] == x == t[x][e] for x in elems)]
         if not identities:
@@ -695,6 +697,8 @@ class FiniteGroup:
         if any(self.identity not in row for row in self.table):
             raise ValueError("multiplication table has an element with no inverse")
         self.inverse = [row.index(self.identity) for row in self.table]
+        if any(t[t[x][y]][z] != t[x][t[y][z]] for x in elems for y in elems for z in elems):
+            raise ValueError("multiplication table is not associative")
 
     def mul(self, x, y):
         return self.table[x][y]

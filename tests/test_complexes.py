@@ -3,6 +3,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from expcircle import complexes
 from expcircle.complexes import (
@@ -27,6 +28,7 @@ from expcircle.complexes import (
     coordinate_permutation_action,
     homology,
     quotient_complex,
+    relative_chain_complex,
     relative_quotient_homology,
     rp3_collapse_oracle,
     smith_normal_form,
@@ -198,6 +200,62 @@ def test_euler_characteristic_matches_betti():
         assert k.euler_characteristic() == sum(
             (-1) ** d * b for d, b in enumerate(hom.betti)
         )
+
+
+# ---------------------------------------------------------------------------
+# top-down reduction with clearing
+# ---------------------------------------------------------------------------
+
+def _reference_homology(cc: ChainComplexZ) -> HomologyResult:
+    """Homology with every boundary reduced on its own by the dense routine."""
+    invs = [_dense_snf([[b.cols.get(c, {}).get(r, 0) for c in range(b.ncols)]
+                        for r in range(b.nrows)]) for b in cc.boundaries]
+    top = len(cc.dims) - 1
+    groups = []
+    for d in range(top + 1):
+        rank_in = len(invs[d]) if d < top else 0
+        rank_out = len(invs[d - 1]) if d > 0 else 0
+        torsion = tuple(x for x in invs[d] if x > 1) if d < top else ()
+        groups.append(AbelianInvariants(cc.dims[d] - rank_out - rank_in, torsion))
+    return HomologyResult(tuple(groups))
+
+
+@st.composite
+def complexes_with_vertex_subsets(draw):
+    n = draw(st.integers(1, 8))
+    tops = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=12))
+    cx = SimplicialComplex.from_maximal([(v,) for v in range(n)] + [tuple(t) for t in tops])
+    return cx, draw(st.sets(st.integers(0, n - 1)))
+
+
+@given(complexes_with_vertex_subsets())
+def test_clearing_matches_separate_reductions(case):
+    cx, keep = case
+    assert homology(cx) == _reference_homology(chain_complex(cx))
+    pair = relative_chain_complex(cx, cx.induced(keep))
+    assert pair.homology() == _reference_homology(pair)
+
+
+def test_clearing_reduces_long_column():
+    # the edge (0, 299) takes pivot row 299 early, so the edge (298, 299)
+    # reduces to zero through 299 subtractions
+    assert homology(circle_complex(300)) == H((1, ()), (1, ()))
+
+
+def test_clearing_skips_only_unit_pivots():
+    # d2's column has lowest entry 2, so it proves only that twice column 1
+    # of d1 is a combination of column 0; clearing column 1 would leave
+    # d1 = [2] and report H_0 = Z/2, but every group is zero
+    d1 = SparseIntMatrix.from_dense([[2, 1]])
+    d2 = SparseIntMatrix.from_dense([[-1], [2]])
+    clearing = set()
+    assert smith_normal_form(d2, clearing) == [1]
+    assert clearing == set()  # its one pivot is not a unit
+    assert smith_normal_form(d1, clearing) == [1]
+    assert clearing == {0}
+    assert ChainComplexZ([1, 2, 1], [d1, d2]).homology() == H((0, ()), (0, ()), (0, ()))
+    with pytest.raises(ValueError):
+        smith_normal_form([[1]], set())
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +510,13 @@ def test_plain_permutation_quotient_differs_from_subset_space():
 def test_exp3_homology_is_sphere_n3():
     e3 = build_exp_complex(3, 3)
     assert e3.euler_characteristic() == 0
+    assert homology(e3) == H((1, ()), (0, ()), (0, ()), (1, ()))
+
+
+@pytest.mark.slow
+def test_exp3_homology_is_sphere_n4():
+    e3 = build_exp_complex(3, 4)
+    assert e3.counts() == [6712, 43576, 73728, 36864]
     assert homology(e3) == H((1, ()), (0, ()), (0, ()), (1, ()))
 
 

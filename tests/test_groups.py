@@ -284,6 +284,11 @@ def test_finite_group_tables():
         FiniteGroup([[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="no inverse"):
         FiniteGroup([[0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="outside"):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 7]])
+    # identity 0 and every row holds it, but (1*1)*2 = 2 and 1*(1*2) = 1
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
 
 
 # ---------------------------------------------------------------------------
