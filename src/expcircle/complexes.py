@@ -28,7 +28,8 @@ homology: each column is reduced on its lowest row index, read off a
 max-heap of the column's rows, and the unit pivots are consumed.  Clearing
 (Chen-Kerber) skips every column of a boundary that is a unit pivot row of
 the boundary one degree up, since that column is an integer combination of
-the others (see ChainComplexZ.homology).  A dense textbook pass finishes the
+the others (see ChainComplexZ.homology); those rows pass from one reduction
+to the next as a mask of one byte per row.  A dense textbook pass finishes the
 small remainder of non-unit columns, the only place torsion can appear.
 """
 
@@ -578,9 +579,11 @@ def smith_normal_form(matrix, clearing=None):
 
     A SparseIntMatrix goes through the sparse column reduction, a dense list
     of rows through the textbook routine.  Arithmetic is exact throughout.
-    clearing, a set, is for the sparse reduction of a chain complex's
-    boundaries (see ChainComplexZ.homology): on entry it names columns to
-    skip, on return it holds the rows of this reduction's unit pivots.
+    clearing, a bytearray row mask, is for the sparse reduction of a chain
+    complex's boundaries (see ChainComplexZ.homology): on entry it has one
+    byte per column, nonzero for a column to skip; on return it is resized
+    in place to one byte per row, nonzero at the rows of this reduction's
+    unit pivots.
     """
     if isinstance(matrix, SparseIntMatrix):
         return _sparse_snf_invariants(matrix, clearing)
@@ -623,14 +626,19 @@ def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
     A column that takes many steps to reduce then costs a heap operation
     per changed entry, not a scan of the whole column per step.
 
-    Columns in clearing are skipped; if clearing is given it is replaced by
-    the rows of the unit pivots on return.
+    Columns marked in clearing are skipped; if clearing is given it is
+    replaced by the mask of the unit pivot rows on return.
     """
-    skip = clearing or ()
+    if clearing is None:
+        skip = bytes(m.ncols)
+    elif len(clearing) != m.ncols:
+        raise ValueError(f"clearing mask has {len(clearing)} bytes for {m.ncols} columns")
+    else:
+        skip = clearing
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> column with +1 there
     residual = []
     for c in sorted(m.cols):
-        if c in skip:
+        if skip[c]:
             continue
         col = dict(m.cols[c])
         heap = [-r for r in col]
@@ -664,8 +672,9 @@ def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
             if v is not None and r in pivots:
                 _subtract(col, v, pivots[r], heap)
     if clearing is not None:
-        clearing.clear()
-        clearing.update(pivots)
+        clearing[:] = bytes(m.nrows)
+        for r in pivots:
+            clearing[r] = 1
     rows = sorted({r for col, _ in residual for r in col})
     index = {r: i for i, r in enumerate(rows)}
     dense = [[0] * len(residual) for _ in rows]
@@ -716,7 +725,7 @@ class ChainComplexZ:
             raise ValueError("boundary of boundary is nonzero")
         top = len(self.dims) - 1
         invs = [None] * top
-        clearing: set[int] = set()
+        clearing = bytearray(self.dims[top] if self.dims else 0)  # the top skips nothing
         for d in reversed(range(top)):
             invs[d] = smith_normal_form(self.boundaries[d], clearing)
         groups = []

@@ -7,7 +7,10 @@ singletons, a Moebius-band point for pairs (the scaling subgroup is divided
 out by keeping only arg z, the order-2 element by folding phi into (0, pi/2]),
 and a canonical representative of a 3-element orbit for triples (the order-3
 element acts by (z, theta) -> (gamma z, theta - 2 arg z); the stored
-representative is the lexicographic minimum of the orbit).
+representative is the lexicographic minimum of the orbit).  The chart
+values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame) are immutable
+tuples, and the order-3 element is the module constant moebius.GAMMA, so a
+chart call builds no group element it does not need.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .moebius import (
@@ -79,7 +83,7 @@ class FiniteSubset:
     __slots__ = ("angles",)
 
     def __init__(self, angles):
-        raw = sorted(norm_angle(a) for a in angles)
+        raw = sorted(map(norm_angle, angles))
         if not raw:
             raise ValueError("a subset needs at least one point")
         merged = [raw[0]]
@@ -174,8 +178,7 @@ def pair_frame(x: BoundaryPoint, y: BoundaryPoint) -> Frame:
 # chart coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class C2Coord:
+class C2Coord(namedtuple("C2Coord", ("phi", "theta"))):
     """Moebius-band chart point for a pair: phi in (0, pi/2], theta an angle.
 
     Canonical under (phi, theta) ~ (pi - phi, theta - 2 phi); on the core
@@ -183,15 +186,13 @@ class C2Coord:
     theta in [0, pi).
     """
 
-    phi: float
-    theta: float
+    __slots__ = ()
 
     def approx_eq(self, other: "C2Coord", tol: float = ANGLE_TOL) -> bool:
         return abs(self.phi - other.phi) <= tol and angle_dist(self.theta, other.theta) <= tol
 
 
-@dataclass(frozen=True)
-class C3Coord:
+class C3Coord(namedtuple("C3Coord", ("z", "theta"))):
     """Canonical representative (z, theta) of the 3-element orbit of a triple.
 
     The orbit of (z, theta) under the order-3 normal-form ambiguity is
@@ -199,8 +200,7 @@ class C3Coord:
     is lexicographically minimal under (Re z, Im z, theta).
     """
 
-    z: complex
-    theta: float
+    __slots__ = ()
 
     def orbit(self) -> tuple[Frame, Frame, Frame]:
         return gamma_orbit(Frame(self.z, self.theta))
@@ -209,14 +209,11 @@ class C3Coord:
         return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol
 
 
-@dataclass(frozen=True)
-class Exp3Coord:
-    """Tagged chart coordinate: C1 angle, C2 band point, or C3 orbit point."""
+class Exp3Coord(namedtuple("Exp3Coord", ("tag", "c1", "c2", "c3"), defaults=(None, None, None))):
+    """Tagged chart coordinate: C1 angle, C2 band point, or C3 orbit point;
+    the two fields that do not apply are None."""
 
-    tag: str
-    c1: float | None = None
-    c2: C2Coord | None = None
-    c3: C3Coord | None = None
+    __slots__ = ()
 
 
 def _lex_key(f: Frame):
@@ -240,8 +237,7 @@ def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
     """All three frames of the normal-form orbit of a 3-point subset."""
     if s.size != 3:
         raise ValueError("c3 chart needs a subset of exactly 3 points")
-    pts = [to_boundary(a) for a in s.angles]
-    return gamma_orbit(frame(normalize_triple(*pts)))
+    return gamma_orbit(frame(normalize_triple(*map(to_boundary, s.angles))))
 
 
 def c3_coord(s: FiniteSubset) -> C3Coord:
@@ -252,10 +248,9 @@ def c3_coord(s: FiniteSubset) -> C3Coord:
 
 def c3_distance(x: C3Coord, y: C3Coord) -> float:
     """Orbit-aware chart distance: minimum over representative choices."""
-    fx = Frame(x.z, x.theta)
     best = math.inf
     for g in y.orbit():
-        d = max(abs(fx.z - g.z), angle_dist(fx.theta, g.theta))
+        d = max(abs(x.z - g.z), angle_dist(x.theta, g.theta))
         best = min(best, d)
     return best
 
@@ -275,7 +270,7 @@ def c2_coord(s: FiniteSubset) -> C2Coord:
     """
     if s.size != 2:
         raise ValueError("c2 chart needs a subset of exactly 2 points")
-    p, r = (to_boundary(a) for a in s.angles)
+    p, r = map(to_boundary, s.angles)
     phi, theta = c2_chart_raw(p, r)
     if phi > 0.5 * math.pi + ANGLE_TOL:
         phi, theta = math.pi - phi, norm_angle(theta - 2.0 * phi)

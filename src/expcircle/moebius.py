@@ -7,13 +7,18 @@ removes every special case around infinity.  The frame map sends a group
 element T to the pair (T(i), arg dT/dz(i)) and identifies PSL(2, R) with
 H x S^1; the named elements gamma, tau and sigma_lambda generate the
 stabilizers used to put small subsets of the boundary circle in normal form.
+
+A frame is an immutable tuple (z, theta), so building one costs little more
+than a tuple, and the frame actions of gamma and tau use the module constants
+GAMMA and TAU, built once by the same validated constructors as gamma() and
+tau().
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,21 +95,24 @@ def cross(p: BoundaryPoint, q: BoundaryPoint) -> float:
     return p.a * q.b - p.b * q.a
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(namedtuple("Frame", ("z", "theta"))):
     """Image of a group element under the frame map: a point z of the
     upper half-plane together with the direction theta in [0, 2*pi) of the
     derivative at i.  The scale of the derivative carries no information and
-    is dropped.
+    is dropped.  Construction checks Im z > 0 and reduces theta to [0, 2*pi).
     """
 
-    z: complex
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.z.imag <= 0.0:
+    def __new__(cls, z: complex, theta: float):
+        if z.imag <= 0.0:
             raise ValueError("frame point must lie in the open upper half-plane")
-        object.__setattr__(self, "theta", norm_angle(self.theta))
+        return tuple.__new__(cls, (z, norm_angle(theta)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the check as well
+        return cls(*iterable)
 
     def approx_eq(self, other: "Frame", tol: float = ANGLE_TOL) -> bool:
         return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol
@@ -169,6 +177,10 @@ def tau() -> MoebiusMap:
     return MoebiusMap(0.0, -1.0, 1.0, 0.0)
 
 
+GAMMA = gamma()
+TAU = tau()
+
+
 def sigma(lam: float) -> MoebiusMap:
     """The scaling z -> lam * z for lam > 0."""
     if lam <= 0.0:
@@ -195,8 +207,7 @@ def frame(t: MoebiusMap) -> Frame:
     i = 1j
     w = t.c * i + t.d
     z = (t.a * i + t.b) / w
-    theta = norm_angle(-2.0 * cmath.phase(w))
-    return Frame(z, theta)
+    return Frame(z, -2.0 * cmath.phase(w))
 
 
 def gamma_frame_action(f: Frame) -> Frame:
@@ -205,7 +216,7 @@ def gamma_frame_action(f: Frame) -> Frame:
     This is the frame-coordinate form of left composition with gamma; tau acts
     on theta the same way but sends z to -1/z.
     """
-    return Frame(apply_interior(gamma(), f.z), f.theta - 2.0 * cmath.phase(f.z))
+    return Frame(apply_interior(GAMMA, f.z), f.theta - 2.0 * cmath.phase(f.z))
 
 
 def gamma_orbit(f: Frame) -> tuple[Frame, Frame, Frame]:
@@ -216,4 +227,4 @@ def gamma_orbit(f: Frame) -> tuple[Frame, Frame, Frame]:
 
 def tau_frame_action(f: Frame) -> Frame:
     """Action of tau on frames: (z, theta) -> (-1/z, theta - 2 arg z)."""
-    return Frame(apply_interior(tau(), f.z), f.theta - 2.0 * cmath.phase(f.z))
+    return Frame(apply_interior(TAU, f.z), f.theta - 2.0 * cmath.phase(f.z))

@@ -248,14 +248,16 @@ def test_clearing_skips_only_unit_pivots():
     # d1 = [2] and report H_0 = Z/2, but every group is zero
     d1 = SparseIntMatrix.from_dense([[2, 1]])
     d2 = SparseIntMatrix.from_dense([[-1], [2]])
-    clearing = set()
+    clearing = bytearray(1)  # one byte per column of d2, none skipped
     assert smith_normal_form(d2, clearing) == [1]
-    assert clearing == set()  # its one pivot is not a unit
+    assert clearing == bytearray(2)  # no row for its one pivot, not a unit
     assert smith_normal_form(d1, clearing) == [1]
-    assert clearing == {0}
+    assert clearing == bytearray([1])  # row 0 after d1
     assert ChainComplexZ([1, 2, 1], [d1, d2]).homology() == H((0, ()), (0, ()), (0, ()))
     with pytest.raises(ValueError):
-        smith_normal_form([[1]], set())
+        smith_normal_form([[1]], bytearray(1))
+    with pytest.raises(ValueError):  # the mask must cover d1's two columns
+        smith_normal_form(d1, bytearray(1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from expcircle.config import (
     DISTINCT_TOL,
     EXCEPTIONAL_POINT,
     C2Coord,
+    C3Coord,
+    Exp3Coord,
     FiniteSubset,
     SampledLoop,
     boundary_torus_curve,
@@ -586,3 +588,26 @@ def test_winding_rejections():
     ])
     with pytest.raises(ValueError, match="crosses the core"):
         winding_diagnostic(swap)
+
+
+def test_chart_value_contract():
+    e = Exp3Coord("C1", c1=0.4)
+    assert e.tag == "C1" and e.c1 == 0.4 and e.c2 is None and e.c3 is None
+    assert Exp3Coord("C2", c2=C2Coord(1.0, 0.5)).c1 is None
+    c2 = C2Coord(1.0, 0.5)
+    assert c2.approx_eq(C2Coord(1.0 + 1e-12, 0.5 + 2.0 * math.pi))
+    assert not c2.approx_eq(C2Coord(1.1, 0.5))
+    c3 = c3_coord(FiniteSubset([0.3, 2.0, 4.0]))
+    assert isinstance(c3, C3Coord) and c3.approx_eq(C3Coord(c3.z, c3.theta + 2.0 * math.pi))
+    orbit = c3.orbit()
+    assert len(orbit) == 3 and orbit[0] == (c3.z, c3.theta)
+    assert c3_distance(c3, C3Coord(orbit[1].z, orbit[1].theta)) < 1e-12
+    for value in (e, c2, c3):
+        twin = type(value)(*value)
+        assert value == twin and hash(value) == hash(twin)
+        with pytest.raises(AttributeError):
+            value.extra = 0.0
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+    assert repr(c2) == "C2Coord(phi=1.0, theta=0.5)"
+    assert repr(e) == "Exp3Coord(tag='C1', c1=0.4, c2=None, c3=None)"

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from expcircle.moebius import (
+    GAMMA,
+    TAU,
     BoundaryPoint,
+    Frame,
     MoebiusMap,
     apply_boundary,
     apply_interior,
@@ -167,3 +170,39 @@ def test_boundary_point_normal_form():
     assert BoundaryPoint.from_real(0.5).value() == pytest.approx(0.5)
     with pytest.raises(ValueError):
         BoundaryPoint.infinity().value()
+
+
+def test_frame_contract():
+    for z in (1.0 + 0.0j, 2.0 - 1.0j, -3.0 + 0.0j):
+        with pytest.raises(ValueError, match="frame point must lie in the open upper half-plane"):
+            Frame(z, 0.0)
+    f = Frame(0.5 + 2.0j, 7.0)
+    assert f.theta == norm_angle(7.0)
+    assert Frame(1j, -1.0).theta == norm_angle(-1.0)
+    with pytest.raises(AttributeError):
+        f.theta = 0.0
+    with pytest.raises(AttributeError):
+        f.extra = 0.0
+    g = Frame(0.5 + 2.0j, 7.0 - 2.0 * math.pi)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, Frame(1j, 0.0)}) == 2
+    assert repr(Frame(1j, 0.5)) == "Frame(z=1j, theta=0.5)"
+    assert f.approx_eq(g) and not f.approx_eq(Frame(1j, 0.0))
+    # _replace builds a new frame and keeps both checks
+    assert f._replace(theta=7.0).theta == norm_angle(7.0)
+    with pytest.raises(ValueError):
+        f._replace(z=-1j)
+
+
+def test_gamma_and_tau_constants():
+    # the frame actions use the module constants; gamma() and tau() still
+    # return a new map with the same entries on every call
+    assert GAMMA.entries() == gamma().entries() and GAMMA is not gamma()
+    assert TAU.entries() == tau().entries() and TAU is not tau()
+    rng = random.Random(31)
+    for _ in range(50):
+        f = frame(rand_map(rng))
+        lhs = gamma_frame_action(f)
+        assert lhs.z == apply_interior(gamma(), f.z)
+        assert lhs.theta == norm_angle(f.theta - 2.0 * cmath.phase(f.z))
+        assert tau_frame_action(f).z == apply_interior(tau(), f.z)
