@@ -10,7 +10,9 @@ element acts by (z, theta) -> (gamma z, theta - 2 arg z); the stored
 representative is the lexicographic minimum of the orbit).  The chart
 values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame) are immutable
 tuples, and the order-3 element is the module constant moebius.GAMMA, so a
-chart call builds no group element it does not need.
+chart call builds no group element it does not need.  A subset is read-only,
+and the orbit of a triple is computed once, on the first chart call, then
+kept on the subset and shared by every later one.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -77,25 +79,43 @@ class FiniteSubset:
 
     Construction from a tuple with repeats (closer than DISTINCT_TOL along
     the circle) collapses them, which is exactly how ordered tuples project
-    to subsets.
+    to subsets.  Every angle must be finite.  A subset is read-only: its
+    angles and the orbit that c3_orbit keeps on it cannot be reassigned, so
+    the kept orbit always belongs to the angles.
     """
 
-    __slots__ = ("angles",)
+    __slots__ = ("angles", "_orbit")
 
     def __init__(self, angles):
         raw = sorted(map(norm_angle, angles))
-        if not raw:
-            raise ValueError("a subset needs at least one point")
-        merged = [raw[0]]
-        for a in raw[1:]:
-            if a - merged[-1] > DISTINCT_TOL:
+        merged = []
+        last = -math.inf
+        for a in raw:
+            if a - last > DISTINCT_TOL:
                 merged.append(a)
+                last = a
+            elif a != a:  # NaN passes norm_angle and sorts anywhere
+                raise ValueError(f"angle must be finite, got {a!r}")
+        if not merged:
+            raise ValueError("a subset needs at least one point")
         # wraparound: the largest angle may coincide with the smallest
-        if len(merged) > 1 and TWO_PI - merged[-1] + merged[0] <= DISTINCT_TOL:
+        if len(merged) > 1 and TWO_PI - last + merged[0] <= DISTINCT_TOL:
             merged.pop()
         if len(merged) > 3:
             raise ValueError(f"at most 3 distinct points supported, got {len(merged)}")
-        self.angles = tuple(merged)
+        _set_angles(self, tuple(merged))
+        _set_orbit(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteSubset is read-only, cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FiniteSubset is read-only, cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the subset from its angles instead of
+        # setting the slots
+        return FiniteSubset, (self.angles,)
 
     @property
     def size(self) -> int:
@@ -110,6 +130,12 @@ class FiniteSubset:
 
     def approx_eq(self, other: "FiniteSubset", tol: float = ANGLE_TOL) -> bool:
         return self.size == other.size and hausdorff_distance(self, other) <= tol
+
+
+# The slots' own setters, for __init__ and c3_orbit; FiniteSubset.__setattr__
+# refuses every assignment.
+_set_angles = FiniteSubset.angles.__set__
+_set_orbit = FiniteSubset._orbit.__set__
 
 
 def hausdorff_distance(s: FiniteSubset, t: FiniteSubset) -> float:
@@ -216,28 +242,39 @@ class Exp3Coord(namedtuple("Exp3Coord", ("tag", "c1", "c2", "c3"), defaults=(Non
     __slots__ = ()
 
 
-def _lex_key(f: Frame):
-    return (f.z.real, f.z.imag, f.theta)
-
-
 def _lex_min_frame(frames, tol: float = ANGLE_TOL) -> Frame:
+    """The least frame under (Re z, Im z, theta): two keys within tol of each
+    other tie, and the next key decides."""
     best = frames[0]
     for f in frames[1:]:
-        bk, fk = _lex_key(best), _lex_key(f)
-        for b, x in zip(bk, fk):
-            if x < b - tol:
-                best = f
-                break
-            if x > b + tol:
-                break
+        z, bz = f.z, best.z
+        if z.real < bz.real - tol:
+            best = f
+        elif z.real > bz.real + tol:
+            continue
+        elif z.imag < bz.imag - tol:
+            best = f
+        elif z.imag > bz.imag + tol:
+            continue
+        elif f.theta < best.theta - tol:
+            best = f
     return best
 
 
 def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
-    """All three frames of the normal-form orbit of a 3-point subset."""
-    if s.size != 3:
-        raise ValueError("c3 chart needs a subset of exactly 3 points")
-    return gamma_orbit(frame(normalize_triple(*map(to_boundary, s.angles))))
+    """All three frames of the normal-form orbit of a 3-point subset.
+
+    The orbit is computed on the first call and kept on the subset; later
+    calls, and so c3_coord, exp3_coord and coord's printed orbit, share
+    that tuple.  A subset of another size raises on every call.
+    """
+    orbit = s._orbit
+    if orbit is None:
+        if len(s.angles) != 3:
+            raise ValueError("c3 chart needs a subset of exactly 3 points")
+        orbit = gamma_orbit(frame(normalize_triple(*map(to_boundary, s.angles))))
+        _set_orbit(s, orbit)
+    return orbit
 
 
 def c3_coord(s: FiniteSubset) -> C3Coord:
@@ -268,7 +305,7 @@ def c2_coord(s: FiniteSubset) -> C2Coord:
     order-2 ambiguity by folding (phi, theta) -> (pi - phi, theta - 2 phi)
     into phi <= pi/2, with theta reduced modulo pi on the core phi = pi/2.
     """
-    if s.size != 2:
+    if len(s.angles) != 2:
         raise ValueError("c2 chart needs a subset of exactly 2 points")
     p, r = map(to_boundary, s.angles)
     phi, theta = c2_chart_raw(p, r)
@@ -281,9 +318,10 @@ def c2_coord(s: FiniteSubset) -> C2Coord:
 
 def exp3_coord(s: FiniteSubset) -> Exp3Coord:
     """Chart coordinate of any subset, dispatching on its size."""
-    if s.size == 1:
-        return Exp3Coord("C1", c1=s.angles[0])
-    if s.size == 2:
+    angles = s.angles
+    if len(angles) == 1:
+        return Exp3Coord("C1", c1=angles[0])
+    if len(angles) == 2:
         return Exp3Coord("C2", c2=c2_coord(s))
     return Exp3Coord("C3", c3=c3_coord(s))
 

@@ -29,8 +29,12 @@ ANGLE_TOL = 1e-9
 
 
 def norm_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
+    """Reduce an angle to [0, 2*pi).  An infinite angle raises ValueError;
+    NaN passes through."""
+    try:
+        t = math.fmod(theta, TWO_PI)
+    except ValueError:  # fmod's bare "math domain error"
+        raise ValueError(f"angle must be finite, got {theta!r}") from None
     if t < 0.0:
         t += TWO_PI
     if t >= TWO_PI:  # fmod can land exactly on 2*pi after the correction

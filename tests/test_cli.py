@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from expcircle import cli, complexes
+from expcircle import cli, complexes, config
 from expcircle.cli import main
 
 
@@ -55,6 +55,46 @@ def test_coord_triple_exceptional():
     assert rec["z"]["im"] == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
     assert rec["exceptional"] is True
     assert len(rec["orbit"]) == 3
+
+
+# stdout of coord for a pair, a triple, an equally spaced (exceptional)
+# triple and a near-coincident triple that merges to a pair, byte for byte;
+# the floats come from glibc's libm on x86-64, like tests/test_chart_bits.py
+COORD_BYTES = {
+    ("0.3", "1.1"): '{"tag":"C2","phi":0.4,"theta":2.84159265359}\n',
+    ("0.3", "2.0", "4.0"):
+        '{"tag":"C3","z":{"re":0.308674623765,"im":1.0766754812},"theta":5.42477796077,'
+        '"exceptional":false,"orbit":['
+        '{"re":0.308674623765,"im":1.0766754812,"theta":5.42477796077},'
+        '{"re":0.753948078989,"im":0.858243762389,"theta":2.84159265359},'
+        '{"re":0.422270889746,"im":0.657647945587,"theta":1.14159265359}]}\n',
+    ("0", "2.0943951023931953", "4.1887902047863905"):
+        '{"tag":"C3","z":{"re":0.5,"im":0.866025403784},"theta":1.0471975512,'
+        '"exceptional":true,"orbit":['
+        '{"re":0.5,"im":0.866025403784,"theta":5.23598775598},'
+        '{"re":0.5,"im":0.866025403784,"theta":3.14159265359},'
+        '{"re":0.5,"im":0.866025403784,"theta":1.0471975512}]}\n',
+    ("0", "2e-9", "3"): '{"tag":"C2","phi":1.5,"theta":3.14159265359}\n',
+}
+
+
+@pytest.mark.parametrize("points", COORD_BYTES, ids=" ".join)
+def test_coord_bytes(points):
+    assert run_cli("coord", *points) == (0, COORD_BYTES[points])
+
+
+def test_coord_charts_a_triple_once(monkeypatch):
+    calls = []
+    normalize = config.normalize_triple
+
+    def counting(p, q, r):
+        calls.append((p, q, r))
+        return normalize(p, q, r)
+
+    monkeypatch.setattr(config, "normalize_triple", counting)
+    code, out = run_cli("coord", "0.3", "2.0", "4.0")
+    assert code == 0 and len(json.loads(out)["orbit"]) == 3
+    assert len(calls) == 1
 
 
 def test_coord_too_many_points():

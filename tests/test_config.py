@@ -1,11 +1,14 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from expcircle import config
 from expcircle.config import (
     DISTINCT_TOL,
     EXCEPTIONAL_POINT,
@@ -110,6 +113,53 @@ def test_near_coincident_subsets_chart():
         gap = DISTINCT_TOL * rng.choice((1.0 + 1e-9, 1.01, 1.5, 3.0))
         s = FiniteSubset([base, base + gap, base + rng.uniform(0.1, 6.0)])
         assert exp3_coord(s).tag == f"C{s.size}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_subset_rejects_non_finite_angles(bad):
+    # wherever it stands, a non-finite angle is neither dropped nor kept
+    for angles in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 4.0]):
+        for i in range(len(angles) + 1):
+            with pytest.raises(ValueError, match=f"angle must be finite, got {bad!r}$"):
+                FiniteSubset(angles[:i] + [bad] + angles[i:])
+    with pytest.raises(ValueError, match="must be finite"):
+        FiniteSubset(a + bad for a in (0.5, 1.5))  # a generator, as rotate builds
+
+
+def test_subset_is_read_only():
+    s = FiniteSubset([0.3, 2.0, 4.0])
+    orbit = c3_orbit(s)
+    for name, value in (("angles", (0.1,)), ("_orbit", None), ("extra", 0)):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(s, name, value)
+    for name in ("angles", "_orbit"):
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(s, name)
+    assert s.angles == (0.3, 2.0, 4.0) and c3_orbit(s) is orbit
+    for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+        assert twin.angles == s.angles and c3_orbit(twin) == orbit
+
+
+def test_triple_is_charted_once(monkeypatch):
+    calls = []
+
+    def counting(p, q, r):
+        calls.append((p, q, r))
+        return normalize_triple(p, q, r)
+
+    monkeypatch.setattr(config, "normalize_triple", counting)
+    s = FiniteSubset([4.0, 0.3, 2.0])
+    coord = exp3_coord(s)
+    orbit = c3_orbit(s)
+    assert c3_orbit(s) is orbit and len(calls) == 1
+    assert (coord.c3.z, coord.c3.theta) in orbit
+    twin = FiniteSubset([0.3, 2.0, 4.0])
+    assert c3_orbit(twin) == orbit and len(calls) == 2
+    pair = FiniteSubset([0.3, 2.0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exactly 3 points"):
+            c3_orbit(pair)
+    assert len(calls) == 2
 
 
 def test_hausdorff_examples():
