@@ -3,7 +3,11 @@ and fundamental-group certificates as reproducible file-oriented runs.
 
 Every subcommand is deterministic: the same configuration produces byte
 identical output.  Structured records are JSON, curve samples are CSV.
-Exit codes: 0 success, 1 a verification failed, 2 usage error.
+Exit codes: 0 success, 1 a verification failed, 2 usage error.  Every
+usage error that needs no work to find (a bad flag value, csv outside knot,
+more than 3 points, a size over its cap, --relative with k != 3) is decided
+in _run before any subcommand starts; the subcommands read the parsed
+arguments directly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .complexes import (
     build_exp_complex,
@@ -27,6 +30,7 @@ from .config import (
     boundary_torus_curve,
     c2_coord,
     c3_orbit,
+    core_circle,
     exp3_coord,
     winding_diagnostic,
 )
@@ -53,26 +57,6 @@ MAX_TOP_SIMPLICES = 80_000
 MAX_SAMPLES = 100_000
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    tol: float
-    mesh_n: int
-    samples: int
-    eps: float
-    fmt: str
-    out: str | None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.mesh_n < 3:
-            raise ValueError("mesh size must be at least 3")
-        if not 8 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"sample count must lie in [8, {MAX_SAMPLES}]")
-
-
 def _num(v: float):
     """Floats printed with 12 significant digits; integral values as ints."""
     f = float(f"{v:.12g}")
@@ -93,8 +77,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_coord(cfg: RunConfig, points) -> int:
-    s = FiniteSubset(points)
+def cmd_coord(args) -> int:
+    s = FiniteSubset(args.points)
     coord = exp3_coord(s)
     if coord.tag == "C1":
         record = {"tag": "C1", "alpha": _num(coord.c1)}
@@ -106,64 +90,60 @@ def cmd_coord(cfg: RunConfig, points) -> int:
             "tag": "C3",
             "z": {"re": _num(coord.c3.z.real), "im": _num(coord.c3.z.imag)},
             "theta": _num(coord.c3.theta),
-            "exceptional": abs(coord.c3.z - EXCEPTIONAL_POINT) <= cfg.tol,
+            "exceptional": abs(coord.c3.z - EXCEPTIONAL_POINT) <= args.tol,
             "orbit": [
                 {"re": _num(f.z.real), "im": _num(f.z.imag), "theta": _num(f.theta)}
                 for f in orbit
             ],
         }
-    _emit(_dump(record), cfg.out)
+    _emit(_dump(record), args.out)
     return 0
 
 
-def cmd_knot(cfg: RunConfig, core: bool = False) -> int:
-    if core:
-        from .config import core_circle
-
-        loop = core_circle(cfg.samples)
-    else:
-        loop = boundary_torus_curve(cfg.eps, cfg.samples)
+def cmd_knot(args) -> int:
+    core, csv = args.core, args.fmt == "csv"
+    loop = core_circle(args.samples) if core else boundary_torus_curve(args.eps, args.samples)
     try:
         w = winding_diagnostic(loop)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # samples are charted for the band check and for the CSV rows only
     lines = ["index,angle1,angle2,phi,theta"]
-    for i, s in enumerate(loop.subsets):
-        c = c2_coord(s)
-        if not core and abs(c.phi - (math.pi / 2 - cfg.eps)) > cfg.tol:
-            print("error: sample left the expected band locus", file=sys.stderr)
-            return 1
-        a1, a2 = s.angles
-        lines.append(f"{i},{a1:.12g},{a2:.12g},{c.phi:.12g},{c.theta:.12g}")
-    lines.append(f"windings: ({w[0]}, {w[1]})")
-    if cfg.fmt == "json":
+    if csv or not core:
+        for i, s in enumerate(loop.subsets):
+            c = c2_coord(s)
+            if not core and abs(c.phi - (math.pi / 2 - args.eps)) > args.tol:
+                print("error: sample left the expected band locus", file=sys.stderr)
+                return 1
+            if csv:
+                a1, a2 = s.angles
+                lines.append(f"{i},{a1:.12g},{a2:.12g},{c.phi:.12g},{c.theta:.12g}")
+    if csv:
+        lines.append(f"windings: ({w[0]}, {w[1]})")
+        _emit("\n".join(lines) + "\n", args.out)
+    else:
         record = {
-            "eps": _num(cfg.eps),
-            "samples": cfg.samples,
+            "eps": _num(args.eps),
+            "samples": args.samples,
             "core": core,
             "windings": [w[0], w[1]],
         }
-        _emit(_dump(record), cfg.out)
-    else:
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit(_dump(record), args.out)
     return 0
 
 
-def cmd_homology(cfg: RunConfig, k: int, relative: bool) -> int:
-    if relative and k != 3:
-        print("error: relative mode needs k = 3", file=sys.stderr)
-        return 2
+def cmd_homology(args) -> int:
     # the inputs are validated by now, so a ValueError from the build or the
     # homology (a degenerate identification, an asymmetric torus, a nonzero
     # d∘d) is a failed verification in either mode
     try:
-        if relative:
-            rel = relative_quotient_homology(cfg.mesh_n)
+        if args.relative:
+            rel = relative_quotient_homology(args.mesh_n)
             oracle = rp3_collapse_oracle()
             record = {
                 "k": 3,
-                "n": cfg.mesh_n,
+                "n": args.mesh_n,
                 "mode": "relative",
                 "betti": rel.betti,
                 "torsion": [list(t) for t in rel.torsion],
@@ -173,11 +153,11 @@ def cmd_homology(cfg: RunConfig, k: int, relative: bool) -> int:
             }
             ok = record["match"]
         else:
-            cx = build_exp_complex(k, cfg.mesh_n)
+            cx = build_exp_complex(args.k, args.mesh_n)
             h = homology(cx)
             record = {
-                "k": k,
-                "n": cfg.mesh_n,
+                "k": args.k,
+                "n": args.mesh_n,
                 "mode": "absolute",
                 "counts": cx.counts(),
                 "euler": cx.euler_characteristic(),
@@ -189,65 +169,56 @@ def cmd_homology(cfg: RunConfig, k: int, relative: bool) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(_dump(record), cfg.out)
+    _emit(_dump(record), args.out)
     return 0 if ok else 1
 
 
-def cmd_pi1(cfg: RunConfig, case: str) -> int:
+def cmd_pi1(args) -> int:
+    case = args.case
+    # looked up per call, so a wrapped pushout function is the one called
+    data = {"exp3": pushout_exp3, "Bprime": pushout_band_piece,
+            "complement": pushout_complement}[case]()
+    assembled = pushout(data)
+    simplified = tietze_simplify(assembled).presentation
     if case == "exp3":
-        assembled = pushout(pushout_exp3())
         cert = coset_enumeration(assembled, coset_limit=100)
-        simplified = tietze_simplify(assembled).presentation
-        record = {
-            "case": "exp3",
-            "assembled": format_presentation(assembled),
-            "simplified": format_presentation(simplified),
-            "certificate": {
-                "order": cert.order,
-                "conclusive": cert.conclusive,
-                "cosets": len(cert.table) if cert.table else None,
-            },
+        certificate = {
+            "order": cert.order,
+            "conclusive": cert.conclusive,
+            "cosets": len(cert.table) if cert.table else None,
         }
         ok = cert.conclusive and cert.order == 1
     elif case == "Bprime":
-        assembled = pushout(pushout_band_piece())
-        simplified = tietze_simplify(assembled).presentation
         expected = parse_presentation("gens: b c; rels: [c^2, b]")
         matches = same_up_to_renaming(simplified, expected)
-        record = {
-            "case": "Bprime",
-            "assembled": format_presentation(assembled),
-            "simplified": format_presentation(simplified),
-            "certificate": {
-                "expected": format_presentation(expected),
-                "matches_expected": matches,
-                "abelianization": str(abelianization(simplified)),
-            },
+        certificate = {
+            "expected": format_presentation(expected),
+            "matches_expected": matches,
+            "abelianization": str(abelianization(simplified)),
         }
         ok = matches
     else:  # complement
-        assembled = pushout(pushout_complement())
-        simplified = tietze_simplify(assembled).presentation
         expected = parse_presentation("gens: s t; rels: s^3 t^-2")
         matches = same_up_to_renaming(simplified, expected)
         ab = abelianization(simplified)
         s3 = symmetric_group(3)
         homs = count_homs(simplified, s3)
         homs_unknot = count_homs(parse_presentation("gens: a; rels:"), s3)
-        record = {
-            "case": "complement",
-            "assembled": format_presentation(assembled),
-            "simplified": format_presentation(simplified),
-            "certificate": {
-                "matches_expected": matches,
-                "abelianization": str(ab),
-                "homs_to_S3": homs,
-                "homs_to_S3_unknot": homs_unknot,
-                "distinguishes_unknot": homs != homs_unknot,
-            },
+        certificate = {
+            "matches_expected": matches,
+            "abelianization": str(ab),
+            "homs_to_S3": homs,
+            "homs_to_S3_unknot": homs_unknot,
+            "distinguishes_unknot": homs != homs_unknot,
         }
         ok = matches and ab.rank == 1 and not ab.torsion and homs != homs_unknot
-    _emit(_dump(record), cfg.out)
+    record = {
+        "case": case,
+        "assembled": format_presentation(assembled),
+        "simplified": format_presentation(simplified),
+        "certificate": certificate,
+    }
+    _emit(_dump(record), args.out)
     return 0 if ok else 1
 
 
@@ -299,38 +270,36 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = args.fmt or ("csv" if args.command == "knot" else "json")
-    if args.command != "knot" and fmt == "csv":
+    # every usage error the parser leaves open is decided here, before any work
+    args.fmt = args.fmt or ("csv" if args.command == "knot" else "json")
+    if args.command != "knot" and args.fmt == "csv":
         parser.error("csv output is only available for knot curves")
-    try:
-        cfg = RunConfig(
-            tol=args.tol,
-            mesh_n=args.mesh_n,
-            samples=args.samples,
-            eps=args.eps,
-            fmt=fmt,
-            out=args.out,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.tol <= 0:
+        parser.error("tolerance must be positive")
+    if args.mesh_n < 3:
+        parser.error("mesh size must be at least 3")
+    if not 8 <= args.samples <= MAX_SAMPLES:
+        parser.error(f"sample count must lie in [8, {MAX_SAMPLES}]")
     if args.command == "coord" and len(args.points) > 3:
         parser.error("at most 3 points are supported")
     if args.command == "homology":
-        tops = cfg.mesh_n ** args.k * math.factorial(args.k + 1) ** 2
+        tops = args.mesh_n ** args.k * math.factorial(args.k + 1) ** 2
         if tops > MAX_TOP_SIMPLICES:
-            parser.error(f"mesh size {cfg.mesh_n} gives {tops} top simplices for k = {args.k}, "
+            parser.error(f"mesh size {args.mesh_n} gives {tops} top simplices for k = {args.k}, "
                          f"more than the cap of {MAX_TOP_SIMPLICES}")
+        if args.relative and args.k != 3:
+            parser.error("relative mode needs k = 3")
     # input the parser cannot judge (points too close to chart, an eps off
     # the band, an unwritable --out) is a usage error, not a traceback;
     # verification failures are reported by the commands with exit 1
     try:
         if args.command == "coord":
-            return cmd_coord(cfg, args.points)
+            return cmd_coord(args)
         if args.command == "knot":
-            return cmd_knot(cfg, core=args.core)
+            return cmd_knot(args)
         if args.command == "homology":
-            return cmd_homology(cfg, args.k, args.relative)
-        return cmd_pi1(cfg, args.case)
+            return cmd_homology(args)
+        return cmd_pi1(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

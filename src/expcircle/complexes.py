@@ -115,39 +115,6 @@ def circle_complex(n: int) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# text interchange format
-# ---------------------------------------------------------------------------
-
-def complex_to_text(k: SimplicialComplex) -> str:
-    """One simplex per line: dimension then sorted vertex ids."""
-    lines = [f"# simplicial complex, counts {k.counts()}"]
-    for d, ss in enumerate(k.simplices):
-        for s in ss:
-            lines.append(f"{d} " + " ".join(map(str, s)))
-    return "\n".join(lines) + "\n"
-
-
-def complex_from_text(text: str) -> SimplicialComplex:
-    by_dim: dict[int, set] = {}
-    vertex_count = 0
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        d = int(parts[0])
-        verts = tuple(int(v) for v in parts[1:])
-        if len(verts) != d + 1:
-            raise ValueError(f"dimension {d} simplex with {len(verts)} vertices: {raw!r}")
-        by_dim.setdefault(d, set()).add(tuple(sorted(verts)))
-        vertex_count = max(vertex_count, max(verts) + 1)
-    if not by_dim:
-        raise ValueError("no simplices in input")
-    dim = max(by_dim)
-    return SimplicialComplex(vertex_count, [sorted(by_dim.get(d, ())) for d in range(dim + 1)])
-
-
-# ---------------------------------------------------------------------------
 # barycentric subdivision
 # ---------------------------------------------------------------------------
 

@@ -94,8 +94,6 @@ class FiniteSubset:
             if a - last > DISTINCT_TOL:
                 merged.append(a)
                 last = a
-            elif a != a:  # NaN passes norm_angle and sorts anywhere
-                raise ValueError(f"angle must be finite, got {a!r}")
         if not merged:
             raise ValueError("a subset needs at least one point")
         # wraparound: the largest angle may coincide with the smallest
@@ -398,13 +396,14 @@ def triple_coalescence_path(p: BoundaryPoint, r: BoundaryPoint) -> TripleCoalesc
     return TripleCoalescencePath(p=p, r=r, slope=slope, endpoint=endpoint)
 
 
-def fold_to_domain(f: Frame, tol: float = 1e-7) -> Frame:
+def fold_to_domain(f: Frame) -> Frame:
     """Representative of the 3-element orbit inside the wedge domain
-    {|z| <= 1, |z - 1| <= 1}; used to read coalescence endpoints off the
-    fundamental-domain picture.  Ties on the wedge boundary break towards
-    smaller Re z.
+    {|z| <= 1, |z - 1| <= 1}, widened by 1e-7; used to read coalescence
+    endpoints off the fundamental-domain picture.  Ties on the wedge boundary
+    break towards smaller Re z.
     """
-    inside = [g for g in gamma_orbit(f) if abs(g.z) <= 1.0 + tol and abs(g.z - 1.0) <= 1.0 + tol]
+    edge = 1.0 + 1e-7
+    inside = [g for g in gamma_orbit(f) if abs(g.z) <= edge and abs(g.z - 1.0) <= edge]
     if not inside:
         raise ValueError("no orbit representative inside the wedge domain")
     return _lex_min_frame(inside)

@@ -29,16 +29,18 @@ ANGLE_TOL = 1e-9
 
 
 def norm_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi).  An infinite angle raises ValueError;
-    NaN passes through."""
+    """Reduce an angle to [0, 2*pi).  An infinite or NaN angle raises
+    ValueError."""
     try:
         t = math.fmod(theta, TWO_PI)
     except ValueError:  # fmod's bare "math domain error"
         raise ValueError(f"angle must be finite, got {theta!r}") from None
     if t < 0.0:
         t += TWO_PI
-    if t >= TWO_PI:  # fmod can land exactly on 2*pi after the correction
-        t -= TWO_PI
+        if t >= TWO_PI:  # fmod can land exactly on 2*pi after the correction
+            t -= TWO_PI
+    elif not t < TWO_PI:  # NaN, the one value fmod lets through
+        raise ValueError(f"angle must be finite, got {theta!r}")
     return t + 0.0  # clear the sign of -0.0
 
 
@@ -76,8 +78,8 @@ class BoundaryPoint:
     def infinity(cls) -> "BoundaryPoint":
         return cls(1.0, 0.0)
 
-    def is_infinity(self, tol: float = ANGLE_TOL) -> bool:
-        return abs(self.b) <= tol
+    def is_infinity(self) -> bool:
+        return abs(self.b) <= ANGLE_TOL
 
     def value(self) -> float:
         """Real coordinate a/b; raises at infinity."""
@@ -109,7 +111,7 @@ class Frame(namedtuple("Frame", ("z", "theta"))):
     __slots__ = ()
 
     def __new__(cls, z: complex, theta: float):
-        if z.imag <= 0.0:
+        if not z.imag > 0.0:
             raise ValueError("frame point must lie in the open upper half-plane")
         return tuple.__new__(cls, (z, norm_angle(theta)))
 
@@ -129,7 +131,7 @@ class MoebiusMap:
 
     def __init__(self, a: float, b: float, c: float, d: float):
         det = a * d - b * c
-        if det <= 0.0:
+        if not det > 0.0:
             raise ValueError(f"matrix must have positive determinant, got {det!r}")
         # Keep entries bit-stable when the matrix is already normalized:
         # renormalizing a normalized matrix must be the identity map on bits.
@@ -187,7 +189,7 @@ TAU = tau()
 
 def sigma(lam: float) -> MoebiusMap:
     """The scaling z -> lam * z for lam > 0."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"sigma needs a positive scale, got {lam!r}")
     r = math.sqrt(lam)
     return MoebiusMap(r, 0.0, 0.0, 1.0 / r)
@@ -201,7 +203,7 @@ def apply_boundary(t: MoebiusMap, x: BoundaryPoint) -> BoundaryPoint:
 def apply_interior(t: MoebiusMap, z: complex) -> complex:
     """Action (az + b)/(cz + d) on the open upper half-plane."""
     z = complex(z)
-    if z.imag <= 0.0:
+    if not z.imag > 0.0:
         raise ValueError("apply_interior needs Im z > 0")
     return (t.a * z + t.b) / (t.c * z + t.d)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -81,6 +82,39 @@ COORD_BYTES = {
 @pytest.mark.parametrize("points", COORD_BYTES, ids=" ".join)
 def test_coord_bytes(points):
     assert run_cli("coord", *points) == (0, COORD_BYTES[points])
+
+
+# sha256 of stdout for the other commands, byte for byte; any change to a
+# record (a value, a key, the key order) or to a CSV row changes its digest
+GOLDEN_SHA256 = {
+    "--eps 0.1 --samples 720 knot":
+        "e9bf85a48648d53d893c84e88fad4723c2e6707c5fec42529ae21116fed32917",
+    "--samples 720 knot --core":
+        "d886bc9e7afb747eb6c94f92ac9665c7e3cf185d3460f9b680c125007854b2ec",
+    "--format json knot":
+        "5c1a15a51933d020738db5321d6d30fb51dec3036c3a322d07c2a26856541d2c",
+    "--samples 720 --format json knot --core":
+        "e08504578549f5b4a09e7d575b843553775e09135fe18e30c8146ea4402aceba",
+    "pi1 exp3": "730adb0c2b081114a0f7a6f932d016ec7147af1afe6b1ed4421fd61d37dabb8e",
+    "pi1 Bprime": "06c2066ab05f6317a5a180a97f954f452ac8c8fac640dcacabd9a469b0ce3764",
+    "pi1 complement": "98e7080629be875b09a0764606066a0c849b4c9a9da56789603ffe70e0740cda",
+    "--mesh-n 3 homology 2":
+        "35db7ccf8bea50616ad4a1f1a5750d3fa2194acb2e2617083d6c0fb35c519b9a",
+    "--mesh-n 3 homology 3":
+        "a52a9eefad4603301aee20703f9df5354cf6236e973d5d9ba08a434da7d0d281",
+    "--mesh-n 3 homology 3 --relative":
+        "fa9f4a9933207984fea5de46cf0ea60734c2c5b469c09d2fa4fb85fb7af4e409",
+}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.slow) if "homology 3" in case else case
+    for case in GOLDEN_SHA256
+])
+def test_golden_bytes(case):
+    code, out = run_cli(*case.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
 
 
 def test_coord_charts_a_triple_once(monkeypatch):
@@ -197,7 +231,12 @@ def test_knot_csv_output():
     assert float(first[3]) == pytest.approx(math.pi / 2 - 0.1, abs=1e-9)
 
 
-def test_knot_core_windings():
+def test_knot_core_windings(monkeypatch):
+    # the core needs no band check, so a JSON run charts no sample
+    def refuse(s):
+        raise AssertionError("a JSON core run charted a sample")
+
+    monkeypatch.setattr(cli, "c2_coord", refuse)
     code, out = run_cli("--samples", "360", "--format", "json", "knot", "--core")
     assert code == 0
     rec = json.loads(out)
@@ -235,6 +274,7 @@ def _refuse_work(*args, **kwargs):
     ("--mesh-n", "6", "homology", "3"),
     ("--mesh-n", "6", "homology", "3", "--relative"),
     ("--samples", "100000000", "knot"),
+    ("homology", "2", "--relative"),
 ])
 def test_size_caps_are_usage_errors(monkeypatch, capsys, args):
     for name in ("build_exp_complex", "relative_quotient_homology", "boundary_torus_curve"):
@@ -291,8 +331,11 @@ def test_homology_bad_k():
 
 
 def test_homology_relative_needs_k3():
-    code, _, err = run_proc("homology", "2", "--relative")
+    code, out, err = run_proc("homology", "2", "--relative")
     assert code == 2
+    assert out == b""
+    assert err.startswith(b"usage: ")
+    assert err.endswith(b"expcircle: error: relative mode needs k = 3\n")
 
 
 def test_pi1_exp3():
@@ -323,11 +366,12 @@ def test_pi1_complement():
 
 
 def test_out_file(tmp_path):
-    target = tmp_path / "coord.json"
-    code, out = run_cli("--out", str(target), "coord", "1.5")
+    target = tmp_path / "knot.csv"
+    case = "--eps 0.1 --samples 720 knot"
+    code, out = run_cli("--out", str(target), *case.split())
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["tag"] == "C1"
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
 
 
 def test_determinism_bytes():

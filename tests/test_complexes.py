@@ -23,8 +23,6 @@ from expcircle.complexes import (
     build_torus_complex,
     chain_complex,
     circle_complex,
-    complex_from_text,
-    complex_to_text,
     coordinate_permutation_action,
     homology,
     quotient_complex,
@@ -480,18 +478,6 @@ def test_asymmetric_torus_is_refused(asymmetric_torus):
     # the orbit filter is only sound for a symmetric triangulation
     with pytest.raises(ValueError, match="action does not carry simplices"):
         _build_exp_with_boundary(2, 3)
-
-
-def test_text_roundtrip():
-    k = rp2_complex()
-    text = complex_to_text(k)
-    k2 = complex_from_text(text)
-    assert k2.simplices == k.simplices
-    assert "#" in text
-    with pytest.raises(ValueError):
-        complex_from_text("2 0 1\n")  # wrong vertex count for dimension
-    with pytest.raises(ValueError):
-        complex_from_text("# only a comment\n")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ def test_construction_rejects_nonpositive_det():
         MoebiusMap(1, 0, 0, -1)
     with pytest.raises(ValueError):
         MoebiusMap(1, 2, 2, 4)
+    # a NaN determinant is not positive either
+    for entries in ((math.nan, 0, 0, 1), (1, 0, math.nan, 1), (math.nan,) * 4):
+        with pytest.raises(ValueError, match="positive determinant"):
+            MoebiusMap(*entries)
 
 
 def test_normalization_is_unique():
@@ -93,6 +97,9 @@ def test_apply_interior():
     assert abs(apply_interior(gamma(), fixed) - fixed) < 1e-12
     with pytest.raises(ValueError):
         apply_interior(gamma(), 1.0 - 0.5j)
+    for z in (complex(0.0, math.nan), complex(math.nan, math.nan)):
+        with pytest.raises(ValueError, match="needs Im z > 0"):
+            apply_interior(identity(), z)
 
 
 def test_frame_examples():
@@ -116,6 +123,8 @@ def test_named_element_relations():
         sigma(0.0)
     with pytest.raises(ValueError):
         sigma(-2.0)
+    with pytest.raises(ValueError, match="positive scale"):
+        sigma(math.nan)
 
 
 def test_scaling_relations_random():
@@ -173,9 +182,12 @@ def test_boundary_point_normal_form():
 
 
 def test_frame_contract():
-    for z in (1.0 + 0.0j, 2.0 - 1.0j, -3.0 + 0.0j):
+    for z in (1.0 + 0.0j, 2.0 - 1.0j, -3.0 + 0.0j, complex(0.0, math.nan)):
         with pytest.raises(ValueError, match="frame point must lie in the open upper half-plane"):
             Frame(z, 0.0)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            Frame(1j, theta)
     f = Frame(0.5 + 2.0j, 7.0)
     assert f.theta == norm_angle(7.0)
     assert Frame(1j, -1.0).theta == norm_angle(-1.0)
