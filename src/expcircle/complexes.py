@@ -7,38 +7,44 @@ after two barycentric subdivisions, the standard regularity margin that makes
 the identified complex compute the homology of the identified space.  The
 identifier also returns each quotient vertex's key, so a stratum is the full
 subcomplex on the vertices whose keys satisfy a predicate.  The second
-subdivision is enumerated chain by chain and each chain is mapped straight
-to its quotient simplex: the flag memo holds no chain of a top simplex, and
-the second subdivision is never validated or sorted as a whole.
-Only chains ending at one chosen sd1 simplex per orbit of the group action
-are mapped.  Keys are invariant under the group, so a chain and its images
-land on the same quotient simplex, and each orbit of chains has a member
-ending at a chosen simplex.  For the subset spaces that is a sixth of the
-top chains at k = 3 (the symmetric group acts freely on top simplices); it
-rests on the torus triangulation being symmetric under coordinate
-permutations, which the build checks before relying on it.  Torus
-coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres of
-barycentres that key the identification are exact without fractions.
+subdivision is enumerated chain by chain, each chain built directly as its
+quotient simplex, a sorted tuple of quotient vertex ids; the second
+subdivision is never validated or sorted as a whole.  Only chains ending at
+one chosen sd1 simplex per orbit of the group action are built, and the
+flag memo holds only chains ending at a proper face of a chosen simplex.
+Keys are invariant under the group, so a chain and its images land on the
+same quotient simplex, and each orbit of chains has a member ending at a
+chosen simplex.  For the subset spaces that is a sixth of the top chains at
+k = 3 (the symmetric group acts freely on top simplices); it rests on the
+torus triangulation being symmetric under coordinate permutations, which
+the build checks before relying on it.  Torus coordinates are integers
+scaled by lcm(1..k+1)**2, so the barycentres of barycentres that key the
+identification are exact without fractions.
 
 Homology is computed over the integers through Smith normal form with exact
-(arbitrary precision) arithmetic.  Each boundary matrix is assembled in one
-pass, a column dict per simplex.  After the d o d check the boundaries are
-reduced top-down, the highest first, by the column reduction of persistent
-homology: each column is reduced on its lowest row index, read off a
-max-heap of the column's rows, and the unit pivots are consumed.  Clearing
-(Chen-Kerber) skips every column of a boundary that is a unit pivot row of
-the boundary one degree up, since that column is an integer combination of
-the others (see ChainComplexZ.homology); those rows pass from one reduction
-to the next as a mask of one byte per row.  A dense textbook pass finishes the
-small remainder of non-unit columns, the only place torsion can appear.
+(arbitrary precision) arithmetic.  Validation looks up every facet of a
+complex once and keeps the rows as a face table; each boundary matrix is
+assembled from it in one pass, a column dict per simplex.  After the d o d
+check the boundaries are reduced top-down, the highest first, by the column
+reduction of persistent homology: each column is reduced on its lowest row
+index, read off a max-heap of the column's rows, and the unit pivots are
+consumed.  Clearing (Chen-Kerber) skips every column of a boundary that is
+a unit pivot row of the boundary one degree up, since that column is an
+integer combination of the others (see ChainComplexZ.homology); those rows
+pass from one reduction to the next as a mask of one byte per row.  A dense
+textbook pass finishes the small remainder of non-unit columns, the only
+place torsion can appear.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations
+from itertools import chain, combinations, count, permutations, repeat
 from math import gcd, lcm
+from operator import itemgetter, lt
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +53,11 @@ from math import gcd, lcm
 
 class SimplicialComplex:
     """Finite simplicial complex: vertices 0..n-1 and sorted vertex tuples
-    per dimension, closed under taking faces."""
+    per dimension, closed under taking faces.
+
+    faces[d] is the face table of dimension d: for each d-simplex in order,
+    the indices in simplices[d - 1] of its d + 1 facets, facet i dropping
+    vertex i (faces[0] is empty)."""
 
     def __init__(self, vertex_count: int, simplices_by_dim):
         self.vertex_count = vertex_count
@@ -57,18 +67,33 @@ class SimplicialComplex:
         self._validate()
 
     def _validate(self):
-        if not self.simplices or len(self.simplices[0]) != self.vertex_count:
+        """Refuse what is not a complex, keeping the facet rows looked up."""
+        if self.simplices[:1] != [[(v,) for v in range(self.vertex_count)]]:
             raise ValueError("dimension 0 must list every vertex exactly once")
-        have = [set(s) for s in self.simplices]
-        for d in range(1, len(self.simplices)):
-            for s in self.simplices[d]:
-                if len(set(s)) != d + 1:
-                    raise ValueError(f"degenerate simplex {s} in dimension {d}")
-                if list(s) != sorted(s):
-                    raise ValueError(f"unsorted simplex {s}")
-                for f in combinations(s, d):
-                    if f not in have[d - 1]:
-                        raise ValueError(f"missing face {f} of {s}")
+        self.faces = [array("I")]
+        for d, ss in enumerate(self.simplices[1:], 1):
+            row = {f: i for i, f in enumerate(self.simplices[d - 1])}
+            # strictly increasing vertices (checked column by column) and
+            # found facets; on any failure the per-simplex loop names it
+            ok = set(map(len, ss)) <= {d + 1} and all(
+                all(map(lt, map(itemgetter(i), ss), map(itemgetter(i + 1), ss))) for i in range(d))
+            facets = chain.from_iterable(map(combinations, ss, repeat(d)))
+            rows = list(map(row.get, facets)) if ok else [None]
+            if None in rows:
+                for s in ss:
+                    if len(s) != d + 1 or len(set(s)) != d + 1:
+                        raise ValueError(f"degenerate simplex {s} in dimension {d}")
+                    if list(s) != sorted(s):
+                        raise ValueError(f"unsorted simplex {s}")
+                    for f in combinations(s, d):
+                        if f not in row:
+                            raise ValueError(f"missing face {f} of {s}")
+            # combinations drop the last vertex first; facet i drops vertex i
+            rows = array("I", rows)
+            table = rows[:]
+            for i in range(d + 1):
+                table[i::d + 1] = rows[d - i::d + 1]
+            self.faces.append(table)
 
     @classmethod
     def from_maximal(cls, simplices):
@@ -134,31 +159,43 @@ def _subdivision_data(k: SimplicialComplex):
     return ids, origin
 
 
-def _flags(k: SimplicialComplex, ids, ends=None):
-    """Every chain of the face poset, as an id tuple; a chain of length L is
-    an (L-1)-simplex of the subdivision.  Ids increase along every chain
-    because they are assigned in dimension order.  Only chains ending below
-    the top dimension are memoised: a top simplex is no one's face.
+def _flags(k: SimplicialComplex, labels, ends=None):
+    """Every chain of the face poset as the sorted tuple of its elements'
+    labels (labels maps a simplex of k to an int); a chain of length L is an
+    (L-1)-simplex of the subdivision.  Only chains ending at a simplex in
+    ends (default: all of k) are yielded.  Every element of such a chain is
+    a face of its last one, so chains are memoised only on the proper faces
+    of ends: a top simplex is no one's face.
 
-    If ends is given, only chains whose last element s has ends[ids[s]] true
-    are yielded; the memo stays complete, since any simplex can be a face of
-    a wanted one, but a top simplex that is not wanted builds no chains."""
+    Labels assigned in dimension order increase along every chain, so a
+    chain is extended by an append; a smaller label goes in by a sorted
+    insert (see _insert)."""
+    if ends is None:
+        ends = set(chain.from_iterable(k.simplices))
+    need = {f for s in ends for f in _proper_faces(s)}
     memo: dict[tuple, list] = {}
-    top = k.dim
-    for d, ss in enumerate(k.simplices):
-        for s in ss:
-            sid = ids[s]
-            wanted = ends is None or ends[sid]
-            if d == top and not wanted:
-                continue
-            cs = [(sid,)]
+    for s in chain.from_iterable(k.simplices):
+        wanted = s in ends
+        if wanted or s in need:
+            label = labels[s]
+            tail = (label,)
+            cs = [tail]
             for f in _proper_faces(s):
-                for c in memo[f]:
-                    cs.append(c + (sid,))
-            if d < top:
+                cs += [c + tail if c[-1] < label else _insert(c, label) for c in memo[f]]
+            if s in need:
                 memo[s] = cs
             if wanted:
                 yield from cs
+
+
+def _insert(c: tuple, label: int) -> tuple:
+    """c with label in sorted position; a label already in c means an
+    identification degenerates a simplex."""
+    i = bisect_left(c, label)
+    if c[i:i + 1] == (label,):
+        raise ValueError("identification degenerates a simplex; the action is not "
+                         "regular even after two subdivisions")
+    return c[:i] + (label,) + c[i:]
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -269,13 +306,16 @@ def _close_group(vertex_count: int, generators) -> list[tuple]:
     return sorted(group)
 
 
-def _check_simplicial(k: SimplicialComplex, perm) -> None:
+def _check_simplicial(k: SimplicialComplex, perms) -> None:
+    """Refuse unless every vertex permutation in perms carries simplices of
+    k to simplices of k; each dimension's set is built once for all."""
     for d in range(1, k.dim + 1):
         have = set(k.simplices[d])
-        for s in k.simplices[d]:
-            img = tuple(sorted(perm[v] for v in s))
-            if len(set(img)) != d + 1 or img not in have:
-                raise ValueError("action does not carry simplices to simplices")
+        for perm in perms:
+            for s in k.simplices[d]:
+                img = tuple(sorted(perm[v] for v in s))
+                if len(set(img)) != d + 1 or img not in have:
+                    raise ValueError("action does not carry simplices to simplices")
 
 
 def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
@@ -283,7 +323,9 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
 
     k1 is the first subdivision; its simplices are the vertices of the
     second.  label_fn maps an sd1 simplex to (key, is_representative), and
-    equal keys become one quotient vertex.  Returns the quotient and the list
+    equal keys become one quotient vertex, numbered in dimension order, so
+    _flags builds each chain as its quotient simplex, by appends unless a
+    key spans two sd1 dimensions.  Returns the quotient and the list
     of its vertex keys, keys[q] being the key of quotient vertex q.  Raises
     if the identification degenerates a simplex, the telltale of an
     insufficiently subdivided action.
@@ -296,26 +338,18 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     there), so the representatives' chains give exactly the quotient of all
     chains.
     """
-    ids, origin = _subdivision_data(k1)
     qid_by_key: dict = {}
-    qid_of_vertex = []
-    ends = []
-    for s in origin:
+    labels = {}
+    ends = set()
+    for s in chain.from_iterable(k1.simplices):
         key, is_representative = label_fn(s)
-        qid_of_vertex.append(qid_by_key.setdefault(key, len(qid_by_key)))
-        ends.append(is_representative)
-
-    out = [set() for _ in range(k1.dim + 1)]
-    for c in _flags(k1, ids, ends):
-        q = tuple(sorted(qid_of_vertex[v] for v in c))
-        if len(set(q)) != len(q):
-            raise ValueError(
-                "identification degenerates a simplex; the action is not "
-                "regular even after two subdivisions"
-            )
-        out[len(q) - 1].add(q)
-    cx = SimplicialComplex(len(qid_by_key), out)
-    return cx, list(qid_by_key)
+        labels[s] = qid_by_key.setdefault(key, len(qid_by_key))
+        if is_representative:
+            ends.add(s)
+    out = [[] for _ in range(k1.dim + 1)]
+    for q in set(_flags(k1, labels, ends)):
+        out[len(q) - 1].append(q)
+    return SimplicialComplex(len(qid_by_key), out), list(qid_by_key)
 
 
 def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
@@ -327,8 +361,7 @@ def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
     topological quotient.
     """
     group = _close_group(k.vertex_count, generators)
-    for perm in group:
-        _check_simplicial(k, perm)
+    _check_simplicial(k, group)
     ids, origin = _subdivision_data(k)
     # lift the action from vertices of k to simplices of k (= vertices of k1)
     lifted = [[ids[tuple(sorted(perm[v] for v in s))] for s in origin] for perm in group]
@@ -367,8 +400,7 @@ def _build_exp_with_boundary(k: int, n: int):
     degenerate iff every vertex key is short.
     """
     k0 = build_torus_complex(k, n)
-    for g in coordinate_permutation_action(k, n):
-        _check_simplicial(k0, g)
+    _check_simplicial(k0, coordinate_permutation_action(k, n))
     # means of at most k + 1 points, taken twice, divide exactly
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
@@ -720,26 +752,23 @@ def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ
 
     sub_simplices lists, per dimension, the simplices spanning the
     subcomplex; its chains are struck from the bases and from the boundary
-    images.
+    images.  Each column is read off k's face table.
     """
     sub = [set(map(tuple, s)) for s in sub_simplices]
     sub += [set()] * (k.dim + 1 - len(sub))
-    bases = []
-    for d in range(k.dim + 1):
-        bases.append([s for s in k.simplices[d] if s not in sub[d]])
-    dims = [len(b) for b in bases]
+    rows = []  # rows[d][j]: basis index of the j-th d-simplex, None if struck
+    for ss, struck in zip(k.simplices, sub):
+        keep = count()
+        rows.append([None if s in struck else next(keep) for s in ss])
+    dims = [len(r) - r.count(None) for r in rows]
     boundaries = []
     for d in range(1, k.dim + 1):
-        row_of = {s: i for i, s in enumerate(bases[d - 1])}.get
-        faces = [(i, -1 if i % 2 else 1) for i in range(d + 1)]
+        signs = [-1 if i % 2 else 1 for i in range(d + 1)]
+        facets = zip(*[map(rows[d - 1].__getitem__, k.faces[d])] * (d + 1))
         mat = SparseIntMatrix(dims[d - 1], dims[d])
-        for col, s in enumerate(bases[d]):
-            entries = {}
-            for i, sign in faces:
-                row = row_of(s[:i] + s[i + 1:])
-                if row is not None:
-                    entries[row] = sign
-            if entries:
+        for col, entries in zip(rows[d], map(dict, map(zip, facets, repeat(signs)))):
+            entries.pop(None, None)  # the struck facets
+            if col is not None and entries:
                 mat.cols[col] = entries
         boundaries.append(mat)
     return ChainComplexZ(dims, boundaries)

@@ -201,6 +201,90 @@ def test_euler_characteristic_matches_betti():
 
 
 # ---------------------------------------------------------------------------
+# validation, the face table and the boundaries built from it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("vertex_count, simplices, message", [
+    (3, [[(0,), (1,), (2,)], [(0, 1)], [(0, 1, 2)]], r"missing face \(0, 2\) of \(0, 1, 2\)"),
+    (2, [[(0,), (1,)], [(1, 0)]], r"unsorted simplex \(1, 0\)"),
+    (3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 2, 1)]],
+     r"unsorted simplex \(0, 2, 1\)"),
+    (2, [[(0,), (1,)], [(1, 1)]], r"degenerate simplex \(1, 1\) in dimension 1"),
+    (2, [[(0,), (1,)], [(0, 1)], [(0, 1, 1)]], r"degenerate simplex \(0, 1, 1\) in dimension 2"),
+    (2, [[(0,), (1,)], [(0,)]], r"degenerate simplex \(0,\) in dimension 1"),
+    (3, [[(0,), (1,), (2,)], [(1, 1, 2)]], r"degenerate simplex \(1, 1, 2\) in dimension 1"),
+    (3, [[(0,), (1,)]], "dimension 0 must list every vertex"),
+    (2, [[(0,), (5,)]], "dimension 0 must list every vertex"),
+    (1, [[(0,), (0, 1)]], "dimension 0 must list every vertex"),
+    (0, [], "dimension 0 must list every vertex"),
+], ids=["missing-face", "unsorted-edge", "unsorted-triangle", "degenerate-edge",
+        "degenerate-triangle", "short-edge", "long-edge", "too-few-vertices", "vertex-off-range",
+        "edge-in-dimension-0", "empty"])
+def test_simplicial_complex_refusals(vertex_count, simplices, message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex(vertex_count, simplices)
+
+
+# name -> (complex, marked stratum)
+FACE_CASES = {
+    "rp2": lambda: (rp2_complex(), ()),
+    **{f"exp2-n{n}": (lambda n=n: _build_exp_with_boundary(2, n)) for n in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(FACE_CASES))
+def test_face_table_matches_lookups(name):
+    cx, _ = FACE_CASES[name]()
+    assert len(cx.faces) == cx.dim + 1 and not cx.faces[0]
+    for d in range(1, cx.dim + 1):
+        row = {f: i for i, f in enumerate(cx.simplices[d - 1])}
+        assert list(cx.faces[d]) == [row[s[:i] + s[i + 1:]] for s in cx.simplices[d]
+                                     for i in range(d + 1)]
+
+
+def _boundaries_by_slicing(k, sub_simplices):
+    """Reference for relative_chain_complex: every face sliced off its
+    simplex and looked up in a row dict of the surviving basis."""
+    sub = [set(s) for s in sub_simplices] + [set()] * (k.dim + 1 - len(sub_simplices))
+    bases = [[s for s in ss if s not in sub[d]] for d, ss in enumerate(k.simplices)]
+    out = []
+    for d in range(1, k.dim + 1):
+        row = {s: i for i, s in enumerate(bases[d - 1])}
+        cols = {}
+        for col, s in enumerate(bases[d]):
+            faces = [(row.get(s[:i] + s[i + 1:]), -1 if i % 2 else 1) for i in range(d + 1)]
+            entries = [(r, sign) for r, sign in faces if r is not None]
+            if entries:
+                cols[col] = entries
+        out.append((len(bases[d - 1]), len(bases[d]), cols))
+    return [len(b) for b in bases], out
+
+
+def _as_lists(cc):
+    # list(items) pins the order of each column's entries, not only its values
+    return cc.dims, [(b.nrows, b.ncols, {c: list(e.items()) for c, e in b.cols.items()})
+                     for b in cc.boundaries]
+
+
+@pytest.mark.parametrize("name", list(FACE_CASES))
+def test_boundaries_match_face_slicing(name):
+    cx, marked = FACE_CASES[name]()
+    assert _as_lists(chain_complex(cx)) == _boundaries_by_slicing(cx, ())
+    sub = marked or cx.induced({0, 2, 3})
+    assert _as_lists(relative_chain_complex(cx, sub)) == _boundaries_by_slicing(cx, sub)
+
+
+def test_stray_sub_simplex_does_not_shift_dims():
+    # (0, 2) is no edge of the square; striking it strikes nothing
+    square = circle_complex(4)
+    sub = [[(1,)], [(1, 2)]]
+    plain = relative_chain_complex(square, sub)
+    stray = relative_chain_complex(square, [[(1,)], [(0, 2), (1, 2)]])
+    assert plain.dims == stray.dims == [3, 3]
+    assert _as_lists(plain) == _as_lists(stray) == _boundaries_by_slicing(square, sub)
+
+
+# ---------------------------------------------------------------------------
 # top-down reduction with clearing
 # ---------------------------------------------------------------------------
 
@@ -443,6 +527,53 @@ def test_orbit_filter_matches_all_chains(monkeypatch, build):
     got = _quotient_data(build())
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
     assert got == _quotient_data(build())
+
+
+def _off_top_keys(k1, own_vertex):
+    """label_fn giving each top sd1 simplex the key of one sd1 vertex, which
+    is numbered before it: off the simplex, or on it if own_vertex.  Those
+    quotient ids decrease along the chains ending at a top simplex."""
+    def label_fn(s):
+        if len(s) == k1.dim + 1:
+            others = sorted(set(range(k1.vertex_count)) - set(s))
+            return ((s[0] if own_vertex else others[len(others) // 2]),), True
+        return s, True
+    return label_fn
+
+
+@pytest.mark.parametrize("k", [circle_complex(5), rp2_complex(), build_torus_complex(2, 3)],
+                         ids=["circle-n5", "rp2", "T2-n3"])
+def test_sorted_insert_matches_all_chains(monkeypatch, k):
+    k1 = barycentric_subdivision(k)
+    insert = complexes._insert
+    inserts = []
+
+    def counting_insert(c, label):
+        inserts.append(c)
+        return insert(c, label)
+
+    monkeypatch.setattr(complexes, "_insert", counting_insert)
+    label_fn = _off_top_keys(k1, own_vertex=False)
+    got = complexes._identify_after_two_subdivisions(k1, label_fn)
+    assert inserts
+    assert _quotient_data(got) == _quotient_data(_identify_all_chains(k1, label_fn))
+    for identify in (complexes._identify_after_two_subdivisions, _identify_all_chains):
+        with pytest.raises(ValueError, match="identification degenerates a simplex"):
+            identify(k1, _off_top_keys(k1, own_vertex=True))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flags_closure_memo_matches_brute_force(seed):
+    # random ends and a random labelling: appends and sorted inserts mixed,
+    # and the memo only on the proper faces of the ends
+    rng = random.Random(seed)
+    k1 = barycentric_subdivision(rp2_complex() if seed % 2 else build_torus_complex(2, 3))
+    ids, origin = _subdivision_data(k1)
+    labels = dict(zip(origin, rng.sample(range(len(origin)), len(origin))))
+    ends = set(rng.sample(origin, len(origin) // 5))
+    want = sorted(tuple(sorted(labels[origin[v]] for v in c))
+                  for c in _flags(k1, ids) if origin[c[-1]] in ends)
+    assert sorted(_flags(k1, labels, ends)) == want
 
 
 @pytest.mark.slow
