@@ -17,9 +17,12 @@ same quotient simplex, and each orbit of chains has a member ending at a
 chosen simplex.  For the subset spaces that is a sixth of the top chains at
 k = 3 (the symmetric group acts freely on top simplices); it rests on the
 torus triangulation being symmetric under coordinate permutations, which
-the build checks before relying on it.  Torus coordinates are integers
-scaled by lcm(1..k+1)**2, so the barycentres of barycentres that key the
-identification are exact without fractions.
+the build checks before relying on it.  For the subset spaces even the first
+subdivision is built, validated and keyed only on a fundamental domain, the
+closure of the torus simplices with a sorted barycentre, which holds every
+mapped chain.  Torus coordinates are integers scaled by lcm(1..k+1)**2, so
+the barycentres of barycentres that key the identification are exact
+without fractions.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  Validation looks up every facet of a
@@ -42,9 +45,9 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, count, permutations, repeat
+from itertools import chain, combinations, compress, count, permutations, repeat
 from math import gcd, lcm
-from operator import itemgetter, lt
+from operator import itemgetter, lt, ne
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +64,7 @@ class SimplicialComplex:
 
     def __init__(self, vertex_count: int, simplices_by_dim):
         self.vertex_count = vertex_count
-        self.simplices = [sorted(set(map(tuple, s))) for s in simplices_by_dim]
+        self.simplices = [_sorted_unique(map(tuple, s)) for s in simplices_by_dim]
         while self.simplices and not self.simplices[-1]:
             self.simplices.pop()
         self._validate()
@@ -132,6 +135,12 @@ class SimplicialComplex:
         return f"SimplicialComplex(counts={self.counts()})"
 
 
+def _sorted_unique(items) -> list:
+    """items sorted, each once: equal items sit side by side once sorted."""
+    out = sorted(items)
+    return list(compress(out, chain([True], map(ne, out[1:], out))))
+
+
 def circle_complex(n: int) -> SimplicialComplex:
     """The n-gon triangulation of a circle."""
     if n < 3:
@@ -198,13 +207,18 @@ def _insert(c: tuple, label: int) -> tuple:
     return c[:i] + (label,) + c[i:]
 
 
+def _complex_of_chains(k: SimplicialComplex, labels, ends, vertex_count: int):
+    """The complex on vertices 0..vertex_count-1 of the chains _flags builds."""
+    out = [[] for _ in range(k.dim + 1)]
+    for c in _flags(k, labels, ends):
+        out[len(c) - 1].append(c)
+    return SimplicialComplex(vertex_count, out)
+
+
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     """First barycentric subdivision (combinatorial flags construction)."""
     ids, origin = _subdivision_data(k)
-    out = [[] for _ in range(k.dim + 1)]
-    for c in _flags(k, ids):
-        out[len(c) - 1].append(c)
-    return SimplicialComplex(len(origin), out)
+    return _complex_of_chains(k, ids, None, len(origin))
 
 
 def _barycenter(simplex, coords, period: int):
@@ -325,7 +339,8 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     second.  label_fn maps an sd1 simplex to (key, is_representative), and
     equal keys become one quotient vertex, numbered in dimension order, so
     _flags builds each chain as its quotient simplex, by appends unless a
-    key spans two sd1 dimensions.  Returns the quotient and the list
+    key spans two sd1 dimensions; a quotient simplex met by several chains
+    is kept once by SimplicialComplex.  Returns the quotient and the list
     of its vertex keys, keys[q] being the key of quotient vertex q.  Raises
     if the identification degenerates a simplex, the telltale of an
     insufficiently subdivided action.
@@ -346,10 +361,7 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
         labels[s] = qid_by_key.setdefault(key, len(qid_by_key))
         if is_representative:
             ends.add(s)
-    out = [[] for _ in range(k1.dim + 1)]
-    for q in set(_flags(k1, labels, ends)):
-        out[len(q) - 1].append(q)
-    return SimplicialComplex(len(qid_by_key), out), list(qid_by_key)
+    return _complex_of_chains(k1, labels, ends, len(qid_by_key)), list(qid_by_key)
 
 
 def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
@@ -375,8 +387,9 @@ def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
 
 
 def _build_exp_with_boundary(k: int, n: int):
-    """Subset-space complex plus the subcomplex of degenerate tuples
-    (the image of the smaller subset space inside it), per dimension.
+    """Subset-space complex and the key of each of its vertices, keys[q]
+    being the sorted point set of quotient vertex q (see
+    relative_quotient_homology for the stratum of short keys).
 
     A vertex of the second subdivision is keyed by the underlying set of its
     barycentre's coordinates, which merges coordinate permutations and
@@ -387,17 +400,18 @@ def _build_exp_with_boundary(k: int, n: int):
     needs the torus triangulation to be symmetric, which is checked, not
     assumed.
 
-    The degenerate subcomplex is the full subcomplex on the quotient
-    vertices whose key has fewer than k points, that is the quotient
-    simplices over a chain whose elements' barycentres share a diagonal
-    x_i = x_j.  An sd1 simplex is a flag of torus simplices, and its
-    barycentre lies in the relative interior of the flag's top torus simplex
-    sigma; each staircase simplex lies on one side of every diagonal, so
-    that point is on a diagonal iff sigma is.  Along a chain of sd1 simplices
-    each top simplex is a face of the last one's, so the diagonals holding
-    the barycentres only shrink along the chain, and those common to the
-    whole chain are the last element's.  Hence a quotient simplex is
-    degenerate iff every vertex key is short.
+    Only a fundamental domain is subdivided: L, the closure of the torus
+    simplices whose barycentre is sorted.  An sd1 simplex is a flag of torus
+    simplices, and its barycentre lies in the relative interior of the flag's
+    last simplex sigma.  There coordinate i is g_i + f_i (scaled), g the
+    grid cube's corner and f_i in [0, 1) depending only on the step of
+    sigma's staircase at which coordinate i first increments, so every
+    point of that interior has the same order type.  Hence an sd1 simplex
+    has a sorted barycentre exactly when its sigma does; every face of such
+    a representative is a flag inside the closure of sigma, which lies in L.
+    So sd1(L) holds every chain that is mapped, and each key is met there
+    (an orbit's representative is in sd1(L)); quotient vertices are numbered
+    in first-seen order over sd1(L).
     """
     k0 = build_torus_complex(k, n)
     _check_simplicial(k0, coordinate_permutation_action(k, n))
@@ -405,15 +419,18 @@ def _build_exp_with_boundary(k: int, n: int):
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
     coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
-    _, origin0 = _subdivision_data(k0)
-    coords1 = [_barycenter(s, coords0, period) for s in origin0]
+    bcs = {s: _barycenter(s, coords0, period) for s in chain.from_iterable(k0.simplices)}
+    domain = {f for s, bc in bcs.items() if list(bc) == sorted(bc)
+              for f in chain(_proper_faces(s), [s])}
+    ids = {s: i for i, s in enumerate(s for s in bcs if s in domain)}
+    k1 = _complex_of_chains(k0, ids, domain, len(ids))
+    coords1 = [bcs[s] for s in ids]
 
     def label_fn(s):
         bc = _barycenter(s, coords1, period)
         return tuple(sorted(set(bc))), list(bc) == sorted(bc)
 
-    cx, keys = _identify_after_two_subdivisions(barycentric_subdivision(k0), label_fn)
-    return cx, cx.induced({q for q, key in enumerate(keys) if len(key) < k})
+    return _identify_after_two_subdivisions(k1, label_fn)
 
 
 def build_exp_complex(k: int, n: int) -> SimplicialComplex:
@@ -424,8 +441,7 @@ def build_exp_complex(k: int, n: int) -> SimplicialComplex:
     collapsing repeated coordinates onto smaller subsets, which is what the
     subset space requires.
     """
-    cx, _ = _build_exp_with_boundary(k, n)
-    return cx
+    return _build_exp_with_boundary(k, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +800,21 @@ def _with_base_point(rel: HomologyResult) -> HomologyResult:
 
 def relative_quotient_homology(n: int) -> HomologyResult:
     """Homology of the subset space with its pair stratum collapsed to a
-    point (k = 3)."""
-    cx, marked = _build_exp_with_boundary(3, n)
+    point (k = 3).
+
+    The pair stratum is the full subcomplex on the quotient vertices whose
+    key has fewer than 3 points, that is the quotient simplices over a chain
+    whose elements' barycentres share a diagonal x_i = x_j.  An sd1
+    simplex's barycentre lies in the relative interior of its last torus
+    simplex sigma (see _build_exp_with_boundary), and each staircase simplex
+    lies on one side of every diagonal, so that point is on a diagonal iff
+    sigma is.  Along a chain of sd1 simplices each sigma is a face of the
+    last one's, so the diagonals holding the barycentres only shrink along
+    the chain, and those common to the whole chain are the last element's.
+    Hence a quotient simplex is degenerate iff every vertex key is short.
+    """
+    cx, keys = _build_exp_with_boundary(3, n)
+    marked = cx.induced({q for q, key in enumerate(keys) if len(key) < 3})
     return _with_base_point(relative_chain_complex(cx, marked).homology())
 
 

@@ -104,6 +104,11 @@ GOLDEN_SHA256 = {
         "a52a9eefad4603301aee20703f9df5354cf6236e973d5d9ba08a434da7d0d281",
     "--mesh-n 3 homology 3 --relative":
         "fa9f4a9933207984fea5de46cf0ea60734c2c5b469c09d2fa4fb85fb7af4e409",
+    # grids besides n = 3, on which the fundamental domain closes up differently
+    "--mesh-n 4 homology 3":
+        "a47f67e965ab5135dec9697417efddfd83743248a6da64e8c44aa92d29bf7641",
+    "--mesh-n 5 homology 2":
+        "c47de20fbff7586e997b082b79ceab2c8ac8ea78d3aa2d4239f8de36c2fc261a",
 }
 
 

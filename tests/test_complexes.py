@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm, prod
 
 import pytest
@@ -225,10 +225,32 @@ def test_simplicial_complex_refusals(vertex_count, simplices, message):
         SimplicialComplex(vertex_count, simplices)
 
 
+def test_simplicial_complex_lists_each_simplex_once():
+    # repeats in any order and as lists or tuples: sorted, each kept once
+    cx = SimplicialComplex(3, [[(2,), [0], (1,), (0,), (2,)], [(1, 2), [0, 1], (1, 2), (0, 1)]])
+    assert cx.simplices == [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]
+    assert list(cx.faces[1]) == [1, 0, 2, 1]
+
+
+def _with_stratum(k, result):
+    """(complex, stratum) from the build's (complex, keys): the stratum is
+    the full subcomplex on the vertices whose key has fewer than k points,
+    as relative_quotient_homology takes it."""
+    cx, keys = result
+    return cx, cx.induced({q for q, key in enumerate(keys) if len(key) < k})
+
+
+def _by_key(simplices_by_dim, keys):
+    """Simplices with every vertex replaced by its key, per dimension:
+    the same for two numberings of one quotient."""
+    return [sorted(tuple(sorted(keys[v] for v in s)) for s in ss) for ss in simplices_by_dim]
+
+
 # name -> (complex, marked stratum)
 FACE_CASES = {
     "rp2": lambda: (rp2_complex(), ()),
-    **{f"exp2-n{n}": (lambda n=n: _build_exp_with_boundary(2, n)) for n in (3, 4, 5)},
+    **{f"exp2-n{n}": (lambda n=n: _with_stratum(2, _build_exp_with_boundary(2, n)))
+       for n in (3, 4, 5)},
 }
 
 
@@ -440,7 +462,7 @@ def test_induced_is_full_subcomplex():
 
 
 def test_exp2_marked_stratum_is_singleton_circle():
-    cx, marked = _build_exp_with_boundary(2, 3)
+    cx, marked = _with_stratum(2, _build_exp_with_boundary(2, 3))
     assert [len(m) for m in marked] == [12, 12, 0]
     _assert_subcomplex(marked)
     for d, m in enumerate(marked):
@@ -468,29 +490,50 @@ def _identify_all_chains(k1, label_fn):
     return cx, list(qid_by_key)
 
 
-def _marked_by_masks(k, n):
-    """Reference for the pair stratum of _build_exp_with_boundary, traced by
-    coordinate-pair masks instead of vertex keys: each sd1 simplex gets one
-    bit per coordinate pair, set where its barycentre's two coordinates
-    agree, and a quotient simplex is marked when some chain of the second
-    subdivision over it has a nonzero AND of its element masks.  Quotient
-    vertices are numbered in first-seen order of their keys, as the build
-    numbers them."""
+def _sd1_barycentres(k, n):
+    """The first subdivision of the whole k-torus on an n-grid, the
+    barycentre of each torus simplex (a vertex of it) and the period."""
     k0 = build_torus_complex(k, n)
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
     coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
     _, origin0 = _subdivision_data(k0)
     coords1 = [_barycenter(s, coords0, period) for s in origin0]
-    k1 = barycentric_subdivision(k0)
+    return barycentric_subdivision(k0), coords1, period
+
+
+def _is_sorted(point):
+    return list(point) == sorted(point)
+
+
+def _identify_whole_torus(k, n):
+    """Reference for _build_exp_with_boundary: the same keys and
+    representatives on the first subdivision of the whole torus, not only
+    of the closure of the torus simplices with a sorted barycentre."""
+    k1, coords1, period = _sd1_barycentres(k, n)
+
+    def label_fn(s):
+        bc = _barycenter(s, coords1, period)
+        return tuple(sorted(set(bc))), _is_sorted(bc)
+
+    return complexes._identify_after_two_subdivisions(k1, label_fn)
+
+
+def _marked_by_masks(k, n):
+    """Reference for the pair stratum of _build_exp_with_boundary, traced by
+    coordinate-pair masks instead of vertex keys: each sd1 simplex of the
+    whole torus gets one bit per coordinate pair, set where its barycentre's
+    two coordinates agree, and a quotient simplex is marked when some chain
+    of the second subdivision over it has a nonzero AND of its element
+    masks.  Quotient simplices are given by their vertices' keys."""
+    k1, coords1, period = _sd1_barycentres(k, n)
     ids, origin = _subdivision_data(k1)
     pairs = list(combinations(range(k), 2))
-    qid_by_key = {}
-    qid_of_vertex = []
+    keys = []
     masks = []
     for s in origin:
         bc = _barycenter(s, coords1, period)
-        qid_of_vertex.append(qid_by_key.setdefault(tuple(sorted(set(bc))), len(qid_by_key)))
+        keys.append(tuple(sorted(set(bc))))
         masks.append(sum(1 << bit for bit, (i, j) in enumerate(pairs) if bc[i] == bc[j]))
     marked = [set() for _ in range(k + 1)]
     for c in _flags(k1, ids):
@@ -498,18 +541,45 @@ def _marked_by_masks(k, n):
         for v in c[1:]:
             m &= masks[v]
         if m:
-            marked[len(c) - 1].add(tuple(sorted(qid_of_vertex[v] for v in c)))
+            marked[len(c) - 1].add(tuple(sorted(keys[v] for v in c)))
     return [sorted(s) for s in marked]
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_exp2_marked_stratum_matches_masks(n):
-    assert _build_exp_with_boundary(2, n)[1] == _marked_by_masks(2, n)
+    cx, keys = _build_exp_with_boundary(2, n)
+    assert _by_key(_with_stratum(2, (cx, keys))[1], keys) == _marked_by_masks(2, n)
+
+
+@pytest.mark.parametrize("k, n", [(2, n) for n in range(3, 8)] + [(3, 3), (3, 4)])
+def test_sorted_barycentre_iff_last_torus_simplex_sorted(k, n):
+    # an sd1 simplex is a flag of torus simplices, numbered in dimension
+    # order, so its last vertex is the flag's last torus simplex
+    k1, coords1, period = _sd1_barycentres(k, n)
+    sorted_last = 0
+    for s in chain.from_iterable(k1.simplices):
+        last = _is_sorted(coords1[s[-1]])
+        assert _is_sorted(_barycenter(s, coords1, period)) == last, s
+        sorted_last += last
+    assert 0 < sorted_last < sum(k1.counts())
+
+
+@pytest.mark.parametrize("k, n", [(2, n) for n in range(3, 7)] + [
+    (3, 3), pytest.param(3, 4, marks=pytest.mark.slow)])
+def test_domain_build_matches_whole_torus(k, n):
+    # the same quotient up to vertex numbering: keys, simplices and the
+    # short-key stratum agree once every vertex is named by its key
+    got, want = _build_exp_with_boundary(k, n), _identify_whole_torus(k, n)
+    assert got[0].counts() == want[0].counts()
+    assert sorted(got[1]) == sorted(want[1])
+    assert _by_key(got[0].simplices, got[1]) == _by_key(want[0].simplices, want[1])
+    assert (_by_key(_with_stratum(k, got)[1], got[1])
+            == _by_key(_with_stratum(k, want)[1], want[1]))
 
 
 def _quotient_data(result):
-    cx, marked = result if isinstance(result, tuple) else (result, None)
-    return cx.vertex_count, cx.simplices, marked
+    cx, keys = result if isinstance(result, tuple) else (result, None)
+    return cx.vertex_count, cx.simplices, keys
 
 
 def _reflection(n):
@@ -582,6 +652,7 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
     # representatives; 68 840 of the 407 160 chains are mapped
     counts = {"top_representatives": 0, "mapped": 0}
     identify = complexes._identify_after_two_subdivisions
+    subdivided = []
 
     def counting_identify(k1, label_fn):
         def label(s):
@@ -589,18 +660,21 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
             if is_representative and len(s) == k1.dim + 1:
                 counts["top_representatives"] += 1
             return key, is_representative
+        subdivided.append(k1)
         return identify(k1, label)
 
     def counting_flags(k, ids, ends=None):
+        # the chains of the second subdivision, not those building the first
         for c in _flags(k, ids, ends):
-            counts["mapped"] += ends is not None
+            counts["mapped"] += k in subdivided
             yield c
 
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", counting_identify)
     monkeypatch.setattr(complexes, "_flags", counting_flags)
-    got = _quotient_data(_build_exp_with_boundary(3, 3))
+    cx, keys = _build_exp_with_boundary(3, 3)
     assert counts == {"top_representatives": 648, "mapped": 68840}
-    assert got[2] == _marked_by_masks(3, 3)
+    assert _by_key(_with_stratum(3, (cx, keys))[1], keys) == _marked_by_masks(3, 3)
+    got = _quotient_data((cx, keys))
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
     assert got == _quotient_data(_build_exp_with_boundary(3, 3))
 
@@ -642,7 +716,7 @@ def test_exp3_homology_is_sphere_n4():
 @pytest.mark.slow
 def test_exp3_marked_stratum_is_exp2():
     # the degenerate triples are the pair space, simplex for simplex in count
-    _, marked = _build_exp_with_boundary(3, 3)
+    _, marked = _with_stratum(3, _build_exp_with_boundary(3, 3))
     assert [len(m) for m in marked] == build_exp_complex(2, 3).counts() + [0]
     assert [len(m) for m in marked] == [168, 492, 324, 0]
     _assert_subcomplex(marked)
