@@ -27,8 +27,9 @@ without fractions.
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  Validation looks up every facet of a
 complex once and keeps the rows as a face table; each boundary matrix is
-assembled from it in one pass, a column dict per simplex.  After the d o d
-check the boundaries are reduced top-down, the highest first, by the column
+assembled from it in one pass, a tuple of rows per simplex beside one tuple
+of signs that all columns of a dimension share.  After the d o d check the
+boundaries are reduced top-down, the highest first, by the column
 reduction of persistent homology: each column is reduced on its lowest row
 index, read off a max-heap of the column's rows, and the unit pivots are
 consumed.  Clearing (Chen-Kerber) skips every column of a boundary that is
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, count, permutations, repeat
 from math import gcd, lcm
-from operator import itemgetter, lt, ne
+from operator import contains, is_not, itemgetter, lt, ne
 
 
 # ---------------------------------------------------------------------------
@@ -480,44 +481,48 @@ class HomologyResult:
 
 
 class SparseIntMatrix:
-    """Integer matrix in column-major sparse form: cols[c] maps row -> value."""
+    """Integer matrix in column-major sparse form: column c is the tuple
+    rows[c] of its distinct rows and the tuple vals[c] of their nonzero
+    values, in matching positions; a zero column is two empty tuples.
+    Tuples are never modified, so columns and matrices may share them."""
 
-    def __init__(self, nrows: int, ncols: int):
+    def __init__(self, nrows: int, ncols: int, rows=None, vals=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.cols: dict[int, dict[int, int]] = {}
+        self.rows: list[tuple] = [()] * ncols if rows is None else rows
+        self.vals: list[tuple] = [()] * ncols if vals is None else vals
+        if not len(self.rows) == len(self.vals) == ncols:
+            raise ValueError(f"need row and value tuples for each of {ncols} columns")
 
     @classmethod
     def from_dense(cls, dense):
         nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        m = cls(nrows, ncols)
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                m.set(r, c, int(v))
+        m = cls(nrows, len(dense[0]) if nrows else 0)
+        for c, col in enumerate(zip(*dense)):
+            m.rows[c], m.vals[c] = _column((r, v) for r, v in enumerate(map(int, col)) if v)
         return m
 
-    def set(self, r, c, v):
-        if v:
-            self.cols.setdefault(c, {})[r] = v
-
     def nnz(self) -> int:
-        return sum(len(col) for col in self.cols.values())
+        return sum(map(len, self.rows))
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        rows, vals = self.rows, self.vals
         out = SparseIntMatrix(self.nrows, other.ncols)
-        for c, ocol in other.cols.items():
+        for c, (orows, ovals) in enumerate(zip(other.rows, other.vals)):
             acc: dict[int, int] = {}
-            for k, w in ocol.items():
-                col = self.cols.get(k)
-                if col:
-                    for r, v in col.items():
-                        acc[r] = acc.get(r, 0) + v * w
+            for k, w in zip(orows, ovals):
+                for r, v in zip(rows[k], vals[k]):
+                    acc[r] = acc.get(r, 0) + v * w
             if any(acc.values()):
-                out.cols[c] = {r: v for r, v in acc.items() if v}
+                out.rows[c], out.vals[c] = _column((r, v) for r, v in acc.items() if v)
         return out
+
+
+def _column(entries) -> tuple[tuple, tuple]:
+    """The row and value tuples of a column given as (row, value) pairs."""
+    return tuple(zip(*entries)) or ((), ())
 
 
 def _dense_snf(a):
@@ -633,9 +638,10 @@ def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
     so each pivot contributes an invariant 1 once the residual columns are
     cleared off every pivot row; the residual rows x columns, the only place
     torsion can appear, finish in the dense routine.  The input is not
-    modified.
+    modified: its row and value tuples are only read.
 
-    The working column is a dict with a max-heap of its rows beside it.
+    The working column is a dict, built from the input's row and value
+    tuples, with a max-heap of its rows beside it.
     Rows are pushed when the column gains them and never removed, so the
     lowest row is the heap's top once tops that have cancelled are popped.
     A column that takes many steps to reduce then costs a heap operation
@@ -652,11 +658,11 @@ def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
         skip = clearing
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> column with +1 there
     residual = []
-    for c in sorted(m.cols):
-        if skip[c]:
+    for rows, vals, skipped in zip(m.rows, m.vals, skip):
+        if skipped:
             continue
-        col = dict(m.cols[c])
-        heap = [-r for r in col]
+        col = dict(zip(rows, vals))
+        heap = [-r for r in rows]
         heapify(heap)
         while heap:
             low = -heap[0]
@@ -768,25 +774,32 @@ def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ
 
     sub_simplices lists, per dimension, the simplices spanning the
     subcomplex; its chains are struck from the bases and from the boundary
-    images.  Each column is read off k's face table.
+    images.  Each column's rows are read off k's face table, and the columns
+    of a dimension share one tuple of signs; only a column that holds a
+    struck row gets tuples of its own, with that row cut out.
     """
     sub = [set(map(tuple, s)) for s in sub_simplices]
     sub += [set()] * (k.dim + 1 - len(sub))
-    rows = []  # rows[d][j]: basis index of the j-th d-simplex, None if struck
+    basis = []  # basis[d][j]: basis index of the j-th d-simplex, None if struck
     for ss, struck in zip(k.simplices, sub):
         keep = count()
-        rows.append([None if s in struck else next(keep) for s in ss])
-    dims = [len(r) - r.count(None) for r in rows]
+        basis.append([None if s in struck else next(keep) for s in ss])
+    dims = [len(b) - b.count(None) for b in basis]
     boundaries = []
     for d in range(1, k.dim + 1):
-        signs = [-1 if i % 2 else 1 for i in range(d + 1)]
-        facets = zip(*[map(rows[d - 1].__getitem__, k.faces[d])] * (d + 1))
-        mat = SparseIntMatrix(dims[d - 1], dims[d])
-        for col, entries in zip(rows[d], map(dict, map(zip, facets, repeat(signs)))):
-            entries.pop(None, None)  # the struck facets
-            if col is not None and entries:
-                mat.cols[col] = entries
-        boundaries.append(mat)
+        rows = zip(*[map(basis[d - 1].__getitem__, k.faces[d])] * (d + 1))
+        if dims[d] < len(basis[d]):  # the struck columns go
+            rows = compress(rows, map(is_not, basis[d], repeat(None)))
+        rows = list(rows)
+        vals = [tuple(-1 if i % 2 else 1 for i in range(d + 1))] * len(rows)
+        if dims[d - 1] < len(basis[d - 1]):  # and the struck rows
+            for j in compress(count(), map(contains, rows, repeat(None))):
+                r, v = rows[j], vals[j]
+                while None in r:
+                    i = r.index(None)
+                    r, v = r[:i] + r[i + 1:], v[:i] + v[i + 1:]
+                rows[j], vals[j] = r, v
+        boundaries.append(SparseIntMatrix(dims[d - 1], dims[d], rows, vals))
     return ChainComplexZ(dims, boundaries)
 
 

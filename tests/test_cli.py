@@ -107,6 +107,8 @@ GOLDEN_SHA256 = {
     # grids besides n = 3, on which the fundamental domain closes up differently
     "--mesh-n 4 homology 3":
         "a47f67e965ab5135dec9697417efddfd83743248a6da64e8c44aa92d29bf7641",
+    "--mesh-n 4 homology 3 --relative":
+        "df6382c191456fdaf00c3b6c7396082e8b8c5755a319398ab2a66d1608e7aac9",
     "--mesh-n 5 homology 2":
         "c47de20fbff7586e997b082b79ceab2c8ac8ea78d3aa2d4239f8de36c2fc261a",
 }
