@@ -17,19 +17,19 @@ from expcircle.complexes import (
     build_exp_complex,
     build_torus_complex,
     coordinate_permutation_action,
+    dense_smith_normal_form,
     homology,
     quotient_complex,
     relative_quotient_homology,
     rp3_collapse_oracle,
-    smith_normal_form,
 )
 
 print("=" * 72)
-print("1. Smith normal form, the engine")
+print("1. Smith normal form: the dense textbook routine")
 print("=" * 72)
 
 for m in ([[2]], [[1, 1], [1, 1]], [[3, -2]], [[2, 0], [0, 3]]):
-    print(f"  invariants{m} = {smith_normal_form(m)}")
+    print(f"  invariants{m} = {dense_smith_normal_form(m)}")
 
 print()
 print("=" * 72)

@@ -28,16 +28,19 @@ Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  Validation looks up every facet of a
 complex once and keeps the rows as a face table; each boundary matrix is
 assembled from it in one pass, a tuple of rows per simplex beside one tuple
-of signs that all columns of a dimension share.  After the d o d check the
-boundaries are reduced top-down, the highest first, by the column
-reduction of persistent homology: each column is reduced on its lowest row
+of signs that all columns of a dimension share.  The d o d check sums one
+column of each composite at a time and stops at the first nonzero one; no
+product matrix is built.  Then the boundaries are reduced top-down, the
+highest first, by smith_normal_form, the column reduction of persistent
+homology on a SparseIntMatrix: each column is reduced on its lowest row
 index, read off a max-heap of the column's rows, and the unit pivots are
 consumed.  Clearing (Chen-Kerber) skips every column of a boundary that is
 a unit pivot row of the boundary one degree up, since that column is an
 integer combination of the others (see ChainComplexZ.homology); those rows
-pass from one reduction to the next as a mask of one byte per row.  A dense
-textbook pass finishes the small remainder of non-unit columns, the only
-place torsion can appear.
+pass from one reduction to the next as a mask of one byte per row.  The
+small remainder of non-unit columns, the only place torsion can appear, is
+finished by dense_smith_normal_form, the textbook routine on a dense list
+of rows, which the small matrices of the group layer call directly.
 """
 
 from __future__ import annotations
@@ -496,39 +499,20 @@ class SparseIntMatrix:
 
     @classmethod
     def from_dense(cls, dense):
-        nrows = len(dense)
-        m = cls(nrows, len(dense[0]) if nrows else 0)
-        for c, col in enumerate(zip(*dense)):
-            m.rows[c], m.vals[c] = _column((r, v) for r, v in enumerate(map(int, col)) if v)
-        return m
+        cols = list(zip(*dense))
+        rows = [tuple(r for r, v in enumerate(col) if v) for col in cols]
+        vals = [tuple(int(col[r]) for r in rs) for col, rs in zip(cols, rows)]
+        return cls(len(dense), len(cols), rows, vals)
 
     def nnz(self) -> int:
         return sum(map(len, self.rows))
 
-    def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        rows, vals = self.rows, self.vals
-        out = SparseIntMatrix(self.nrows, other.ncols)
-        for c, (orows, ovals) in enumerate(zip(other.rows, other.vals)):
-            acc: dict[int, int] = {}
-            for k, w in zip(orows, ovals):
-                for r, v in zip(rows[k], vals[k]):
-                    acc[r] = acc.get(r, 0) + v * w
-            if any(acc.values()):
-                out.rows[c], out.vals[c] = _column((r, v) for r, v in acc.items() if v)
-        return out
 
-
-def _column(entries) -> tuple[tuple, tuple]:
-    """The row and value tuples of a column given as (row, value) pairs."""
-    return tuple(zip(*entries)) or ((), ())
-
-
-def _dense_snf(a):
-    """Textbook Smith normal form on a dense list-of-lists of python ints:
-    the diagonal invariants, nonzero and in divisibility order."""
-    a = [list(map(int, row)) for row in a]
+def dense_smith_normal_form(rows):
+    """Diagonal invariants d1 | d2 | ... of an integer matrix given as a
+    dense list of rows, by the textbook routine: nonzero, in divisibility
+    order, exact.  The input is copied, not modified."""
+    a = [list(map(int, row)) for row in rows]
     m = len(a)
     n = len(a[0]) if m else 0
 
@@ -594,24 +578,6 @@ def _dense_snf(a):
     return diag
 
 
-def smith_normal_form(matrix, clearing=None):
-    """Diagonal invariants d1 | d2 | ... of an integer matrix.
-
-    A SparseIntMatrix goes through the sparse column reduction, a dense list
-    of rows through the textbook routine.  Arithmetic is exact throughout.
-    clearing, a bytearray row mask, is for the sparse reduction of a chain
-    complex's boundaries (see ChainComplexZ.homology): on entry it has one
-    byte per column, nonzero for a column to skip; on return it is resized
-    in place to one byte per row, nonzero at the rows of this reduction's
-    unit pivots.
-    """
-    if isinstance(matrix, SparseIntMatrix):
-        return _sparse_snf_invariants(matrix, clearing)
-    if clearing is not None:
-        raise ValueError("columns are cleared only from a SparseIntMatrix")
-    return _dense_snf(matrix)
-
-
 def _subtract(col: dict, q: int, pivot: dict, heap: list) -> None:
     """col -= q * pivot, dropping entries that cancel; a row the column
     gains is pushed on heap, its max-heap of negated rows."""
@@ -628,8 +594,9 @@ def _subtract(col: dict, q: int, pivot: dict, heap: list) -> None:
                 del col[r]
 
 
-def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
-    """Column reduction on the lowest row index, pivoting on units only.
+def smith_normal_form(m: SparseIntMatrix, clearing=None):
+    """Diagonal invariants d1 | d2 | ... of a SparseIntMatrix, by column
+    reduction on the lowest row index, pivoting on units only.
 
     Columns are reduced in index order: while a column's lowest row holds
     the pivot of an earlier column, that column is subtracted.  A column
@@ -647,8 +614,10 @@ def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
     A column that takes many steps to reduce then costs a heap operation
     per changed entry, not a scan of the whole column per step.
 
-    Columns marked in clearing are skipped; if clearing is given it is
-    replaced by the mask of the unit pivot rows on return.
+    clearing, a bytearray, is for the boundaries of a chain complex (see
+    ChainComplexZ.homology): on entry it has one byte per column, nonzero
+    for a column to skip; on return it is resized in place to one byte per
+    row, nonzero at the rows of this reduction's unit pivots.
     """
     if clearing is None:
         skip = bytes(m.ncols)
@@ -702,7 +671,7 @@ def _sparse_snf_invariants(m: SparseIntMatrix, clearing=None):
     for j, (col, _) in enumerate(residual):
         for r, v in col.items():
             dense[index[r]][j] = v
-    return [1] * len(pivots) + _dense_snf(dense)
+    return [1] * len(pivots) + dense_smith_normal_form(dense)
 
 
 class ChainComplexZ:
@@ -719,9 +688,18 @@ class ChainComplexZ:
                 raise ValueError(f"boundary {d + 1} has shape {b.nrows}x{b.ncols}")
 
     def check_boundary_squared(self) -> bool:
+        """Whether every composite of two boundaries is zero: each column of
+        a product is summed in a dict and dropped, and the first nonzero
+        one ends the check."""
         for low, high in zip(self.boundaries, self.boundaries[1:]):
-            if low.mul(high).nnz() != 0:
-                return False
+            lrows, lvals = low.rows, low.vals
+            for hrows, hvals in zip(high.rows, high.vals):
+                acc: dict[int, int] = {}
+                for k, w in zip(hrows, hvals):
+                    for r, v in zip(lrows[k], lvals[k]):
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    return False
         return True
 
     def homology(self) -> HomologyResult:
@@ -782,8 +760,11 @@ def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ
     sub += [set()] * (k.dim + 1 - len(sub))
     basis = []  # basis[d][j]: basis index of the j-th d-simplex, None if struck
     for ss, struck in zip(k.simplices, sub):
-        keep = count()
-        basis.append([None if s in struck else next(keep) for s in ss])
+        if struck:
+            keep = count()
+            basis.append([None if s in struck else next(keep) for s in ss])
+        else:  # a list, not a range: every column then shares one int per row
+            basis.append(list(range(len(ss))))
     dims = [len(b) - b.count(None) for b in basis]
     boundaries = []
     for d in range(1, k.dim + 1):

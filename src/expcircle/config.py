@@ -369,16 +369,6 @@ class TripleCoalescencePath:
         strictly between p and r in counterclockwise order."""
         return frame(normalize_triple(self.p, q, self.r)).z
 
-    def sample_between(self, t: float) -> BoundaryPoint:
-        """Point at fraction t of the counterclockwise arc from p to r."""
-        if not 0.0 < t < 1.0:
-            raise ValueError("t must be strictly between 0 and 1")
-        ap = from_boundary(self.p)
-        span = norm_angle(from_boundary(self.r) - ap)
-        if span == 0.0:
-            span = TWO_PI
-        return to_boundary(ap + t * span)
-
 
 def triple_coalescence_path(p: BoundaryPoint, r: BoundaryPoint) -> TripleCoalescencePath:
     """Predicted slope and folded endpoint for the coalescence q -> r."""

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from .complexes import AbelianInvariants, smith_normal_form
+from .complexes import AbelianInvariants, dense_smith_normal_form
 
 Word = tuple[int, ...]
 
@@ -316,7 +316,7 @@ def _in_row_span(rows, vec):
         return True
     if not rows:
         return False
-    return smith_normal_form(list(rows)) == smith_normal_form(list(rows) + [list(vec)])
+    return dense_smith_normal_form(rows) == dense_smith_normal_form(list(rows) + [list(vec)])
 
 
 @dataclass
@@ -672,7 +672,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     n = len(p.generators)
     if not rows:
         return AbelianInvariants(n, ())
-    diag = smith_normal_form(rows)
+    diag = dense_smith_normal_form(rows)
     rank = n - len(diag)
     torsion = tuple(d for d in diag if d > 1)
     return AbelianInvariants(rank, torsion)

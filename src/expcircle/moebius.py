@@ -9,9 +9,8 @@ H x S^1; the named elements gamma, tau and sigma_lambda generate the
 stabilizers used to put small subsets of the boundary circle in normal form.
 
 A frame is an immutable tuple (z, theta), so building one costs little more
-than a tuple, and the frame actions of gamma and tau use the module constants
-GAMMA and TAU, built once by the same validated constructors as gamma() and
-tau().
+than a tuple, and the frame action of gamma uses the module constant GAMMA,
+built once by the same validated constructor as gamma().
 """
 
 from __future__ import annotations
@@ -184,7 +183,6 @@ def tau() -> MoebiusMap:
 
 
 GAMMA = gamma()
-TAU = tau()
 
 
 def sigma(lam: float) -> MoebiusMap:
@@ -229,8 +227,3 @@ def gamma_orbit(f: Frame) -> tuple[Frame, Frame, Frame]:
     """The orbit (f, gamma f, gamma^2 f) of a frame under the order-3 gamma."""
     f1 = gamma_frame_action(f)
     return (f, f1, gamma_frame_action(f1))
-
-
-def tau_frame_action(f: Frame) -> Frame:
-    """Action of tau on frames: (z, theta) -> (-1/z, theta - 2 arg z)."""
-    return Frame(apply_interior(TAU, f.z), f.theta - 2.0 * cmath.phase(f.z))

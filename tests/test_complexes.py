@@ -15,7 +15,6 @@ from expcircle.complexes import (
     SparseIntMatrix,
     _barycenter,
     _build_exp_with_boundary,
-    _dense_snf,
     _flags,
     _grid_point,
     _subdivision_data,
@@ -25,6 +24,7 @@ from expcircle.complexes import (
     chain_complex,
     circle_complex,
     coordinate_permutation_action,
+    dense_smith_normal_form,
     homology,
     quotient_complex,
     relative_chain_complex,
@@ -61,16 +61,24 @@ def rp2_complex():
 # smith normal form
 # ---------------------------------------------------------------------------
 
+def _snf_both(m):
+    """The invariants of a dense matrix from the dense routine, checked
+    equal to the sparse routine's on the same matrix."""
+    diag = dense_smith_normal_form(m)
+    assert smith_normal_form(SparseIntMatrix.from_dense(m)) == diag
+    return diag
+
+
 def test_snf_examples():
-    assert smith_normal_form([[2]]) == [2]
-    assert smith_normal_form([[1, 1], [1, 1]]) == [1]
+    assert _snf_both([[2]]) == [2]
+    assert _snf_both([[1, 1], [1, 1]]) == [1]
     # gcd(3, -2) = 1, the extended-gcd oracle
-    assert smith_normal_form([[3, -2]]) == [1]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert _snf_both([[3, -2]]) == [1]
+    assert _snf_both([[0, 0], [0, 0]]) == []
 
 
 def test_snf_divisibility_chain():
-    diag = smith_normal_form([[2, 0], [0, 3]])
+    diag = _snf_both([[2, 0], [0, 3]])
     assert diag == [1, 6]
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -98,7 +106,7 @@ def test_snf_diagonal_matches_minor_gcds():
     rng = random.Random(31)
     for _ in range(50):
         m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
-        diag = smith_normal_form(m)
+        diag = _snf_both(m)
         for k in range(1, 4):
             g = 0
             for rows in combinations(range(3), k):
@@ -109,21 +117,54 @@ def test_snf_diagonal_matches_minor_gcds():
             assert y % x == 0
 
 
-def test_sparse_mul_matches_dense():
+def _dense(m):
+    out = [[0] * m.ncols for _ in range(m.nrows)]
+    for c, (rows, vals) in enumerate(zip(m.rows, m.vals)):
+        for r, v in zip(rows, vals):
+            out[r][c] = v
+    return out
+
+
+def _boundary_squared(*dense):
+    """check_boundary_squared on a chain complex with these boundaries."""
+    dims = [len(dense[0])] + [len(b[0]) for b in dense]
+    return ChainComplexZ(dims, [SparseIntMatrix.from_dense(b) for b in dense]).check_boundary_squared()
+
+
+def test_boundary_squared_check_matches_product():
     rng = random.Random(53)
+    seen = set()
+    # random pairs: the check fails exactly when the product has an entry
     for _ in range(50):
         n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(n)]
         b = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(k)]
-        prod = SparseIntMatrix.from_dense(a).mul(SparseIntMatrix.from_dense(b))
-        want = SparseIntMatrix.from_dense(_matmul(a, b))
-        assert (prod.nrows, prod.ncols) == (want.nrows, want.ncols)
-        assert _entries(prod) == _entries(want)
-
-
-def _entries(m):
-    """Each column's entries as a row -> value dict, whatever their order."""
-    return list(map(dict, map(zip, m.rows, m.vals)))
+        want = not any(map(any, _matmul(a, b)))
+        assert _boundary_squared(a, b) == want
+        seen.add(want)
+    # pairs that cancel to zero: N d1 and d2 M for real boundaries d1, d2 and
+    # random integer N, M, so every entry is a sum of terms that cancel
+    for cx in (sphere_complex(), rp2_complex(), build_torus_complex(2, 3)):
+        d1, d2 = map(_dense, chain_complex(cx).boundaries)
+        for _ in range(3):
+            h, w = rng.randint(1, 4), rng.randint(1, 5)
+            nn = [[rng.randint(-2, 2) for _ in d1] for _ in range(h)]
+            mm = [[rng.randint(-2, 2) for _ in range(w)] for _ in d2[0]]
+            a, b = _matmul(nn, d1), _matmul(d2, mm)
+            assert not any(map(any, _matmul(a, b)))
+            assert _boundary_squared(a, b)
+            seen.add(True)
+        # nonzero only in the last column of the product: d2 gains a column
+        # e_j with column j of d1 nonzero, so every earlier column is summed
+        j = next(j for j in range(len(d1[0])) if any(row[j] for row in d1))
+        b = [row + [int(i == j)] for i, row in enumerate(d2)]
+        prod = _matmul(d1, b)
+        assert not any(any(row[:-1]) for row in prod) and any(row[-1] for row in prod)
+        assert not _boundary_squared(d1, b)
+        # and the second composite of three boundaries fails alone
+        assert not _boundary_squared(d1, d2, [[0] for _ in range(len(d2[0]) - 1)] + [[1]])
+        seen.add(False)
+    assert seen == {True, False}
 
 
 def test_nonzero_boundary_squared_is_refused():
@@ -144,7 +185,7 @@ def test_snf_sparse_matches_dense():
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
         m = [[rng.choice(SNF_ENTRIES) for _ in range(cols)] for _ in range(rows)]
-        assert smith_normal_form(SparseIntMatrix.from_dense(m)) == _dense_snf(m)
+        assert smith_normal_form(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
 
 
 def test_snf_sparse_large_with_torsion():
@@ -166,7 +207,7 @@ def test_snf_sparse_large_with_torsion():
     rng.shuffle(col_order)
     m = [[m[r][c] for c in col_order] for r in row_order]
     diag = smith_normal_form(SparseIntMatrix.from_dense(m))
-    assert diag == _dense_snf(m)
+    assert diag == dense_smith_normal_form(m)
     assert any(x > 1 for x in diag)
 
 
@@ -307,6 +348,13 @@ def test_boundaries_match_face_slicing(name):
     assert _as_lists(relative_chain_complex(cx, sub)) == _boundaries_by_slicing(cx, sub)
 
 
+def test_chain_complex_shares_one_int_per_row():
+    # the basis is a list, so every column that holds a row holds the same
+    # int object for it; a range basis would build one int per entry
+    for b in chain_complex(build_exp_complex(2, 3)).boundaries:
+        assert len({id(r) for rows in b.rows for r in rows}) <= b.nrows
+
+
 def test_stray_sub_simplex_does_not_shift_dims():
     # (0, 2) is no edge of the square; striking it strikes nothing
     square = circle_complex(4)
@@ -323,13 +371,7 @@ def test_stray_sub_simplex_does_not_shift_dims():
 
 def _reference_homology(cc: ChainComplexZ) -> HomologyResult:
     """Homology with every boundary reduced on its own by the dense routine."""
-    invs = []
-    for b in cc.boundaries:
-        dense = [[0] * b.ncols for _ in range(b.nrows)]
-        for c, (rows, vals) in enumerate(zip(b.rows, b.vals)):
-            for r, v in zip(rows, vals):
-                dense[r][c] = v
-        invs.append(_dense_snf(dense))
+    invs = [dense_smith_normal_form(_dense(b)) for b in cc.boundaries]
     top = len(cc.dims) - 1
     groups = []
     for d in range(top + 1):
@@ -374,8 +416,6 @@ def test_clearing_skips_only_unit_pivots():
     assert smith_normal_form(d1, clearing) == [1]
     assert clearing == bytearray([1])  # row 0 after d1
     assert ChainComplexZ([1, 2, 1], [d1, d2]).homology() == H((0, ()), (0, ()), (0, ()))
-    with pytest.raises(ValueError):
-        smith_normal_form([[1]], bytearray(1))
     with pytest.raises(ValueError):  # the mask must cover d1's two columns
         smith_normal_form(d1, bytearray(1))
 
@@ -405,7 +445,7 @@ def test_snf_leaves_its_input_unchanged():
     # a dense matrix with torsion: non-unit columns reach the residual pass
     m = [[2, 4, 1, 0], [0, 6, 1, 3], [4, 2, 0, 9]]
     invs, _ = _snf_twice(SparseIntMatrix.from_dense(m))
-    assert invs == _dense_snf(m) and invs[-1] > 1
+    assert invs == dense_smith_normal_form(m) and invs[-1] > 1
 
 
 # ---------------------------------------------------------------------------

@@ -469,21 +469,6 @@ def test_triple_coalescence_samples_approach_corner():
     assert abs(zs[0]) > abs(zs[1]) > abs(zs[2])
 
 
-def test_triple_coalescence_sample_between():
-    path = triple_coalescence_path(B(0.0), B(1.0))
-    # the parametrized arc stays strictly between the endpoints, so sampling
-    # anywhere on it is a valid middle point
-    for t in (0.001, 0.5, 0.999):
-        q = path.sample_between(t)
-        z = path.sample_z(q)
-        assert z.imag > 0
-        assert abs(z.imag / z.real - path.slope) < 1e-9
-    with pytest.raises(ValueError):
-        path.sample_between(0.0)
-    with pytest.raises(ValueError):
-        path.sample_between(1.0)
-
-
 def test_triple_coalescence_fitted_slope():
     rng = random.Random(17)
     done = 0

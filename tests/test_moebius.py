@@ -6,7 +6,6 @@ import pytest
 
 from expcircle.moebius import (
     GAMMA,
-    TAU,
     BoundaryPoint,
     Frame,
     MoebiusMap,
@@ -20,7 +19,6 @@ from expcircle.moebius import (
     norm_angle,
     sigma,
     tau,
-    tau_frame_action,
 )
 
 
@@ -148,17 +146,6 @@ def test_frame_equivariance_gamma():
         assert abs(norm_angle(lhs.theta - rhs.theta + math.pi) - math.pi) < 1e-9
 
 
-def test_frame_equivariance_tau():
-    rng = random.Random(23)
-    for _ in range(200):
-        t = rand_map(rng)
-        f = frame(t)
-        lhs = frame(compose(tau(), t))
-        rhs = tau_frame_action(f)
-        assert abs(lhs.z - rhs.z) < 1e-9
-        assert abs(norm_angle(lhs.theta - rhs.theta + math.pi) - math.pi) < 1e-9
-
-
 def test_gamma_is_double_reflection():
     # gamma acts on the half-plane as inversion in |z| = 1 followed by
     # reflection about Re z = 1/2, i.e. a rotation by 4pi/3 about e^{i pi/3}
@@ -207,14 +194,12 @@ def test_frame_contract():
 
 
 def test_gamma_and_tau_constants():
-    # the frame actions use the module constants; gamma() and tau() still
-    # return a new map with the same entries on every call
+    # the frame action uses the module constant; gamma() still returns a
+    # new map with the same entries on every call
     assert GAMMA.entries() == gamma().entries() and GAMMA is not gamma()
-    assert TAU.entries() == tau().entries() and TAU is not tau()
     rng = random.Random(31)
     for _ in range(50):
         f = frame(rand_map(rng))
         lhs = gamma_frame_action(f)
         assert lhs.z == apply_interior(gamma(), f.z)
         assert lhs.theta == norm_angle(f.theta - 2.0 * cmath.phase(f.z))
-        assert tau_frame_action(f).z == apply_interior(tau(), f.z)
