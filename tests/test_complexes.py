@@ -165,6 +165,51 @@ def test_boundary_squared_check_matches_product():
         assert not _boundary_squared(d1, d2, [[0] for _ in range(len(d2[0]) - 1)] + [[1]])
         seen.add(False)
     assert seen == {True, False}
+    # one standard column of d2 edited in place, so the face identity proves
+    # nothing for it and the exact sum decides
+    for cx in (sphere_complex(), rp2_complex(), build_torus_complex(2, 3), build_exp_complex(2, 3)):
+        low, high = chain_complex(cx).boundaries
+        for c in (0, high.ncols // 2, high.ncols - 1):
+            f0, f1, f2 = high.rows[c]
+            others = [r for r in range(low.ncols) if r not in high.rows[c]]
+            # preferably an edge that shares row 0 with f1, so that only
+            # the last pair of positions, (1, 2), fails
+            other = next((r for r in others if low.rows[r][0] == low.rows[f1][0]), others[0])
+            # swapping rows 0 and 2 keeps the column, both being +1, so the
+            # product stays zero though the pairing fails; replacing a row
+            # makes it nonzero
+            for rows, want in (((f2, f1, f0), True), ((f0, other, f2), False)):
+                edited = SparseIntMatrix(high.nrows, high.ncols, high.rows[:], high.vals)
+                edited.rows[c] = rows
+                cc = ChainComplexZ([low.nrows, low.ncols, high.ncols], [low, edited])
+                assert (not any(map(any, _matmul(_dense(low), _dense(edited))))) == want
+                assert cc.check_boundary_squared() == want
+
+
+def _pair(k, n):
+    return relative_chain_complex(*_with_stratum(k, _build_exp_with_boundary(k, n)))
+
+
+@pytest.mark.parametrize("make, relative", [
+    (lambda: chain_complex(sphere_complex()), False),
+    (lambda: chain_complex(rp2_complex()), False),
+    (lambda: chain_complex(build_torus_complex(2, 3)), False),
+    *[(lambda n=n: chain_complex(build_exp_complex(2, n)), False) for n in (3, 4, 5)],
+    (lambda: _pair(2, 3), True),
+    pytest.param(lambda: chain_complex(build_exp_complex(3, 3)), False, marks=pytest.mark.slow),
+    pytest.param(lambda: _pair(3, 3), True, marks=pytest.mark.slow),
+], ids=["sphere", "rp2", "torus2-n3", "exp2-n3", "exp2-n4", "exp2-n5", "exp2-n3-relative",
+        "exp3-n3", "exp3-n3-relative"])
+def test_boundary_squared_fast_path(monkeypatch, make, relative):
+    # the face identity proves every column of an absolute complex, so none
+    # is summed exactly; a pair cuts struck rows out of some columns, and
+    # the columns over those are summed
+    exact = complexes._composite_column_is_zero
+    calls = []
+    monkeypatch.setattr(complexes, "_composite_column_is_zero",
+                        lambda *args: calls.append(args) or exact(*args))
+    assert make().check_boundary_squared()
+    assert (len(calls) > 0) if relative else (len(calls) == 0)
 
 
 def test_nonzero_boundary_squared_is_refused():
@@ -172,6 +217,14 @@ def test_nonzero_boundary_squared_is_refused():
     d2 = SparseIntMatrix.from_dense([[1], [1]])
     with pytest.raises(ValueError):
         ChainComplexZ([1, 2, 1], [d1, d2]).homology()
+
+
+def test_sub_list_not_closed_under_faces_is_refused():
+    # striking the edge (0, 1) without its endpoints leaves the triangles
+    # over it with boundaries whose own boundaries do not cancel
+    pair = relative_chain_complex(sphere_complex(), [[], [(0, 1)]])
+    with pytest.raises(ValueError, match="boundary of boundary is nonzero"):
+        pair.homology()
 
 
 SNF_ENTRIES = (0, 0, 0, 1, -1, 2, 3, -4, 6)
@@ -395,6 +448,7 @@ def test_clearing_matches_separate_reductions(case):
     cx, keep = case
     assert homology(cx) == _reference_homology(chain_complex(cx))
     pair = relative_chain_complex(cx, cx.induced(keep))
+    assert pair.check_boundary_squared()
     assert pair.homology() == _reference_homology(pair)
 
 
