@@ -35,12 +35,14 @@ once, and sums exactly only the columns that proof cannot cover; no
 product matrix is built.  Then the boundaries are reduced top-down, the
 highest first, by smith_normal_form, the column reduction of persistent
 homology on a SparseIntMatrix: each column is reduced on its lowest row
-index, read off a max-heap of the column's rows, and the unit pivots are
-consumed.  Clearing (Chen-Kerber) skips every column of a boundary that is
-a unit pivot row of the boundary one degree up, since that column is an
-integer combination of the others (see ChainComplexZ.homology); those rows
-pass from one reduction to the next as a mask of one byte per row.  The
-small remainder of non-unit columns, the only place torsion can appear, is
+index, and the unit pivots are consumed.  A pivot is a pair of row and
+value tuples with its +-1 at the lowest row, the input's own tuples for a
+column that meets no pivot; only a column that does is copied into a dict
+beside a max-heap of its rows.  Clearing (Chen-Kerber) skips every column
+of a boundary that is a unit pivot row of the boundary one degree up,
+since that column is an integer combination of the others (see
+ChainComplexZ.homology); those rows pass from one reduction to the next as
+a mask of one byte per row.  The small remainder of non-unit columns, the only place torsion can appear, is
 finished by dense_smith_normal_form, the textbook routine on a dense list
 of rows, which the small matrices of the group layer call directly.
 """
@@ -580,10 +582,22 @@ def dense_smith_normal_form(rows):
     return diag
 
 
-def _subtract(col: dict, q: int, pivot: dict, heap: list) -> None:
-    """col -= q * pivot, dropping entries that cancel; a row the column
+def _working_column(rows, vals):
+    """A column to reduce: a dict row -> value and a max-heap of its rows,
+    negated."""
+    heap = [-r for r in rows]
+    heapify(heap)
+    return dict(zip(rows, vals)), heap
+
+
+def _subtract(col: dict, v: int, pivot: tuple, heap: list) -> None:
+    """Clear the entry v of col at the lowest row of pivot, a triple (rows,
+    vals, unit) with unit = +-1 at that row: col -= v * unit * pivot, since
+    unit * unit = 1.  Entries that cancel are dropped; a row the column
     gains is pushed on heap, its max-heap of negated rows."""
-    for r, w in pivot.items():
+    rows, vals, unit = pivot
+    q = v * unit
+    for r, w in zip(rows, vals):
         x = col.get(r)
         if x is None:
             col[r] = -q * w
@@ -609,8 +623,13 @@ def smith_normal_form(m: SparseIntMatrix, clearing=None):
     torsion can appear, finish in the dense routine.  The input is not
     modified: its row and value tuples are only read.
 
-    The working column is a dict, built from the input's row and value
-    tuples, with a max-heap of its rows beside it.
+    A pivot is a triple (rows, vals, unit) of two tuples and its +-1 at the
+    lowest row; an entry v there is cleared by subtracting v * unit times
+    the pivot, so no negated copy is made.  A column whose lowest row is
+    free and holds +-1 becomes a pivot on the input's own tuples, with no
+    copy.  Only a column that meets a pivot, or is left for the residual
+    pass, is copied into a working dict with a max-heap of its rows beside
+    it; a reduced column that becomes a pivot is stored back as two tuples.
     Rows are pushed when the column gains them and never removed, so the
     lowest row is the heap's top once tops that have cancelled are popped.
     A column that takes many steps to reduce then costs a heap operation
@@ -627,50 +646,54 @@ def smith_normal_form(m: SparseIntMatrix, clearing=None):
         raise ValueError(f"clearing mask has {len(clearing)} bytes for {m.ncols} columns")
     else:
         skip = clearing
-    pivots: dict[int, dict[int, int]] = {}  # lowest row -> column with +1 there
+    pivots: dict[int, tuple] = {}  # lowest row -> (rows, vals, unit)
     residual = []
     for rows, vals, skipped in zip(m.rows, m.vals, skip):
-        if skipped:
+        if skipped or not rows:
             continue
-        col = dict(zip(rows, vals))
-        heap = [-r for r in rows]
-        heapify(heap)
-        while heap:
-            low = -heap[0]
-            v = col.get(low)
-            if v is None:
-                heappop(heap)
+        low = max(rows)
+        if low in pivots:
+            col, heap = _working_column(rows, vals)
+            while heap:
+                low = -heap[0]
+                v = col.get(low)
+                if v is None:
+                    heappop(heap)
+                    continue
+                pivot = pivots.get(low)
+                if pivot is None:
+                    break
+                _subtract(col, v, pivot, heap)
+            if not col:
                 continue
-            pivot = pivots.get(low)
-            if pivot is None:
-                break
-            _subtract(col, v, pivot, heap)
-        if not col:
-            continue
-        if v == 1:
-            pivots[low] = col
-        elif v == -1:
-            pivots[low] = {r: -x for r, x in col.items()}
+            rows, vals = tuple(col), tuple(col.values())
         else:
-            residual.append((col, heap))
+            v = vals[rows.index(low)]
+        if v == 1 or v == -1:
+            pivots[low] = (rows, vals, v)
+        else:
+            residual.append((rows, vals))
     # a row may have gained its pivot after a residual column was swept past
     # it; clear the highest pivot row first, since subtracting a pivot column
     # can only add entries at smaller row indices than its own, so a row
     # popped here is never gained again
-    for col, heap in residual:
+    cleared = []
+    for rows, vals in residual:
+        col, heap = _working_column(rows, vals)
         while heap:
             r = -heappop(heap)
             v = col.get(r)
             if v is not None and r in pivots:
                 _subtract(col, v, pivots[r], heap)
+        cleared.append(col)
     if clearing is not None:
         clearing[:] = bytes(m.nrows)
         for r in pivots:
             clearing[r] = 1
-    rows = sorted({r for col, _ in residual for r in col})
+    rows = sorted({r for col in cleared for r in col})
     index = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(residual) for _ in rows]
-    for j, (col, _) in enumerate(residual):
+    dense = [[0] * len(cleared) for _ in rows]
+    for j, col in enumerate(cleared):
         for r, v in col.items():
             dense[index[r]][j] = v
     return [1] * len(pivots) + dense_smith_normal_form(dense)
@@ -852,7 +875,9 @@ def relative_quotient_homology(n: int) -> HomologyResult:
     """
     cx, keys = _build_exp_with_boundary(3, n)
     marked = cx.induced({q for q, key in enumerate(keys) if len(key) < 3})
-    return _with_base_point(relative_chain_complex(cx, marked).homology())
+    chains = relative_chain_complex(cx, marked)
+    del cx, keys, marked  # the reduction holds only the chain complex
+    return _with_base_point(chains.homology())
 
 
 def collapsed_cell_complex(cells_per_dim, dense_boundaries, collapsed_dims) -> HomologyResult:

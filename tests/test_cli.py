@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +123,29 @@ def test_golden_bytes(case):
     code, out = run_cli(*case.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
+
+
+# tracemalloc peak of the whole homology 3 op at n=3, in bytes (Python
+# 3.11): 20.14 MB absolute and 20.06 MB relative while the simplicial
+# complex and a dict per pivot column were alive through the reduction,
+# 13.74 and 13.83 MB once the complex is dropped after its chain complex is
+# built and pivots share the boundary's tuples; the bound sits halfway.
+CLI_HOMOLOGY_PEAK_BOUND = 16_900_000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("extra", [(), ("--relative",)], ids=["absolute", "relative"])
+def test_homology_3_peak_memory(extra):
+    tracemalloc.start()
+    try:
+        code, out = run_cli("--mesh-n", "3", "homology", "3", *extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rec = json.loads(out)
+    assert code == 0
+    assert rec["match"] if extra else rec["betti"] == [1, 0, 0, 1]
+    assert peak < CLI_HOMOLOGY_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_coord_charts_a_triple_once(monkeypatch):

@@ -239,6 +239,23 @@ def test_snf_sparse_matches_dense():
         cols = rng.randint(1, 12)
         m = [[rng.choice(SNF_ENTRIES) for _ in range(cols)] for _ in range(rows)]
         assert smith_normal_form(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
+    for m in (
+        # column 0 is a pivot with -1 at its low row 2; columns 1 and 3 meet
+        # it, and column 3 leaves a unit at row 1 that column 1's residual
+        # must be cleared off; column 2 is zero
+        [[1, 1, 0, 0], [0, 2, 0, 1], [-1, 3, 0, -1]],
+        # -1 pivots met by +-1 and by non-unit entries, down a staircase
+        [[1, 0, 2, 1], [-1, 1, -3, 0], [0, -1, 4, -1]],
+        # a free lowest row holding 2 or 3 sends its column to the residual,
+        # also when a later column takes that row as a unit pivot
+        [[1, 0], [2, 1]],
+        [[3]],
+        [[1, 0, 0], [0, -2, 0], [0, 3, 0]],
+        # zero columns only, and zero columns around a -1 pivot
+        [[0, 0], [0, 0]],
+        [[0, 1, 0], [0, -1, 0]],
+    ):
+        assert smith_normal_form(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
 
 
 def test_snf_sparse_large_with_torsion():
@@ -500,6 +517,12 @@ def test_snf_leaves_its_input_unchanged():
     m = [[2, 4, 1, 0], [0, 6, 1, 3], [4, 2, 0, 9]]
     invs, _ = _snf_twice(SparseIntMatrix.from_dense(m))
     assert invs == dense_smith_normal_form(m) and invs[-1] > 1
+    # under clearing, column 3 meets column 0, a pivot on the input's own
+    # tuples with -1 at its low row, and column 2 is skipped
+    m = [[1, 0, 1, 1], [0, 1, 1, 0], [-1, 0, 0, 1]]
+    invs, mask = _snf_twice(SparseIntMatrix.from_dense(m), bytearray([0, 0, 1, 0]))
+    assert invs == dense_smith_normal_form([row[:2] + row[3:] for row in m]) == [1, 1, 2]
+    assert mask == bytearray([0, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +869,11 @@ def test_exp3_homology_is_sphere_n3():
 
 # tracemalloc peak of homology(build_exp_complex(3, 3)), build excluded, in
 # bytes: 26.49 MB when each column was a dict (27.07 MB under Python 3.10),
-# 13.81 MB with row and value tuples (13.85 MB under 3.10); the bound sits
-# halfway.  tracemalloc counts Python allocations, so the figure repeats.
-HOMOLOGY_PEAK_BOUND = 20_000_000
+# 13.81 MB with row and value tuples (13.85 MB under 3.10), 14.01 MB with a
+# dict per pivot column and 10.36 MB with pivots on the boundary's own
+# tuples (Python 3.11); the bound sits halfway between the last two.
+# tracemalloc counts Python allocations, so the figure repeats.
+HOMOLOGY_PEAK_BOUND = 12_200_000
 
 
 @pytest.mark.slow
