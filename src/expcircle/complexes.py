@@ -24,6 +24,12 @@ mapped chain.  Torus coordinates are integers scaled by lcm(1..k+1)**2, so
 the barycentres of barycentres that key the identification are exact
 without fractions.
 
+A complex keeps each dimension in the order its simplices were first given,
+so nothing the build makes is sorted; one dict per dimension both drops the
+repeats and looks up the facets of the dimension above.  The pair stratum
+L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), not struck
+from the chains, so the collapsed space is an ordinary complex.
+
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  Validation looks up every facet of a
 complex once and keeps the rows as a face table; each boundary matrix is
@@ -66,49 +72,41 @@ class SimplicialComplex:
     """Finite simplicial complex: vertices 0..n-1 and sorted vertex tuples
     per dimension, closed under taking faces.
 
-    faces[d] is the face table of dimension d: for each d-simplex in order,
-    the indices in simplices[d - 1] of its d + 1 facets, facet i dropping
-    vertex i (faces[0] is empty)."""
+    Each dimension lists its simplices once, in the order first given;
+    dimension 0 is the vertices in order.  One dict per dimension drops the
+    repeats and then, its values overwritten with the indices, looks up the
+    facets of the dimension above.  faces[d] is the face table of dimension
+    d: for each d-simplex in order, the indices in simplices[d - 1] of its
+    d + 1 facets, facet i dropping vertex i (faces[0] is empty)."""
 
     def __init__(self, vertex_count: int, simplices_by_dim):
         self.vertex_count = vertex_count
-        self.simplices = [_sorted_unique(map(tuple, s)) for s in simplices_by_dim]
+        self.simplices = []
+        self.faces = []
+        below = None
+        for d, ss in enumerate(simplices_by_dim):
+            index = dict.fromkeys(map(tuple, ss))  # values set to the indices below
+            ss = list(index)
+            if d:
+                self.faces.append(_face_table(d, ss, below))
+            else:
+                ss.sort()
+                if ss != [(v,) for v in range(vertex_count)]:
+                    raise ValueError("dimension 0 must list every vertex exactly once")
+                self.faces.append(array("I"))
+            index.update(zip(ss, count()))
+            self.simplices.append(ss)
+            below = index
         while self.simplices and not self.simplices[-1]:
             self.simplices.pop()
-        self._validate()
-
-    def _validate(self):
-        """Refuse what is not a complex, keeping the facet rows looked up."""
-        if self.simplices[:1] != [[(v,) for v in range(self.vertex_count)]]:
+            self.faces.pop()
+        if not self.simplices:
             raise ValueError("dimension 0 must list every vertex exactly once")
-        self.faces = [array("I")]
-        for d, ss in enumerate(self.simplices[1:], 1):
-            row = {f: i for i, f in enumerate(self.simplices[d - 1])}
-            # strictly increasing vertices (checked column by column) and
-            # found facets; on any failure the per-simplex loop names it
-            ok = set(map(len, ss)) <= {d + 1} and all(
-                all(map(lt, map(itemgetter(i), ss), map(itemgetter(i + 1), ss))) for i in range(d))
-            facets = chain.from_iterable(map(combinations, ss, repeat(d)))
-            rows = list(map(row.get, facets)) if ok else [None]
-            if None in rows:
-                for s in ss:
-                    if len(s) != d + 1 or len(set(s)) != d + 1:
-                        raise ValueError(f"degenerate simplex {s} in dimension {d}")
-                    if list(s) != sorted(s):
-                        raise ValueError(f"unsorted simplex {s}")
-                    for f in combinations(s, d):
-                        if f not in row:
-                            raise ValueError(f"missing face {f} of {s}")
-            # combinations drop the last vertex first; facet i drops vertex i
-            rows = array("I", rows)
-            table = rows[:]
-            for i in range(d + 1):
-                table[i::d + 1] = rows[d - i::d + 1]
-            self.faces.append(table)
 
     @classmethod
     def from_maximal(cls, simplices):
-        """Close a set of simplices (any dimensions) under taking faces."""
+        """Close a set of simplices (any dimensions) under taking faces;
+        each dimension is listed in sorted order."""
         by_dim: dict[int, set] = {}
         for s in simplices:
             s = tuple(sorted(set(s)))
@@ -139,14 +137,73 @@ class SimplicialComplex:
         keep = set(vertices)
         return [[s for s in ss if keep.issuperset(s)] for ss in self.simplices]
 
+    def cone(self, vertices) -> SimplicialComplex:
+        """K u CL, this complex K with a cone on L, the full subcomplex on a
+        vertex set; the apex is a new last vertex.
+
+        K's simplices and face rows keep their indices, and the cone on each
+        simplex of L is appended to the dimension above it.  Facet i of the
+        cone on s is the cone on facet i of s, and its last facet is s; each
+        is looked up through K's face table, and one outside L is refused.
+        K itself is not validated again."""
+        keep = set(vertices)
+        apex = self.vertex_count
+        simplices = [ss[:] for ss in self.simplices] + [[]]
+        faces = [table[:] for table in self.faces] + [array("I")]
+        simplices[0].append((apex,))
+        cone_of = {}  # index of a simplex of L, one dimension down -> its cone's
+        for d, (ss, rows) in enumerate(zip(self.simplices, self.faces)):
+            base = [j for j, s in enumerate(ss) if keep.issuperset(s)]
+            if not base:  # L is closed under faces: nothing above either
+                break
+            table = faces[d + 1]
+            for j in base:
+                # the cone on a vertex has the apex for its facet 0
+                fs = [cone_of.get(f) for f in rows[j * (d + 1):(j + 1) * (d + 1)]] if d else [apex]
+                if None in fs:
+                    s, i = ss[j], fs.index(None)
+                    raise ValueError(f"missing face {s[:i] + s[i + 1:] + (apex,)} of {s + (apex,)}")
+                table.extend(fs)
+                table.append(j)
+            cone_of = dict(zip(base, count(len(simplices[d + 1]))))
+            simplices[d + 1] += [ss[j] + (apex,) for j in base]
+        while not simplices[-1]:
+            simplices.pop()
+            faces.pop()
+        # K is valid and every new facet was found, so nothing is validated
+        out = object.__new__(SimplicialComplex)
+        out.vertex_count, out.simplices, out.faces = apex + 1, simplices, faces
+        return out
+
     def __repr__(self):
         return f"SimplicialComplex(counts={self.counts()})"
 
 
-def _sorted_unique(items) -> list:
-    """items sorted, each once: equal items sit side by side once sorted."""
-    out = sorted(items)
-    return list(compress(out, chain([True], map(ne, out[1:], out))))
+def _face_table(d: int, ss: list, row: dict) -> array:
+    """The face table of the d-simplices ss, row mapping each (d-1)-simplex
+    to its index; refuses a simplex that is degenerate, unsorted or missing
+    a facet."""
+    # strictly increasing vertices (checked column by column) and found
+    # facets; on any failure the per-simplex loop names it
+    ok = set(map(len, ss)) <= {d + 1} and all(
+        all(map(lt, map(itemgetter(i), ss), map(itemgetter(i + 1), ss))) for i in range(d))
+    facets = chain.from_iterable(map(combinations, ss, repeat(d)))
+    rows = list(map(row.get, facets)) if ok else [None]
+    if None in rows:
+        for s in ss:
+            if len(s) != d + 1 or len(set(s)) != d + 1:
+                raise ValueError(f"degenerate simplex {s} in dimension {d}")
+            if list(s) != sorted(s):
+                raise ValueError(f"unsorted simplex {s}")
+            for f in combinations(s, d):
+                if f not in row:
+                    raise ValueError(f"missing face {f} of {s}")
+    # combinations drop the last vertex first; facet i drops vertex i
+    rows = array("I", rows)
+    table = rows[:]
+    for i in range(d + 1):
+        table[i::d + 1] = rows[d - i::d + 1]
+    return table
 
 
 def circle_complex(n: int) -> SimplicialComplex:
@@ -872,12 +929,21 @@ def relative_quotient_homology(n: int) -> HomologyResult:
     last one's, so the diagonals holding the barycentres only shrink along
     the chain, and those common to the whole chain are the last element's.
     Hence a quotient simplex is degenerate iff every vertex key is short.
+
+    The stratum L is not struck from the chains but coned off: K u CL is
+    homotopy equivalent to K/L, since L is a subcomplex, so its absolute
+    homology is the homology of the collapsed space.  The coned complex is
+    an ordinary simplicial complex, so its d o d check is proved entirely by
+    the face identity.
     """
     cx, keys = _build_exp_with_boundary(3, n)
-    marked = cx.induced({q for q, key in enumerate(keys) if len(key) < 3})
-    chains = relative_chain_complex(cx, marked)
-    del cx, keys, marked  # the reduction holds only the chain complex
-    return _with_base_point(chains.homology())
+    # one complex at a time: K goes once its cone is built, and the cone
+    # once its chain complex is, so the reduction holds only the chains
+    cx = cx.cone([q for q, key in enumerate(keys) if len(key) < 3])
+    del keys
+    chains = chain_complex(cx)
+    del cx
+    return chains.homology()
 
 
 def collapsed_cell_complex(cells_per_dim, dense_boundaries, collapsed_dims) -> HomologyResult:

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import chain, combinations
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +22,7 @@ from expcircle.complexes import (
     _flags,
     _grid_point,
     _subdivision_data,
+    _with_base_point,
     barycentric_subdivision,
     build_exp_complex,
     build_torus_complex,
@@ -190,20 +195,30 @@ def _pair(k, n):
     return relative_chain_complex(*_with_stratum(k, _build_exp_with_boundary(k, n)))
 
 
+def _coned(k, n):
+    """The subset-space complex with its short-key stratum coned off, as
+    relative_quotient_homology takes it."""
+    cx, keys = _build_exp_with_boundary(k, n)
+    return cx.cone([q for q, key in enumerate(keys) if len(key) < k])
+
+
 @pytest.mark.parametrize("make, relative", [
     (lambda: chain_complex(sphere_complex()), False),
     (lambda: chain_complex(rp2_complex()), False),
     (lambda: chain_complex(build_torus_complex(2, 3)), False),
     *[(lambda n=n: chain_complex(build_exp_complex(2, n)), False) for n in (3, 4, 5)],
     (lambda: _pair(2, 3), True),
+    (lambda: chain_complex(_coned(2, 3)), False),
     pytest.param(lambda: chain_complex(build_exp_complex(3, 3)), False, marks=pytest.mark.slow),
     pytest.param(lambda: _pair(3, 3), True, marks=pytest.mark.slow),
+    pytest.param(lambda: chain_complex(_coned(3, 3)), False, marks=pytest.mark.slow),
 ], ids=["sphere", "rp2", "torus2-n3", "exp2-n3", "exp2-n4", "exp2-n5", "exp2-n3-relative",
-        "exp3-n3", "exp3-n3-relative"])
+        "exp2-n3-coned", "exp3-n3", "exp3-n3-relative", "exp3-n3-coned"])
 def test_boundary_squared_fast_path(monkeypatch, make, relative):
     # the face identity proves every column of an absolute complex, so none
     # is summed exactly; a pair cuts struck rows out of some columns, and
-    # the columns over those are summed
+    # the columns over those are summed (10 440 for exp_3 at n=3).  A coned
+    # stratum is an absolute complex, so the relative op sums none
     exact = complexes._composite_column_is_zero
     calls = []
     monkeypatch.setattr(complexes, "_composite_column_is_zero",
@@ -345,10 +360,14 @@ def test_simplicial_complex_refusals(vertex_count, simplices, message):
 
 
 def test_simplicial_complex_lists_each_simplex_once():
-    # repeats in any order and as lists or tuples: sorted, each kept once
+    # repeats in any order and as lists or tuples: each kept once, in the
+    # order first seen, except that the vertices are listed 0..n-1
     cx = SimplicialComplex(3, [[(2,), [0], (1,), (0,), (2,)], [(1, 2), [0, 1], (1, 2), (0, 1)]])
-    assert cx.simplices == [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]
-    assert list(cx.faces[1]) == [1, 0, 2, 1]
+    assert cx.simplices == [[(0,), (1,), (2,)], [(1, 2), (0, 1)]]
+    assert list(cx.faces[1]) == [2, 1, 1, 0]
+    # the face rows follow that order; facet i drops vertex i
+    cx = SimplicialComplex(3, [[(0,), (1,), (2,)], [(0, 2), (1, 2), (0, 1)], [(0, 1, 2)]])
+    assert list(cx.faces[2]) == [1, 0, 2]
 
 
 def _with_stratum(k, result):
@@ -523,6 +542,46 @@ def test_snf_leaves_its_input_unchanged():
     invs, mask = _snf_twice(SparseIntMatrix.from_dense(m), bytearray([0, 0, 1, 0]))
     assert invs == dense_smith_normal_form([row[:2] + row[3:] for row in m]) == [1, 1, 2]
     assert mask == bytearray([0, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# coning off a subcomplex
+# ---------------------------------------------------------------------------
+
+@given(complexes_with_vertex_subsets())
+def test_cone_keeps_the_complex_and_matches_the_pair(case):
+    # K u CL against K/L: the same homology as the struck pair with a base
+    # point (an empty L leaves K with a separate apex, K/L being K plus a
+    # point); and the cone's lookups agree with validating it from scratch
+    cx, keep = case
+    coned = cx.cone(keep)
+    assert coned.vertex_count == cx.vertex_count + 1
+    for d, (ss, table) in enumerate(zip(cx.simplices, cx.faces)):
+        assert coned.simplices[d][:len(ss)] == ss
+        assert coned.faces[d][:len(table)] == table
+    # appended: the apex, then the cone on each simplex of L in L's order
+    apex, top = cx.vertex_count, len(coned.simplices)
+    added = [ss[len(old):] for ss, old in zip(coned.simplices, cx.simplices + [[]])]
+    want = [[(apex,)]] + [[s + (apex,) for s in ss] for ss in cx.induced(keep)]
+    assert added == want[:top] and not any(want[top:])
+    validated = SimplicialComplex(coned.vertex_count, coned.simplices)
+    assert validated.simplices == coned.simplices and validated.faces == coned.faces
+    # a cone on a top simplex adds a dimension, whose group is 0
+    got = homology(coned).groups
+    want = _with_base_point(relative_chain_complex(cx, cx.induced(keep)).homology()).groups
+    assert got[:len(want)] == want and set(got[len(want):]) <= {AbelianInvariants(0)}
+
+
+def test_cone_refuses_a_facet_outside_the_stratum():
+    # the face table of a tampered sphere names the edge (1, 3) as facet 0
+    # of the triangle (0, 1, 2); on {0, 1, 2} the cone needs (1, 2, 4)
+    cx = sphere_complex()
+    assert cx.simplices[2][0] == (0, 1, 2) and cx.simplices[1][4] == (1, 3)
+    assert cx.cone([0, 1, 2]).counts() == [5, 9, 7, 1]
+    cx.faces[2][0] = 4
+    with pytest.raises(ValueError, match=r"missing face \(1, 2, 4\) of \(0, 1, 2, 4\)"):
+        cx.cone([0, 1, 2])
+    assert cx.cone([0, 1]).counts() == [5, 8, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +798,11 @@ def test_domain_build_matches_whole_torus(k, n):
 
 
 def _quotient_data(result):
+    """What two builds of one quotient share: the vertex count, the keys and
+    each dimension's set of simplices; the order within a dimension is the
+    order the chains were met in, which differs between the two."""
     cx, keys = result if isinstance(result, tuple) else (result, None)
-    return cx.vertex_count, cx.simplices, keys
+    return cx.vertex_count, keys, [set(ss) for ss in cx.simplices]
 
 
 def _reflection(n):
@@ -840,6 +902,20 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
     assert got == _quotient_data(_build_exp_with_boundary(3, 3))
 
 
+def test_build_order_does_not_depend_on_the_hash_seed():
+    # each dimension is listed in the order its chains are met, which comes
+    # from iterating lists; sets are only asked for membership
+    src = str(Path(complexes.__file__).resolve().parent.parent)
+    code = ("from expcircle.complexes import _build_exp_with_boundary\n"
+            "cx, keys = _build_exp_with_boundary(2, 3)\n"
+            "print(cx.simplices, [t.tolist() for t in cx.faces], keys)")
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+           for seed in ("0", "4242")]
+    cx, keys = _build_exp_with_boundary(2, 3)
+    assert out[0] == out[1] == f"{cx.simplices} {[t.tolist() for t in cx.faces]} {keys}\n"
+
+
 def test_asymmetric_torus_is_refused(asymmetric_torus):
     # the orbit filter is only sound for a symmetric triangulation
     with pytest.raises(ValueError, match="action does not carry simplices"):
@@ -908,6 +984,23 @@ def test_exp3_marked_stratum_is_exp2():
 @pytest.mark.slow
 def test_relative_quotient_matches_oracle():
     assert relative_quotient_homology(3) == rp3_collapse_oracle()
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (2, 4), pytest.param(3, 3, marks=pytest.mark.slow)])
+def test_coned_stratum_matches_struck_pair(k, n):
+    # two models of the collapsed space: the stratum coned off, and struck
+    # from the chains with the base point put back.  exp_2 with exp_1
+    # collapsed is RP^2, whose Z/2 reaches the dense residual; exp_3 with
+    # exp_2 collapsed is the projective oracle's space
+    cx, keys = _build_exp_with_boundary(k, n)
+    short = [q for q, key in enumerate(keys) if len(key) < k]
+    coned = homology(cx.cone(short))
+    struck = _with_base_point(relative_chain_complex(cx, cx.induced(short)).homology())
+    assert coned == struck
+    if k == 2:
+        assert coned == H((1, ()), (0, (2,)), (0, ()))
+    else:
+        assert coned == rp3_collapse_oracle() == relative_quotient_homology(n)
 
 
 def test_rp3_oracle_table():
