@@ -8,18 +8,17 @@ The pair space comes out a closed band (circle homology); the triple space
 comes out a homology 3-sphere, and collapsing the pair stratum reproduces
 the table of projective 3-space modulo its 1-skeleton.
 
-Expect about nine seconds of total runtime.
+Expect about three seconds of total runtime (2-vCPU machine, Python 3.11.7).
 """
 
 import time
 
 from expcircle.complexes import (
     build_exp_complex,
+    build_symmetric_product,
     build_torus_complex,
-    coordinate_permutation_action,
     dense_smith_normal_form,
     homology,
-    quotient_complex,
     relative_quotient_homology,
     rp3_collapse_oracle,
 )
@@ -55,8 +54,7 @@ print("4. Permutations alone are not enough: the symmetric product")
 print("=" * 72)
 
 t0 = time.perf_counter()
-t3 = build_torus_complex(3, 3)
-sp3 = quotient_complex(t3, coordinate_permutation_action(3, 3))
+sp3 = build_symmetric_product(3, 3)
 print(f"  3-torus / permutations: {homology(sp3)}   ({time.perf_counter() - t0:.0f}s)")
 print("  still circle-like: tuples with repeats are not yet collapsed")
 

@@ -1,28 +1,28 @@
 """Simplicial models of subset spaces of the circle and integer homology.
 
-The k-fold torus carries the permutation-symmetric staircase triangulation,
-so both the coordinate-permutation action and the finer identification of
-tuples with equal underlying sets act simplicially.  Quotients are taken
-after two barycentric subdivisions, the standard regularity margin that makes
-the identified complex compute the homology of the identified space.  The
-identifier also returns each quotient vertex's key, so a stratum is the full
-subcomplex on the vertices whose keys satisfy a predicate.  The second
-subdivision is enumerated chain by chain, each chain built directly as its
-quotient simplex, a sorted tuple of quotient vertex ids; the second
-subdivision is never validated or sorted as a whole.  Only chains ending at
-one chosen sd1 simplex per orbit of the group action are built, and the
-flag memo holds only chains ending at a proper face of a chosen simplex.
-Keys are invariant under the group, so a chain and its images land on the
-same quotient simplex, and each orbit of chains has a member ending at a
-chosen simplex.  For the subset spaces that is a sixth of the top chains at
-k = 3 (the symmetric group acts freely on top simplices); it rests on the
-torus triangulation being symmetric under coordinate permutations, which
-the build checks before relying on it.  For the subset spaces even the first
-subdivision is built, validated and keyed only on a fundamental domain, the
-closure of the torus simplices with a sorted barycentre, which holds every
-mapped chain.  Torus coordinates are integers scaled by lcm(1..k+1)**2, so
-the barycentres of barycentres that key the identification are exact
-without fractions.
+The k-fold torus carries the staircase triangulation, which is symmetric
+under permuting coordinates, and one build takes its quotients.  It
+identifies after two barycentric subdivisions, the standard regularity
+margin that makes the identified complex compute the homology of the
+identified space: each vertex of the second subdivision is keyed by a
+function of its barycentre, and equal keys become one quotient vertex.  Two
+keys are used.  The underlying set of the coordinates gives the subset
+space exp_k, tuples identified when they have the same underlying set; the
+sorted coordinates give the symmetric product SP^k, tuples identified up to
+permutation only.  The build also returns each quotient vertex's key, so a
+stratum is the full subcomplex on the vertices whose keys satisfy a
+predicate.  Both keys are invariant under permuting coordinates, so only a
+fundamental domain is subdivided, the closure of the torus simplices with a
+sorted barycentre, and only chains ending at the one sd1 simplex of each
+orbit with a sorted barycentre are mapped: a sixth of the top chains at
+k = 3.  That rests on the torus triangulation being symmetric, which the
+build checks before relying on it.  The second subdivision is enumerated
+chain by chain, each chain built directly as its quotient simplex, a sorted
+tuple of quotient vertex ids; it is never validated or sorted as a whole,
+and the flag memo holds only chains ending at a proper face of a mapped sd1
+simplex.  Torus coordinates are integers scaled by lcm(1..k+1)**2, so the
+barycentres of barycentres that key the identification are exact without
+fractions.
 
 A complex keeps each dimension in the order its simplices were first given,
 so nothing the build makes is sorted; one dict per dimension both drops the
@@ -303,7 +303,7 @@ def _barycenter(simplex, coords, period: int):
 
 
 # ---------------------------------------------------------------------------
-# torus complexes and quotients
+# the torus and its quotients
 # ---------------------------------------------------------------------------
 
 def _grid_point(i: int, k: int, n: int) -> tuple:
@@ -363,28 +363,6 @@ def coordinate_permutation_action(k: int, n: int) -> list[list[int]]:
     return gens
 
 
-def _close_group(vertex_count: int, generators) -> list[tuple]:
-    idgen = tuple(range(vertex_count))
-    group = {idgen}
-    frontier = [idgen]
-    gens = [tuple(g) for g in generators]
-    for g in gens:
-        if sorted(g) != list(range(vertex_count)):
-            raise ValueError("group generator is not a permutation of the vertices")
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                hg = tuple(h[g[i]] for i in range(vertex_count))
-                if hg not in group:
-                    group.add(hg)
-                    nxt.append(hg)
-        frontier = nxt
-        if len(group) > 10000:
-            raise ValueError("group closure too large")
-    return sorted(group)
-
-
 def _check_simplicial(k: SimplicialComplex, perms) -> None:
     """Refuse unless every vertex permutation in perms carries simplices of
     k to simplices of k; each dimension's set is built once for all."""
@@ -410,13 +388,14 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     if the identification degenerates a simplex, the telltale of an
     insufficiently subdivided action.
 
-    Only chains ending at a representative are mapped.  The caller picks
-    exactly one representative from each orbit of a simplicial group action
-    on k1 under which keys are invariant.  Then a chain c and its image g.c
-    have the same quotient tuple and the same degeneracy, and every orbit of
-    chains holds a chain ending at a representative (move its last element
-    there), so the representatives' chains give exactly the quotient of all
-    chains.
+    Only chains ending at a representative are mapped.  The torus build
+    (_build_exp_with_boundary) marks exactly one representative in each
+    orbit of the coordinate permutations acting on k1, the sd1 simplex with
+    a sorted barycentre, and both its keys are invariant under them.  Then
+    a chain c and its image g.c have the same quotient tuple and the same
+    degeneracy, and every orbit of chains holds a chain ending at a
+    representative (move its last element there), so the representatives'
+    chains give exactly the quotient of all chains.
     """
     qid_by_key: dict = {}
     labels = {}
@@ -429,41 +408,27 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     return _complex_of_chains(k1, labels, ends, len(qid_by_key)), list(qid_by_key)
 
 
-def quotient_complex(k: SimplicialComplex, generators) -> SimplicialComplex:
-    """Quotient of a complex by a finite simplicial group action.
-
-    The action is given by vertex permutations (generators suffice); it is
-    validated to be simplicial, closed into the full group, and applied after
-    two barycentric subdivisions, so the result computes the homology of the
-    topological quotient.
-    """
-    group = _close_group(k.vertex_count, generators)
-    _check_simplicial(k, group)
-    ids, origin = _subdivision_data(k)
-    # lift the action from vertices of k to simplices of k (= vertices of k1)
-    lifted = [[ids[tuple(sorted(perm[v] for v in s))] for s in origin] for perm in group]
-
-    def label_fn(s):
-        key = min(tuple(sorted(table[v] for v in s)) for table in lifted)
-        return key, key == s
-
-    cx, _ = _identify_after_two_subdivisions(barycentric_subdivision(k), label_fn)
-    return cx
+def _underlying_set(point) -> tuple:
+    """The subset-space key of a torus point: its distinct coordinates,
+    sorted."""
+    return tuple(sorted(set(point)))
 
 
-def _build_exp_with_boundary(k: int, n: int):
-    """Subset-space complex and the key of each of its vertices, keys[q]
-    being the sorted point set of quotient vertex q (see
-    relative_quotient_homology for the stratum of short keys).
+def _build_exp_with_boundary(k: int, n: int, key=_underlying_set):
+    """Quotient of the k-torus on an n-grid and the key of each of its
+    vertices, keys[q] being the key of quotient vertex q.
 
-    A vertex of the second subdivision is keyed by the underlying set of its
-    barycentre's coordinates, which merges coordinate permutations and
-    collapses repeated entries onto smaller subsets in one stroke.  The key
-    is invariant under permuting coordinates, so only chains ending at the
-    sd1 simplex whose barycentre is sorted are mapped: barycentres of
-    distinct simplices are distinct, so each orbit has exactly one.  That
-    needs the torus triangulation to be symmetric, which is checked, not
-    assumed.
+    A vertex of the second subdivision is keyed by key(barycentre), a
+    function of its integer torus coordinates.  The default, the underlying
+    set, merges coordinate permutations and collapses repeated entries onto
+    smaller subsets in one stroke: the subset space, whose keys[q] is the
+    sorted point set (see relative_quotient_homology for the stratum of
+    short keys).  The sorted coordinates merge permutations only: the
+    symmetric product (build_symmetric_product).  Either key is invariant
+    under permuting coordinates, so only chains ending at the sd1 simplex
+    whose barycentre is sorted are mapped: barycentres of distinct simplices
+    are distinct, so each orbit has exactly one.  That needs the torus
+    triangulation to be symmetric, which is checked, not assumed.
 
     Only a fundamental domain is subdivided: L, the closure of the torus
     simplices whose barycentre is sorted.  An sd1 simplex is a flag of torus
@@ -493,7 +458,7 @@ def _build_exp_with_boundary(k: int, n: int):
 
     def label_fn(s):
         bc = _barycenter(s, coords1, period)
-        return tuple(sorted(set(bc))), list(bc) == sorted(bc)
+        return key(bc), list(bc) == sorted(bc)
 
     return _identify_after_two_subdivisions(k1, label_fn)
 
@@ -507,6 +472,13 @@ def build_exp_complex(k: int, n: int) -> SimplicialComplex:
     subset space requires.
     """
     return _build_exp_with_boundary(k, n)[0]
+
+
+def build_symmetric_product(k: int, n: int) -> SimplicialComplex:
+    """Simplicial model of the symmetric product SP^k of the circle: tuples
+    of the k-torus identified up to permuting coordinates, repeated entries
+    kept apart from smaller subsets."""
+    return _build_exp_with_boundary(k, n, lambda bc: tuple(sorted(bc)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ def _invert(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
+def _check_letters(word, n: int, what: str) -> None:
+    """Refuse a letter that names none of n generators, before any reduction
+    could cancel it."""
+    for x in word:
+        if x == 0 or abs(x) > n:
+            raise ValueError(f"letter {x} out of range in {what}")
+
+
 def _exponent_sums(word, n: int) -> list[int]:
     """Exponent sum of each of the n generators in the word."""
     sums = [0] * n
@@ -81,10 +89,8 @@ class Presentation:
         n = len(self.generators)
         rels = []
         for w in relators:
+            _check_letters(w, n, "relator")
             w = _cyclic_reduce(w)
-            for x in w:
-                if x == 0 or abs(x) > n:
-                    raise ValueError(f"letter {x} out of range in relator")
             if w:
                 rels.append(w)
         self.relators = rels
@@ -133,8 +139,10 @@ def parse_word(text: str, generators) -> Word:
     """Parse a word: juxtaposition is product, ^n is a power, [x, y] is the
     commutator x y x^-1 y^-1, and w1 = w2 means w1 w2^-1."""
     index = {g: i + 1 for i, g in enumerate(generators)}
+    if text.count("=") > 1:
+        raise ValueError(f"more than one '=' in {text!r}")
     if "=" in text:
-        lhs, rhs = text.split("=", 1)
+        lhs, rhs = text.split("=")
         return _free_reduce(parse_word(lhs, generators) + _invert(parse_word(rhs, generators)))
 
     pos = 0
@@ -271,12 +279,9 @@ class GroupHom:
     def __post_init__(self):
         if len(self.images) != len(self.source.generators):
             raise ValueError("need one image word per source generator")
-        self.images = [_free_reduce(w) for w in self.images]
-        n = len(self.target.generators)
         for w in self.images:
-            for x in w:
-                if x == 0 or abs(x) > n:
-                    raise ValueError(f"image letter {x} out of range")
+            _check_letters(w, len(self.target.generators), "image")
+        self.images = [_free_reduce(w) for w in self.images]
         self.verified = self._check()
 
     def apply(self, word: Word) -> Word:

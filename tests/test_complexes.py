@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import gcd, lcm, prod
 from pathlib import Path
 
@@ -19,19 +19,21 @@ from expcircle.complexes import (
     SparseIntMatrix,
     _barycenter,
     _build_exp_with_boundary,
+    _check_simplicial,
     _flags,
+    _grid_index,
     _grid_point,
     _subdivision_data,
     _with_base_point,
     barycentric_subdivision,
     build_exp_complex,
+    build_symmetric_product,
     build_torus_complex,
     chain_complex,
     circle_complex,
     coordinate_permutation_action,
     dense_smith_normal_form,
     homology,
-    quotient_complex,
     relative_chain_complex,
     relative_quotient_homology,
     rp3_collapse_oracle,
@@ -620,32 +622,64 @@ def test_torus_action_is_simplicial():
 # quotients
 # ---------------------------------------------------------------------------
 
-def test_quotient_by_trivial_group():
-    k = rp2_complex()
-    q = quotient_complex(k, [list(range(k.vertex_count))])
-    assert homology(q) == homology(k)
-
-
-def test_quotient_circle_reflection_is_arc():
-    n = 8
-    k = circle_complex(n)
-    reflection = [(-i) % n for i in range(n)]
-    q = quotient_complex(k, [reflection])
-    assert homology(q) == H((1, ()), (0, ()))
-
-
 def test_quotient_torus_swap_is_mobius_band():
-    t2 = build_torus_complex(2, 3)
-    q = quotient_complex(t2, coordinate_permutation_action(2, 3))
-    assert homology(q) == H((1, ()), (1, ()), (0, ()))
+    assert homology(build_symmetric_product(2, 3)) == H((1, ()), (1, ()), (0, ()))
 
 
 def test_quotient_rejects_non_simplicial():
+    # the check the torus build runs on the coordinate permutations
     k = circle_complex(5)
-    with pytest.raises(ValueError):
-        quotient_complex(k, [[2, 1, 0, 3, 4]])  # maps the edge (2,3) off the complex
-    with pytest.raises(ValueError):
-        quotient_complex(k, [[0, 0, 1, 2, 3]])  # not a permutation
+    with pytest.raises(ValueError, match="action does not carry simplices"):
+        _check_simplicial(k, [[2, 1, 0, 3, 4]])  # maps the edge (2,3) off the complex
+    with pytest.raises(ValueError, match="action does not carry simplices"):
+        _check_simplicial(k, [[0, 0, 1, 2, 3]])  # degenerates the edge (0,1)
+    _check_simplicial(k, [[(-i) % 5 for i in range(5)]])  # a reflection passes
+
+
+def _symmetric_product_by_orbit_minimum(k, n):
+    """Reference for build_symmetric_product, independent of its keys and
+    fundamental domain: every sd1 simplex of the whole torus is labelled by
+    the least of its images under all k! coordinate permutations, lifted to
+    simplices of the torus.  Each quotient vertex is then named by the
+    sorted barycentre of its label, the symmetric product's key."""
+    k0 = build_torus_complex(k, n)
+    ids, origin = _subdivision_data(k0)
+    lifted = []
+    for perm in permutations(range(k)):
+        vertex = [_grid_index([_grid_point(i, k, n)[c] for c in perm], n)
+                  for i in range(k0.vertex_count)]
+        lifted.append([ids[tuple(sorted(vertex[v] for v in s))] for s in origin])
+
+    def label_fn(s):
+        label = min(tuple(sorted(table[v] for v in s)) for table in lifted)
+        return label, label == s
+
+    k1, coords1, period = _sd1_barycentres(k, n)
+    cx, labels = complexes._identify_after_two_subdivisions(k1, label_fn)
+    return cx, [tuple(sorted(_barycenter(s, coords1, period))) for s in labels]
+
+
+def _sorted_point(point):
+    return tuple(sorted(point))
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (2, 5), pytest.param(3, 3, marks=pytest.mark.slow)])
+def test_symmetric_product_matches_orbit_minimum(k, n):
+    got = _build_exp_with_boundary(k, n, _sorted_point)
+    want = _symmetric_product_by_orbit_minimum(k, n)
+    assert got[0].simplices == build_symmetric_product(k, n).simplices
+    assert got[0].counts() == want[0].counts()
+    assert sorted(got[1]) == sorted(want[1])
+    assert _by_key(got[0].simplices, got[1]) == _by_key(want[0].simplices, want[1])
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_symmetric_square_is_exp2(n):
+    # for pairs the sorted tuple and the underlying set determine each
+    # other, so the two keys make the same complex, list for list
+    sp2, e2 = build_symmetric_product(2, n), build_exp_complex(2, n)
+    assert sp2.simplices == e2.simplices
+    assert sp2.faces == e2.faces
 
 
 def test_exp2_is_closed_band():
@@ -805,17 +839,10 @@ def _quotient_data(result):
     return cx.vertex_count, keys, [set(ss) for ss in cx.simplices]
 
 
-def _reflection(n):
-    return [(-i) % n for i in range(n)]
-
-
 @pytest.mark.parametrize("build", [
     *(lambda n=n: _build_exp_with_boundary(2, n) for n in range(3, 7)),
-    lambda: quotient_complex(circle_complex(8), [_reflection(8)]),
-    lambda: quotient_complex(circle_complex(5), [_reflection(5)]),
-    *(lambda n=n: quotient_complex(build_torus_complex(2, n), coordinate_permutation_action(2, n))
-      for n in (3, 5)),
-], ids=["exp2-n3", "exp2-n4", "exp2-n5", "exp2-n6", "circle-n8", "circle-n5", "T2-n3", "T2-n5"])
+    *(lambda n=n: build_symmetric_product(2, n) for n in (3, 5)),
+], ids=["exp2-n3", "exp2-n4", "exp2-n5", "exp2-n6", "T2-n3", "T2-n5"])
 def test_orbit_filter_matches_all_chains(monkeypatch, build):
     got = _quotient_data(build())
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
@@ -931,9 +958,9 @@ def test_plain_permutation_quotient_differs_from_subset_space():
     # identifying tuples only up to permutation yields the symmetric product,
     # a circle-like space with boundary; the subset space needs the extra
     # collapse of repeated coordinates (compare build_exp_complex)
-    t3 = build_torus_complex(3, 3)
-    q = quotient_complex(t3, coordinate_permutation_action(3, 3))
-    assert homology(q) == H((1, ()), (1, ()), (0, ()), (0, ()))
+    sp3 = build_symmetric_product(3, 3)
+    assert sp3.counts() == [2992, 18868, 31428, 15552]
+    assert homology(sp3) == H((1, ()), (1, ()), (0, ()), (0, ()))
 
 
 @pytest.mark.slow

@@ -46,6 +46,14 @@ def test_parse_word():
         parse_word("s^x", gens)
 
 
+def test_parse_word_refuses_chained_equals():
+    # "a = b = c" once parsed silently to a c b^-1
+    gens = ["a", "b", "c"]
+    for text in ("a = b = c", "a == b", "= a ="):
+        with pytest.raises(ValueError, match="more than one '='"):
+            parse_word(text, gens)
+
+
 def test_presentation_roundtrip():
     p = P("gens: s t; rels: s^3 t^-2, s t^-1")
     assert p.generators == ["s", "t"]
@@ -68,6 +76,21 @@ def test_relators_are_reduced():
     assert p.relators == []
     p = Presentation(["a", "b"], [(2, 1, -2)])  # cyclic reduction
     assert p.relators == [(1,)]
+
+
+def test_relator_letters_checked_before_reduction():
+    # letters that cancel are still refused when they name no generator
+    for w in ((5, -5), (0, 0), (1, 2, -2, -1), (-2, 1, 2)):
+        with pytest.raises(ValueError, match="out of range in relator"):
+            Presentation(["a"], [w])
+
+
+def test_image_letters_checked_before_reduction():
+    source, target = Presentation(["a"]), Presentation(["x"])
+    assert GroupHom(source, target, [(1, -1)]).images == [()]
+    for w in ((7, -7), (0, 0), (1, -2, 2)):
+        with pytest.raises(ValueError, match="out of range in image"):
+            GroupHom(source, target, [w])
 
 
 def test_canonical_form_renaming():
