@@ -31,26 +31,31 @@ L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), not struck
 from the chains, so the collapsed space is an ordinary complex.
 
 Homology is computed over the integers through Smith normal form with exact
-(arbitrary precision) arithmetic.  Validation looks up every facet of a
-complex once and keeps the rows as a face table; each boundary matrix is
-assembled from it in one pass, a tuple of rows per simplex beside one tuple
-of signs that all columns of a dimension share.  The d o d check proves
-most composite columns zero from the face identity (facet j of facet i is
-facet i - 1 of facet j, for j < i), tested on whole slices of columns at
-once, and sums exactly only the columns that proof cannot cover; no
-product matrix is built.  Then the boundaries are reduced top-down, the
-highest first, by smith_normal_form, the column reduction of persistent
-homology on a SparseIntMatrix: each column is reduced on its lowest row
-index, and the unit pivots are consumed.  A pivot is a pair of row and
-value tuples with its +-1 at the lowest row, the input's own tuples for a
-column that meets no pivot; only a column that does is copied into a dict
+(arbitrary precision) arithmetic.  A SparseIntMatrix is compressed sparse
+column: flat tables of row indices and values and the offsets of each
+column in them.  Validation looks up every facet of a complex once and keeps
+the rows as a face table, the d + 1 facet rows of each d-simplex in turn;
+that is already the flat row table of the boundary, so a boundary with
+nothing struck shares it, beside offsets that step by d + 1 and the signs
+repeated, and the chain complex copies nothing of the complex.  The d o d
+check proves most composite columns zero from the face identity (facet j
+of facet i is facet i - 1 of facet j, for j < i), tested on strided slices
+of the flat tables, a whole position of every column at once, and sums
+exactly only the columns that proof cannot cover; no product matrix is
+built.  Then the boundaries are reduced top-down, the highest first, by
+smith_normal_form, the column reduction of persistent homology: each column
+is reduced on its lowest row index, and the unit pivots are consumed.  A
+column becomes a tuple of rows and a tuple of values only when the
+reduction reaches it; a pivot is that pair of tuples with its +-1 at the
+lowest row, and only a column that meets a pivot is copied into a dict
 beside a max-heap of its rows.  Clearing (Chen-Kerber) skips every column
 of a boundary that is a unit pivot row of the boundary one degree up,
 since that column is an integer combination of the others (see
 ChainComplexZ.homology); those rows pass from one reduction to the next as
-a mask of one byte per row.  The small remainder of non-unit columns, the only place torsion can appear, is
-finished by dense_smith_normal_form, the textbook routine on a dense list
-of rows, which the small matrices of the group layer call directly.
+a mask of one byte per row.  The small remainder of non-unit columns, the
+only place torsion can appear, is finished by dense_smith_normal_form, the
+textbook routine on a dense list of rows, which the small matrices of the
+group layer call directly.
 """
 
 from __future__ import annotations
@@ -59,9 +64,9 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, compress, count, permutations, repeat
+from itertools import chain, combinations, compress, count, islice, permutations, repeat
 from math import gcd, lcm
-from operator import and_, contains, eq, is_not, itemgetter, lt, ne, not_
+from operator import gt, is_not, itemgetter, lt, ne, not_
 
 
 # ---------------------------------------------------------------------------
@@ -517,28 +522,66 @@ class HomologyResult:
 
 
 class SparseIntMatrix:
-    """Integer matrix in column-major sparse form: column c is the tuple
-    rows[c] of its distinct rows and the tuple vals[c] of their nonzero
-    values, in matching positions; a zero column is two empty tuples.
-    Tuples are never modified, so columns and matrices may share them."""
+    """Integer matrix in compressed sparse column form.  The entries of
+    column c sit at positions indptr[c] to indptr[c + 1] of two flat
+    sequences: indices holds their distinct rows, and values their nonzero
+    values, which read back as exact ints; a zero column is an empty span.
+    indptr may be a range, for columns that all have its step as width.  The
+    tables are only read, never modified, so matrices may share them: a
+    boundary of a complex with nothing struck is the complex's face table
+    itself (see relative_chain_complex).
 
-    def __init__(self, nrows: int, ncols: int, rows=None, vals=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows: list[tuple] = [()] * ncols if rows is None else rows
-        self.vals: list[tuple] = [()] * ncols if vals is None else vals
-        if not len(self.rows) == len(self.vals) == ncols:
-            raise ValueError(f"need row and value tuples for each of {ncols} columns")
+    The constructor refuses a row index outside 0..nrows-1, offsets that do
+    not rise from 0 to len(indices) over ncols + 1 entries, and values of
+    another length than indices.  Left out, the tables give a zero matrix."""
+
+    def __init__(self, nrows: int, ncols: int, indices=(), indptr=None, values=()):
+        if indptr is None:
+            indptr = [0] * (ncols + 1)
+        unsigned = isinstance(indices, array) and indices.typecode in "BHILQ"
+        if indices and (max(indices) >= nrows or not unsigned and min(indices) < 0):
+            raise ValueError(f"row index outside 0..{nrows - 1}")
+        rising = indptr.step > 0 if isinstance(indptr, range) else \
+            not any(map(gt, indptr, islice(indptr, 1, None)))
+        if not (len(indptr) == ncols + 1 and indptr[0] == 0 and indptr[-1] == len(indices) and rising):
+            raise ValueError(f"need {ncols + 1} offsets rising from 0 to {len(indices)}")
+        if len(values) != len(indices):
+            raise ValueError(f"{len(values)} values for {len(indices)} row indices")
+        self.nrows, self.ncols = nrows, ncols
+        self.indices, self.indptr, self.values = indices, indptr, values
 
     @classmethod
     def from_dense(cls, dense):
-        cols = list(zip(*dense))
-        rows = [tuple(r for r, v in enumerate(col) if v) for col in cols]
-        vals = [tuple(int(col[r]) for r in rs) for col, rs in zip(cols, rows)]
-        return cls(len(dense), len(cols), rows, vals)
+        indices, indptr, values = array("I"), [0], []
+        for col in zip(*dense):
+            rows = [r for r, v in enumerate(col) if v]
+            indices.extend(rows)
+            values += [int(col[r]) for r in rows]
+            indptr.append(len(indices))
+        return cls(len(dense), len(indptr) - 1, indices, indptr, values)
+
+    def columns(self, keep=None):
+        """Each column as a tuple of its rows and a tuple of its values, in
+        order; with keep, one flag per column, only the flagged columns, and
+        a column left out never becomes a tuple.
+
+        Columns of one width w are zipped from strided slices of the flat
+        tables, indices[i::w]; when the values repeat one pattern, every
+        column shares one values tuple."""
+        if keep is None:
+            keep = b"\1" * self.ncols
+        indices, values, indptr = self.indices, self.values, self.indptr
+        if not isinstance(indptr, range):
+            spans = compress(map(slice, indptr, islice(indptr, 1, None)), keep)
+            return ((tuple(indices[span]), tuple(values[span])) for span in spans)
+        w = indptr.step
+        rows = zip(*[compress(indices[i::w], keep) for i in range(w)])
+        if values[:w] * self.ncols == values:
+            return zip(rows, repeat(tuple(values[:w])))
+        return zip(rows, zip(*[compress(values[i::w], keep) for i in range(w)]))
 
     def nnz(self) -> int:
-        return sum(map(len, self.rows))
+        return len(self.indices)
 
 
 def dense_smith_normal_form(rows):
@@ -650,15 +693,17 @@ def smith_normal_form(m: SparseIntMatrix, clearing=None):
     so each pivot contributes an invariant 1 once the residual columns are
     cleared off every pivot row; the residual rows x columns, the only place
     torsion can appear, finish in the dense routine.  The input is not
-    modified: its row and value tuples are only read.
+    modified: its flat tables are only read.
 
-    A pivot is a triple (rows, vals, unit) of two tuples and its +-1 at the
-    lowest row; an entry v there is cleared by subtracting v * unit times
-    the pivot, so no negated copy is made.  A column whose lowest row is
-    free and holds +-1 becomes a pivot on the input's own tuples, with no
-    copy.  Only a column that meets a pivot, or is left for the residual
-    pass, is copied into a working dict with a max-heap of its rows beside
-    it; a reduced column that becomes a pivot is stored back as two tuples.
+    A column becomes a tuple of rows and a tuple of values only when the
+    reduction reaches it, so a skipped column is never copied.  A pivot is
+    a triple (rows, vals, unit) of two tuples and its +-1 at the lowest row;
+    an entry v there is cleared by subtracting v * unit times the pivot, so
+    no negated copy is made.  A column whose lowest row is free and holds
+    +-1 becomes a pivot on those tuples as they are.  Only a column that
+    meets a pivot, or is left for the residual pass, is copied into a
+    working dict with a max-heap of its rows beside it; a reduced column
+    that becomes a pivot is stored back as two tuples.
     Rows are pushed when the column gains them and never removed, so the
     lowest row is the heap's top once tops that have cancelled are popped.
     A column that takes many steps to reduce then costs a heap operation
@@ -677,8 +722,8 @@ def smith_normal_form(m: SparseIntMatrix, clearing=None):
         skip = clearing
     pivots: dict[int, tuple] = {}  # lowest row -> (rows, vals, unit)
     residual = []
-    for rows, vals, skipped in zip(m.rows, m.vals, skip):
-        if skipped or not rows:
+    for rows, vals in m.columns(bytes(map(not_, skip))):
+        if not rows:
             continue
         low = max(rows)
         if low in pivots:
@@ -733,14 +778,63 @@ def _signs(n: int) -> tuple:
     return tuple(-1 if i % 2 else 1 for i in range(n))
 
 
-def _composite_column_is_zero(lrows, lvals, rows, vals) -> bool:
-    """Whether the matrix with column tuples lrows, lvals maps the column
-    (rows, vals) to zero, summed exactly in a dict."""
+def _composite_column_is_zero(low: SparseIntMatrix, rows, vals) -> bool:
+    """Whether low maps the column with entries (rows, vals) to zero,
+    summed exactly in a dict."""
     acc: dict[int, int] = {}
     for k, w in zip(rows, vals):
-        for r, v in zip(lrows[k], lvals[k]):
+        span = slice(low.indptr[k], low.indptr[k + 1])
+        for r, v in zip(low.indices[span], low.values[span]):
             acc[r] = acc.get(r, 0) + v * w
     return not any(acc.values())
+
+
+def _standard_rows(m: SparseIntMatrix, w: int):
+    """The columns of m that are not standard, as a set, and the rows of m
+    by position: rows[i][c] is row i of column c, 0 at a column that is not
+    standard.  A standard column has w rows with the values (+1, -1, ...).
+    Offsets that step by w are read as strided slices of the flat tables,
+    indices[i::w]; any other layout is first copied into that one."""
+    signs = _signs(w)
+    indices, values = m.indices, m.values
+    if m.indptr == range(0, len(indices) + 1, w):
+        bad = set()
+        for i, sign in enumerate(signs):
+            vs = values[i::w]
+            if vs.count(sign) != len(vs):
+                bad.update(compress(count(), map(ne, vs, repeat(sign))))
+    else:
+        bad, pad, indices = set(), (0,) * w, array("I")
+        for c, (rows, vals) in enumerate(m.columns()):
+            if vals != signs:
+                bad.add(c)
+            indices.extend(pad if c in bad else rows)
+    return bad, [indices[i::w].tolist() for i in range(w)]
+
+
+def _composite_is_zero(low, lbad, lrows, high, hbad, hrows) -> bool:
+    """Whether low * high is zero, given each boundary's non-standard
+    columns and rows by position (_standard_rows); see
+    ChainComplexZ.check_boundary_squared."""
+    unproved = set(hbad)
+    if lbad:  # a column naming a non-standard low column
+        for rows in hrows:
+            unproved.update(compress(count(), map(lbad.__contains__, rows)))
+    standard = bytearray(b"\1") * high.ncols
+    for c in unproved:
+        standard[c] = 0
+    # cols[i][s]: row i of the s-th standard column
+    cols = [list(compress(rows, standard)) for rows in hrows] if unproved else hrows
+    for j, i in combinations(range(len(hrows)), 2):
+        left = list(map(lrows[j].__getitem__, cols[i]))
+        right = list(map(lrows[i - 1].__getitem__, cols[j]))
+        if left != right:
+            unproved.update(compress(compress(count(), standard), map(ne, left, right)))
+    for c in sorted(unproved):
+        span = slice(high.indptr[c], high.indptr[c + 1])
+        if not _composite_column_is_zero(low, high.indices[span], high.values[span]):
+            return False
+    return True
 
 
 class ChainComplexZ:
@@ -769,32 +863,21 @@ class ChainComplexZ:
         if row j of low column i equals row i - 1 of low column j for every
         j < i, all terms cancel in pairs.  A simplicial boundary passes,
         since both rows are the simplex less its vertices j and i.  Each
-        pair (j, i) is tested for all standard columns at once, on lists of
-        rows taken by itemgetter.
+        pair (j, i) is tested for all standard columns at once, on strided
+        slices of the flat tables (see _standard_rows), and each boundary is
+        sliced once, as the high side of one composite and the low side of
+        the next.
 
         Every other column (non-standard values, a low column with a row
         cut out or a non-unit entry, a pair of rows that differ) is summed
         exactly by _composite_column_is_zero, and the first nonzero one ends
         the check.  No product matrix is built."""
-        for d, (low, high) in enumerate(zip(self.boundaries, self.boundaries[1:]), 1):
-            lrows, lvals, hrows, hvals = low.rows, low.vals, high.rows, high.vals
-            nonstandard = set(compress(count(), map(ne, lvals, repeat(_signs(d + 1)))))
-            standard = map(eq, hvals, repeat(_signs(d + 2)))
-            if nonstandard:
-                standard = map(and_, standard, map(nonstandard.isdisjoint, hrows))
-            standard = bytes(standard)
-            cols = list(compress(hrows, standard))
-            # facets[i][c]: the rows of the i-th low column of standard column c
-            facets = [list(map(lrows.__getitem__, map(itemgetter(i), cols))) for i in range(d + 2)]
-            unproved = set(compress(count(), map(not_, standard)))
-            for j, i in combinations(range(d + 2), 2):
-                left = list(map(itemgetter(j), facets[i]))
-                right = list(map(itemgetter(i - 1), facets[j]))
-                if left != right:
-                    unproved.update(compress(compress(count(), standard), map(ne, left, right)))
-            for c in sorted(unproved):
-                if not _composite_column_is_zero(lrows, lvals, hrows[c], hvals[c]):
-                    return False
+        below = None  # a boundary, its non-standard columns and its rows by position
+        for w, high in enumerate(self.boundaries, 2):
+            above = (high, *_standard_rows(high, w))
+            if below is not None and not _composite_is_zero(*below, *above):
+                return False
+            below = above
         return True
 
     def homology(self) -> HomologyResult:
@@ -847,35 +930,44 @@ def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ
 
     sub_simplices lists, per dimension, the simplices spanning the
     subcomplex; its chains are struck from the bases and from the boundary
-    images.  Each column's rows are read off k's face table, and the columns
-    of a dimension share one tuple of signs; only a column that holds a
-    struck row gets tuples of its own, with that row cut out.
+    images.  A boundary with nothing struck from its rows or columns is k's
+    face table itself, with offsets stepping by the simplex width and the
+    signs repeated beside it, so nothing is copied; only one with a struck
+    row or column builds flat tables of its own, struck rows cut out.
     """
     sub = [set(map(tuple, s)) for s in sub_simplices]
     sub += [set()] * (k.dim + 1 - len(sub))
-    basis = []  # basis[d][j]: basis index of the j-th d-simplex, None if struck
+    # basis[d][j]: basis index of the j-th d-simplex, None if struck;
+    # basis[d] is None when nothing of dimension d is struck
+    basis, dims = [], []
     for ss, struck in zip(k.simplices, sub):
-        if struck:
+        if not struck or struck.isdisjoint(ss):
+            basis.append(None)
+            dims.append(len(ss))
+        else:
             keep = count()
             basis.append([None if s in struck else next(keep) for s in ss])
-        else:  # a list, not a range: every column then shares one int per row
-            basis.append(list(range(len(ss))))
-    dims = [len(b) - b.count(None) for b in basis]
+            dims.append(next(keep))
     boundaries = []
     for d in range(1, k.dim + 1):
-        rows = zip(*[map(basis[d - 1].__getitem__, k.faces[d])] * (d + 1))
-        if dims[d] < len(basis[d]):  # the struck columns go
-            rows = compress(rows, map(is_not, basis[d], repeat(None)))
-        rows = list(rows)
-        vals = [_signs(d + 1)] * len(rows)
-        if dims[d - 1] < len(basis[d - 1]):  # and the struck rows
-            for j in compress(count(), map(contains, rows, repeat(None))):
-                r, v = rows[j], vals[j]
-                while None in r:
-                    i = r.index(None)
-                    r, v = r[:i] + r[i + 1:], v[:i] + v[i + 1:]
-                rows[j], vals[j] = r, v
-        boundaries.append(SparseIntMatrix(dims[d - 1], dims[d], rows, vals))
+        faces, signs = k.faces[d], _signs(d + 1)
+        if basis[d - 1] is None and basis[d] is None:
+            boundaries.append(SparseIntMatrix(dims[d - 1], dims[d], faces,
+                                              range(0, len(faces) + 1, d + 1),
+                                              array("b", signs) * dims[d]))
+            continue
+        rows = faces if basis[d - 1] is None else map(basis[d - 1].__getitem__, faces)
+        cols = zip(*[iter(rows)] * (d + 1))
+        if basis[d] is not None:
+            cols = compress(cols, map(is_not, basis[d], repeat(None)))
+        indices, indptr, values = array("I"), [0], array("b")
+        for col in cols:
+            for r, v in zip(col, signs):
+                if r is not None:
+                    indices.append(r)
+                    values.append(v)
+            indptr.append(len(indices))
+        boundaries.append(SparseIntMatrix(dims[d - 1], dims[d], indices, indptr, values))
     return ChainComplexZ(dims, boundaries)
 
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from itertools import chain, combinations, permutations
 from math import gcd, lcm, prod
 from pathlib import Path
@@ -92,8 +93,19 @@ def test_snf_divisibility_chain():
 
 
 def _matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    """a times b for dense lists of rows, summed over the nonzero entries of
+    both factors only: each nonzero a[i][k] adds its multiple of b's row k,
+    held as its nonzero (column, value) pairs."""
+    brows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _det(mm):
@@ -126,7 +138,7 @@ def test_snf_diagonal_matches_minor_gcds():
 
 def _dense(m):
     out = [[0] * m.ncols for _ in range(m.nrows)]
-    for c, (rows, vals) in enumerate(zip(m.rows, m.vals)):
+    for c, (rows, vals) in enumerate(m.columns()):
         for r, v in zip(rows, vals):
             out[r][c] = v
     return out
@@ -172,25 +184,46 @@ def test_boundary_squared_check_matches_product():
         assert not _boundary_squared(d1, d2, [[0] for _ in range(len(d2[0]) - 1)] + [[1]])
         seen.add(False)
     assert seen == {True, False}
-    # one standard column of d2 edited in place, so the face identity proves
-    # nothing for it and the exact sum decides
+    # one standard column of d2 edited in a copy of its rows, so the face
+    # identity proves nothing for it and the exact sum decides
     for cx in (sphere_complex(), rp2_complex(), build_torus_complex(2, 3), build_exp_complex(2, 3)):
         low, high = chain_complex(cx).boundaries
+        lows = [rows for rows, _ in low.columns()]
+        highs = [rows for rows, _ in high.columns()]
         for c in (0, high.ncols // 2, high.ncols - 1):
-            f0, f1, f2 = high.rows[c]
-            others = [r for r in range(low.ncols) if r not in high.rows[c]]
+            f0, f1, f2 = highs[c]
+            others = [r for r in range(low.ncols) if r not in highs[c]]
             # preferably an edge that shares row 0 with f1, so that only
             # the last pair of positions, (1, 2), fails
-            other = next((r for r in others if low.rows[r][0] == low.rows[f1][0]), others[0])
+            other = next((r for r in others if lows[r][0] == lows[f1][0]), others[0])
             # swapping rows 0 and 2 keeps the column, both being +1, so the
             # product stays zero though the pairing fails; replacing a row
             # makes it nonzero
             for rows, want in (((f2, f1, f0), True), ((f0, other, f2), False)):
-                edited = SparseIntMatrix(high.nrows, high.ncols, high.rows[:], high.vals)
-                edited.rows[c] = rows
+                indices = array("I", high.indices)  # the face table stays as it is
+                indices[high.indptr[c]:high.indptr[c + 1]] = array("I", rows)
+                edited = SparseIntMatrix(high.nrows, high.ncols, indices, high.indptr, high.values)
                 cc = ChainComplexZ([low.nrows, low.ncols, high.ncols], [low, edited])
                 assert (not any(map(any, _matmul(_dense(low), _dense(edited))))) == want
                 assert cc.check_boundary_squared() == want
+
+
+def test_boundary_squared_reads_values_beside_a_face_table():
+    # a boundary on the sphere's face table with other values: its rows
+    # pass the face identity, so only the values can make a composite
+    # nonzero; a negated column is not standard either and sums to zero
+    d1, d2 = chain_complex(sphere_complex()).boundaries
+    for low, high, want in (
+        (d1, array("b", [1, -1, 1]) * 4, True),
+        (d1, array("b", [1, 1, 1]) * 4, False),
+        (d1, array("b", [1, -1, 1, -1, 1, -1, -1, 1, -1, 1, -1, 1]), True),
+        (array("b", [1, 1]) * 6, d2.values, False),
+    ):
+        if not isinstance(low, SparseIntMatrix):
+            low = SparseIntMatrix(d1.nrows, d1.ncols, d1.indices, d1.indptr, low)
+        high = SparseIntMatrix(d2.nrows, d2.ncols, d2.indices, d2.indptr, high)
+        assert ChainComplexZ([4, 6, 4], [low, high]).check_boundary_squared() == want
+        assert (not any(map(any, _matmul(_dense(low), _dense(high))))) == want
 
 
 def _pair(k, n):
@@ -204,29 +237,29 @@ def _coned(k, n):
     return cx.cone([q for q, key in enumerate(keys) if len(key) < k])
 
 
-@pytest.mark.parametrize("make, relative", [
-    (lambda: chain_complex(sphere_complex()), False),
-    (lambda: chain_complex(rp2_complex()), False),
-    (lambda: chain_complex(build_torus_complex(2, 3)), False),
-    *[(lambda n=n: chain_complex(build_exp_complex(2, n)), False) for n in (3, 4, 5)],
-    (lambda: _pair(2, 3), True),
-    (lambda: chain_complex(_coned(2, 3)), False),
-    pytest.param(lambda: chain_complex(build_exp_complex(3, 3)), False, marks=pytest.mark.slow),
-    pytest.param(lambda: _pair(3, 3), True, marks=pytest.mark.slow),
-    pytest.param(lambda: chain_complex(_coned(3, 3)), False, marks=pytest.mark.slow),
+@pytest.mark.parametrize("make, summed", [
+    (lambda: chain_complex(sphere_complex()), 0),
+    (lambda: chain_complex(rp2_complex()), 0),
+    (lambda: chain_complex(build_torus_complex(2, 3)), 0),
+    *[(lambda n=n: chain_complex(build_exp_complex(2, n)), 0) for n in (3, 4, 5)],
+    (lambda: _pair(2, 3), 48),
+    (lambda: chain_complex(_coned(2, 3)), 0),
+    pytest.param(lambda: chain_complex(build_exp_complex(3, 3)), 0, marks=pytest.mark.slow),
+    pytest.param(lambda: _pair(3, 3), 10_440, marks=pytest.mark.slow),
+    pytest.param(lambda: chain_complex(_coned(3, 3)), 0, marks=pytest.mark.slow),
 ], ids=["sphere", "rp2", "torus2-n3", "exp2-n3", "exp2-n4", "exp2-n5", "exp2-n3-relative",
         "exp2-n3-coned", "exp3-n3", "exp3-n3-relative", "exp3-n3-coned"])
-def test_boundary_squared_fast_path(monkeypatch, make, relative):
+def test_boundary_squared_fast_path(monkeypatch, make, summed):
     # the face identity proves every column of an absolute complex, so none
     # is summed exactly; a pair cuts struck rows out of some columns, and
-    # the columns over those are summed (10 440 for exp_3 at n=3).  A coned
-    # stratum is an absolute complex, so the relative op sums none
+    # the columns over those are summed.  A coned stratum is an absolute
+    # complex, so the relative op sums none
     exact = complexes._composite_column_is_zero
     calls = []
     monkeypatch.setattr(complexes, "_composite_column_is_zero",
                         lambda *args: calls.append(args) or exact(*args))
     assert make().check_boundary_squared()
-    assert (len(calls) > 0) if relative else (len(calls) == 0)
+    assert len(calls) == summed
 
 
 def test_nonzero_boundary_squared_is_refused():
@@ -426,7 +459,7 @@ def _as_lists(cc):
     # a list of (row, value) pins the order of each column's entries, not
     # only its values; zero columns are left out, as the reference leaves them
     return cc.dims, [(b.nrows, b.ncols, {c: list(zip(rows, vals))
-                                         for c, (rows, vals) in enumerate(zip(b.rows, b.vals))
+                                         for c, (rows, vals) in enumerate(b.columns())
                                          if rows})
                      for b in cc.boundaries]
 
@@ -439,11 +472,53 @@ def test_boundaries_match_face_slicing(name):
     assert _as_lists(relative_chain_complex(cx, sub)) == _boundaries_by_slicing(cx, sub)
 
 
-def test_chain_complex_shares_one_int_per_row():
-    # the basis is a list, so every column that holds a row holds the same
-    # int object for it; a range basis would build one int per entry
-    for b in chain_complex(build_exp_complex(2, 3)).boundaries:
-        assert len({id(r) for rows in b.rows for r in rows}) <= b.nrows
+def test_chain_complex_shares_the_face_table():
+    # with nothing struck every boundary is the complex's face table itself,
+    # not a copy, its offsets stepping by the simplex width; the boundary of
+    # a struck pair builds flat tables of its own when it loses a row or a
+    # column, and shares the face table when it loses neither
+    for cx in (sphere_complex(), build_exp_complex(2, 3), _coned(2, 3)):
+        for d, b in enumerate(chain_complex(cx).boundaries, 1):
+            assert b.indices is cx.faces[d]
+            assert b.indptr == range(0, len(cx.faces[d]) + 1, d + 1)
+    cx = sphere_complex()
+    d1, d2 = relative_chain_complex(cx, [[], [], [(0, 1, 2)]]).boundaries
+    assert d1.indices is cx.faces[1] and d2.indices is not cx.faces[2]
+    assert list(d2.indptr) == [0, 3, 6, 9] and d2.nnz() == 9
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 1, [5], [0, 1], [1]), r"row index outside 0\.\.1"),
+    ((2, 1, [-1], [0, 1], [1]), r"row index outside 0\.\.1"),
+    ((2, 3, [0, 1], [0, 2, 1, 2], [1, 1]), "need 4 offsets rising from 0 to 2"),
+    ((2, 1, [0, 1], [0, 1], [1, 1]), "need 2 offsets rising from 0 to 2"),
+    ((2, 1, [0, 1], [1, 2], [1, 1]), "need 2 offsets rising from 0 to 2"),
+    ((2, 2, [0, 1], [0, 2], [1, 1]), "need 3 offsets rising from 0 to 2"),
+    ((2, 2, [0, 1, 0], range(0, 4, 2), [1, 1, 1]), "need 3 offsets rising from 0 to 3"),
+    ((2, 1, [0, 1], [0, 2], [1]), "1 values for 2 row indices"),
+    ((2, 1, [0], [0, 1], [1, 2]), "2 values for 1 row indices"),
+], ids=["row-past-end", "negative-row", "falling-offsets", "offsets-short-of-end",
+        "offsets-not-from-0", "too-few-offsets", "range-past-end", "too-few-values",
+        "too-many-values"])
+def test_malformed_matrices_are_refused(args, message):
+    # refused before any reduction: a row past the end used to give the
+    # invariants [1], or an IndexError under a clearing mask
+    with pytest.raises(ValueError, match=message):
+        SparseIntMatrix(*args)
+
+
+def test_matrix_tables_read_back_as_columns():
+    m = SparseIntMatrix(3, 4, array("I", [2, 0, 1, 2]), [0, 1, 1, 4, 4], [5, -1, 3, 7])
+    assert list(m.columns()) == [((2,), (5,)), ((), ()), ((0, 1, 2), (-1, 3, 7)), ((), ())]
+    assert list(m.columns(b"\0\1\1\0")) == [((), ()), ((0, 1, 2), (-1, 3, 7))]
+    assert m.nnz() == 4 and _dense(m) == [[0, 0, -1, 0], [0, 0, 3, 0], [5, 0, 7, 0]]
+    # one width: strided slices, the values pattern shared by every column
+    m = SparseIntMatrix(3, 3, array("I", [0, 1, 1, 2, 0, 2]), range(0, 7, 2), array("b", [1, -1] * 3))
+    cols = list(m.columns(b"\1\0\1"))
+    assert cols == [((0, 1), (1, -1)), ((0, 2), (1, -1))] and cols[0][1] is cols[1][1]
+    m = SparseIntMatrix(3, 2, array("I", [0, 1, 1, 2]), range(0, 5, 2), [1, -1, 2, 3])
+    assert list(m.columns()) == [((0, 1), (1, -1)), ((1, 2), (2, 3))]
+    assert list(SparseIntMatrix(2, 3).columns()) == [((), ())] * 3
 
 
 def test_stray_sub_simplex_does_not_shift_dims():
@@ -516,20 +591,21 @@ def _snf_twice(m, clearing=None):
     """Reduce m twice, each time from a copy of the clearing mask, checking
     after each pass that its columns are unchanged; returns the invariants
     and the mask they leave, the same both times."""
-    rows, vals = list(m.rows), list(m.vals)
+    tables = (list(m.indices), list(m.indptr), list(m.values))
     out = []
     for _ in range(2):
         mask = None if clearing is None else bytearray(clearing)
         out.append((smith_normal_form(m, mask), mask))
-        assert (m.rows, m.vals) == (rows, vals)
+        assert (list(m.indices), list(m.indptr), list(m.values)) == tables
     assert out[0] == out[1]
     return out[0]
 
 
 def test_snf_leaves_its_input_unchanged():
-    # the reduction only reads the input's tuples, which its pivots may
-    # share; exp_2 at n=3 is a band, so its d2 is injective and d1 has rank
-    # one short of its rows, reduced with and without the mask d2 leaves
+    # the reduction only reads the input's flat tables, from which its
+    # pivots' tuples are made; exp_2 at n=3 is a band, so its d2 is
+    # injective and d1 has rank one short of its rows, reduced with and
+    # without the mask d2 leaves
     d1, d2 = chain_complex(build_exp_complex(2, 3)).boundaries
     invs, mask = _snf_twice(d2, bytearray(d2.ncols))
     assert invs == [1] * d2.ncols and any(mask)
@@ -538,7 +614,7 @@ def test_snf_leaves_its_input_unchanged():
     m = [[2, 4, 1, 0], [0, 6, 1, 3], [4, 2, 0, 9]]
     invs, _ = _snf_twice(SparseIntMatrix.from_dense(m))
     assert invs == dense_smith_normal_form(m) and invs[-1] > 1
-    # under clearing, column 3 meets column 0, a pivot on the input's own
+    # under clearing, column 3 meets column 0, a pivot on the column's own
     # tuples with -1 at its low row, and column 2 is skipped
     m = [[1, 0, 1, 1], [0, 1, 1, 0], [-1, 0, 0, 1]]
     invs, mask = _snf_twice(SparseIntMatrix.from_dense(m), bytearray([0, 0, 1, 0]))
@@ -973,10 +1049,13 @@ def test_exp3_homology_is_sphere_n3():
 # tracemalloc peak of homology(build_exp_complex(3, 3)), build excluded, in
 # bytes: 26.49 MB when each column was a dict (27.07 MB under Python 3.10),
 # 13.81 MB with row and value tuples (13.85 MB under 3.10), 14.01 MB with a
-# dict per pivot column and 10.36 MB with pivots on the boundary's own
-# tuples (Python 3.11); the bound sits halfway between the last two.
-# tracemalloc counts Python allocations, so the figure repeats.
-HOMOLOGY_PEAK_BOUND = 12_200_000
+# dict per pivot column, 10.36 MB with pivots on the boundary's own tuples
+# (Python 3.11), which read 10.63 MB on the machine that measured the next
+# figure: 6.11 MB with the boundaries sharing the complex's face tables and
+# a column made a tuple only when the reduction reaches it.  The bound sits
+# halfway between the last two.  tracemalloc counts Python allocations, so
+# the figure repeats.
+HOMOLOGY_PEAK_BOUND = 8_370_000
 
 
 @pytest.mark.slow
