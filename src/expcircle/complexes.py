@@ -27,35 +27,36 @@ fractions.
 A complex keeps each dimension in the order its simplices were first given,
 so nothing the build makes is sorted; one dict per dimension both drops the
 repeats and looks up the facets of the dimension above.  The pair stratum
-L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), not struck
-from the chains, so the collapsed space is an ordinary complex.
+L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), so relative
+homology is the absolute homology of an ordinary complex and chain_complex
+is the one simplicial chain-complex constructor.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  A SparseIntMatrix is compressed sparse
 column: flat tables of row indices and values and the offsets of each
-column in them.  Validation looks up every facet of a complex once and keeps
-the rows as a face table, the d + 1 facet rows of each d-simplex in turn;
-that is already the flat row table of the boundary, so a boundary with
-nothing struck shares it, beside offsets that step by d + 1 and the signs
-repeated, and the chain complex copies nothing of the complex.  The d o d
-check proves most composite columns zero from the face identity (facet j
-of facet i is facet i - 1 of facet j, for j < i), tested on strided slices
-of the flat tables, a whole position of every column at once, and sums
-exactly only the columns that proof cannot cover; no product matrix is
-built.  Then the boundaries are reduced top-down, the highest first, by
-smith_normal_form, the column reduction of persistent homology: each column
-is reduced on its lowest row index, and the unit pivots are consumed.  A
-column becomes a tuple of rows and a tuple of values only when the
-reduction reaches it; a pivot is that pair of tuples with its +-1 at the
-lowest row, and only a column that meets a pivot is copied into a dict
-beside a max-heap of its rows.  Clearing (Chen-Kerber) skips every column
-of a boundary that is a unit pivot row of the boundary one degree up,
-since that column is an integer combination of the others (see
-ChainComplexZ.homology); those rows pass from one reduction to the next as
-a mask of one byte per row.  The small remainder of non-unit columns, the
-only place torsion can appear, is finished by dense_smith_normal_form, the
-textbook routine on a dense list of rows, which the small matrices of the
-group layer call directly.
+column in them.  Validation looks up every facet of a complex once and
+keeps the rows as a face table, the d + 1 facet rows of each d-simplex in
+turn; that is already the flat row table of the boundary, so every boundary
+shares it, beside offsets that step by d + 1 and the signs repeated, and
+the chain complex copies nothing of the complex.  The d o d check proves a
+composite of two face tables zero from the face identity (facet j of facet
+i is facet i - 1 of facet j, for j < i), tested on strided slices of the
+flat tables, a whole position of every column at once, and sums exactly
+only the columns whose rows differ, or every column when a boundary is laid
+out otherwise; no product matrix is built.  Then the boundaries are reduced
+top-down, the highest first, by smith_normal_form, the column reduction of
+persistent homology: each column is reduced on its lowest row index, and
+the unit pivots are consumed.  A column becomes a tuple of rows and a tuple
+of values only when the reduction reaches it; a pivot is that pair of
+tuples with its +-1 at the lowest row, and only a column that meets a pivot
+is copied into a dict beside a max-heap of its rows.  Clearing
+(Chen-Kerber) skips every column of a boundary that is a unit pivot row of
+the boundary one degree up, since that column is an integer combination of
+the others (see ChainComplexZ.homology); those rows pass from one reduction
+to the next as a mask of one byte per row.  The small remainder of non-unit
+columns, the only place torsion can appear, is finished by
+dense_smith_normal_form, the textbook routine on a dense list of rows,
+which the small matrices of the group layer call directly.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, count, islice, permutations, repeat
 from math import gcd, lcm
-from operator import gt, is_not, itemgetter, lt, ne, not_
+from operator import gt, itemgetter, lt, ne, not_
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +529,8 @@ class SparseIntMatrix:
     values, which read back as exact ints; a zero column is an empty span.
     indptr may be a range, for columns that all have its step as width.  The
     tables are only read, never modified, so matrices may share them: a
-    boundary of a complex with nothing struck is the complex's face table
-    itself (see relative_chain_complex).
+    boundary of a complex is the complex's face table itself (see
+    chain_complex).
 
     The constructor refuses a row index outside 0..nrows-1, offsets that do
     not rise from 0 to len(indices) over ncols + 1 entries, and values of
@@ -789,48 +790,34 @@ def _composite_column_is_zero(low: SparseIntMatrix, rows, vals) -> bool:
     return not any(acc.values())
 
 
-def _standard_rows(m: SparseIntMatrix, w: int):
-    """The columns of m that are not standard, as a set, and the rows of m
-    by position: rows[i][c] is row i of column c, 0 at a column that is not
-    standard.  A standard column has w rows with the values (+1, -1, ...).
-    Offsets that step by w are read as strided slices of the flat tables,
-    indices[i::w]; any other layout is first copied into that one."""
-    signs = _signs(w)
-    indices, values = m.indices, m.values
-    if m.indptr == range(0, len(indices) + 1, w):
-        bad = set()
-        for i, sign in enumerate(signs):
-            vs = values[i::w]
-            if vs.count(sign) != len(vs):
-                bad.update(compress(count(), map(ne, vs, repeat(sign))))
-    else:
-        bad, pad, indices = set(), (0,) * w, array("I")
-        for c, (rows, vals) in enumerate(m.columns()):
-            if vals != signs:
-                bad.add(c)
-            indices.extend(pad if c in bad else rows)
-    return bad, [indices[i::w].tolist() for i in range(w)]
+def _face_rows(m: SparseIntMatrix, w: int):
+    """The rows of m by position, rows[i][c] being row i of column c, when m
+    is laid out as a face table: offsets stepping by w and the values
+    (+1, -1, ...) in every column.  None for any other matrix."""
+    if m.indptr != range(0, m.nnz() + 1, w):
+        return None
+    for i, sign in enumerate(_signs(w)):
+        vs = m.values[i::w]
+        if vs.count(sign) != len(vs):
+            return None
+    return [m.indices[i::w].tolist() for i in range(w)]
 
 
-def _composite_is_zero(low, lbad, lrows, high, hbad, hrows) -> bool:
-    """Whether low * high is zero, given each boundary's non-standard
-    columns and rows by position (_standard_rows); see
+def _composite_is_zero(low, lrows, high, hrows) -> bool:
+    """Whether low * high is zero, given each boundary's rows by position,
+    or None for one that is not a face table (_face_rows); see
     ChainComplexZ.check_boundary_squared."""
-    unproved = set(hbad)
-    if lbad:  # a column naming a non-standard low column
-        for rows in hrows:
-            unproved.update(compress(count(), map(lbad.__contains__, rows)))
-    standard = bytearray(b"\1") * high.ncols
+    if lrows is None or hrows is None:
+        unproved = range(high.ncols)
+    else:
+        unproved = set()
+        for j, i in combinations(range(len(hrows)), 2):
+            left = list(map(lrows[j].__getitem__, hrows[i]))
+            right = list(map(lrows[i - 1].__getitem__, hrows[j]))
+            if left != right:
+                unproved.update(compress(count(), map(ne, left, right)))
+        unproved = sorted(unproved)
     for c in unproved:
-        standard[c] = 0
-    # cols[i][s]: row i of the s-th standard column
-    cols = [list(compress(rows, standard)) for rows in hrows] if unproved else hrows
-    for j, i in combinations(range(len(hrows)), 2):
-        left = list(map(lrows[j].__getitem__, cols[i]))
-        right = list(map(lrows[i - 1].__getitem__, cols[j]))
-        if left != right:
-            unproved.update(compress(compress(count(), standard), map(ne, left, right)))
-    for c in sorted(unproved):
         span = slice(high.indptr[c], high.indptr[c + 1])
         if not _composite_column_is_zero(low, high.indices[span], high.values[span]):
             return False
@@ -853,28 +840,28 @@ class ChainComplexZ:
     def check_boundary_squared(self) -> bool:
         """Whether every composite low * high of two boundaries is zero.
 
-        Most columns are proved zero by the face identity.  In the d-th
-        composite a standard column of high has d + 2 rows with values
-        (+1, -1, +1, ...), and each low column it names has d + 1 rows with
-        values (+1, -1, ...).  The composite column is then the sum of the
-        terms (i, j): row j of the column's i-th low column, with sign
+        Each boundary is classified whole: it is a face table when its
+        offsets step by its width and every column has the values
+        (+1, -1, +1, ...) (see _face_rows).  In the d-th composite of two
+        face tables every column of high has d + 2 rows, and each low
+        column it names has d + 1.  The composite column is then the sum of
+        the terms (i, j): row j of the column's i-th low column, with sign
         (-1)**(i + j).  For j < i the term (j, i - 1) has the opposite sign,
         and (i, j) -> (j, i - 1) maps {j < i} one-to-one onto {j >= i}; so
         if row j of low column i equals row i - 1 of low column j for every
         j < i, all terms cancel in pairs.  A simplicial boundary passes,
         since both rows are the simplex less its vertices j and i.  Each
-        pair (j, i) is tested for all standard columns at once, on strided
-        slices of the flat tables (see _standard_rows), and each boundary is
-        sliced once, as the high side of one composite and the low side of
-        the next.
+        pair (j, i) is tested for all columns at once, on strided slices of
+        the flat tables, and each boundary is sliced once, as the high side
+        of one composite and the low side of the next.
 
-        Every other column (non-standard values, a low column with a row
-        cut out or a non-unit entry, a pair of rows that differ) is summed
-        exactly by _composite_column_is_zero, and the first nonzero one ends
-        the check.  No product matrix is built."""
-        below = None  # a boundary, its non-standard columns and its rows by position
+        A column whose rows differ at some pair, and every column of a
+        composite with a side that is not a face table, is summed exactly by
+        _composite_column_is_zero, and the first nonzero one ends the
+        check.  No product matrix is built."""
+        below = None  # a boundary and its rows by position
         for w, high in enumerate(self.boundaries, 2):
-            above = (high, *_standard_rows(high, w))
+            above = (high, _face_rows(high, w))
             if below is not None and not _composite_is_zero(*below, *above):
                 return False
             below = above
@@ -916,59 +903,26 @@ class ChainComplexZ:
 
 
 def chain_complex(k: SimplicialComplex) -> ChainComplexZ:
-    """Simplicial chain complex with the orientation from sorted vertices."""
-    return relative_chain_complex(k, ())
+    """Simplicial chain complex with the orientation from sorted vertices.
+
+    Each boundary is k's face table itself, with offsets stepping by the
+    simplex width and the signs repeated beside it, so nothing is copied."""
+    boundaries = []
+    for d in range(1, k.dim + 1):
+        faces, ncols = k.faces[d], len(k.simplices[d])
+        boundaries.append(SparseIntMatrix(len(k.simplices[d - 1]), ncols, faces,
+                                          range(0, len(faces) + 1, d + 1),
+                                          array("b", _signs(d + 1)) * ncols))
+    return ChainComplexZ(k.counts(), boundaries)
+
+
+# kept only because benchmarks/tracing.py wraps this name; pairs are coned off
+relative_chain_complex = chain_complex
 
 
 def homology(k: SimplicialComplex) -> HomologyResult:
     """Integer homology of a simplicial complex via Smith normal form."""
     return chain_complex(k).homology()
-
-
-def relative_chain_complex(k: SimplicialComplex, sub_simplices) -> ChainComplexZ:
-    """Chain complex of the pair (k, subcomplex): the quotient of chains.
-
-    sub_simplices lists, per dimension, the simplices spanning the
-    subcomplex; its chains are struck from the bases and from the boundary
-    images.  A boundary with nothing struck from its rows or columns is k's
-    face table itself, with offsets stepping by the simplex width and the
-    signs repeated beside it, so nothing is copied; only one with a struck
-    row or column builds flat tables of its own, struck rows cut out.
-    """
-    sub = [set(map(tuple, s)) for s in sub_simplices]
-    sub += [set()] * (k.dim + 1 - len(sub))
-    # basis[d][j]: basis index of the j-th d-simplex, None if struck;
-    # basis[d] is None when nothing of dimension d is struck
-    basis, dims = [], []
-    for ss, struck in zip(k.simplices, sub):
-        if not struck or struck.isdisjoint(ss):
-            basis.append(None)
-            dims.append(len(ss))
-        else:
-            keep = count()
-            basis.append([None if s in struck else next(keep) for s in ss])
-            dims.append(next(keep))
-    boundaries = []
-    for d in range(1, k.dim + 1):
-        faces, signs = k.faces[d], _signs(d + 1)
-        if basis[d - 1] is None and basis[d] is None:
-            boundaries.append(SparseIntMatrix(dims[d - 1], dims[d], faces,
-                                              range(0, len(faces) + 1, d + 1),
-                                              array("b", signs) * dims[d]))
-            continue
-        rows = faces if basis[d - 1] is None else map(basis[d - 1].__getitem__, faces)
-        cols = zip(*[iter(rows)] * (d + 1))
-        if basis[d] is not None:
-            cols = compress(cols, map(is_not, basis[d], repeat(None)))
-        indices, indptr, values = array("I"), [0], array("b")
-        for col in cols:
-            for r, v in zip(col, signs):
-                if r is not None:
-                    indices.append(r)
-                    values.append(v)
-            indptr.append(len(indices))
-        boundaries.append(SparseIntMatrix(dims[d - 1], dims[d], indices, indptr, values))
-    return ChainComplexZ(dims, boundaries)
 
 
 def _with_base_point(rel: HomologyResult) -> HomologyResult:
@@ -994,11 +948,11 @@ def relative_quotient_homology(n: int) -> HomologyResult:
     the chain, and those common to the whole chain are the last element's.
     Hence a quotient simplex is degenerate iff every vertex key is short.
 
-    The stratum L is not struck from the chains but coned off: K u CL is
-    homotopy equivalent to K/L, since L is a subcomplex, so its absolute
-    homology is the homology of the collapsed space.  The coned complex is
-    an ordinary simplicial complex, so its d o d check is proved entirely by
-    the face identity.
+    The stratum L is coned off: K u CL is homotopy equivalent to K/L, since
+    L is a subcomplex, so its absolute homology is the homology of the
+    collapsed space.  The coned complex is an ordinary simplicial complex,
+    whose boundaries are face tables, so its d o d check is proved entirely
+    by the face identity.
     """
     cx, keys = _build_exp_with_boundary(3, n)
     # one complex at a time: K goes once its cone is built, and the cone

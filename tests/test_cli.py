@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -422,3 +424,35 @@ def test_determinism_bytes():
         assert c1 == c2 == 0
         assert out1 == out2
         assert err1 == err2 == b""
+
+
+def test_benchmark_tracer_wraps_and_restores_its_names(monkeypatch):
+    # benchmarks/tracing.py wraps library functions by attribute name, so a
+    # renamed or deleted name would otherwise fail only a traced benchmark
+    # run; every name it patches must exist, and restore() must put back
+    # the very object it replaced
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    owners = (cli, complexes, complexes.ChainComplexZ, config)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer(lambda *a: None)
+    try:
+        tracing.install(tracer, cli, complexes, config)
+        during = [dict(vars(owner)) for owner in owners]
+    finally:
+        tracer.restore()
+    patched = set()
+    for owner, old, new in zip(owners, before, during):
+        for attr, obj in new.items():
+            if obj is not old.get(attr):
+                assert obj.__wrapped__ is old[attr]
+                patched.add((owner.__name__, attr))
+    assert {("expcircle.complexes", "chain_complex"),
+            ("expcircle.complexes", "relative_chain_complex"),
+            ("expcircle.complexes", "smith_normal_form"),
+            ("ChainComplexZ", "check_boundary_squared"),
+            ("ChainComplexZ", "homology")} <= patched
+    assert [dict(vars(owner)) for owner in owners] == before
+    # the wrapped relative_chain_complex is only another name for the one
+    # chain-complex constructor
+    assert complexes.relative_chain_complex is complexes.chain_complex
