@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import complexes
@@ -270,6 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi1", help="fundamental-group certificates")
     p.add_argument("case", choices=("exp3", "Bprime", "complement"))
+    for p in (parser, *sub.choices.values()):
+        # argparse's own pattern knows no exponent or inf, so it would take
+        # "-1e-3" or "-inf" for an option string, not an angle or a flag value
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -56,14 +56,15 @@ the others (see ChainComplexZ.homology); those rows pass from one reduction
 to the next as a mask of one byte per row.  The small remainder of non-unit
 columns, the only place torsion can appear, is finished by
 dense_smith_normal_form, the textbook routine on a dense list of rows,
-which the small matrices of the group layer call directly.
+which the small matrices of the group layer call directly.  The results,
+AbelianInvariants per dimension in a HomologyResult, are immutable tuples.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, count, islice, permutations, repeat
 from math import gcd, lcm
@@ -491,24 +492,21 @@ def build_symmetric_product(k: int, n: int) -> SimplicialComplex:
 # integer chain complexes and Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", ("rank", "torsion"), defaults=((),))):
     """Finitely generated abelian group: free rank and torsion coefficients
     in divisibility order (each > 1)."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    """Integer homology per dimension."""
+class HomologyResult(namedtuple("HomologyResult", ("groups",))):
+    """Integer homology per dimension: a tuple of AbelianInvariants."""
 
-    groups: tuple[AbelianInvariants, ...]
+    __slots__ = ()
 
     @property
     def betti(self) -> list[int]:

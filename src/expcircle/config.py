@@ -8,11 +8,12 @@ out by keeping only arg z, the order-2 element by folding phi into (0, pi/2]),
 and a canonical representative of a 3-element orbit for triples (the order-3
 element acts by (z, theta) -> (gamma z, theta - 2 arg z); the stored
 representative is the lexicographic minimum of the orbit).  The chart
-values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame) are immutable
-tuples, and the order-3 element is the module constant moebius.GAMMA, so a
-chart call builds no group element it does not need.  A subset is read-only,
-and the orbit of a triple is computed once, on the first chart call, then
-kept on the subset and shared by every later one.
+values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame), the coalescence
+limits and the sampled loops are immutable tuples, and the order-3 element
+is the module constant moebius.GAMMA, so a chart call builds no group
+element it does not need.  A subset is read-only, and the orbit of a triple
+is computed once, on the first chart call, then kept on the subset and
+shared by every later one.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -26,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .moebius import (
     ANGLE_TOL,
@@ -35,6 +35,7 @@ from .moebius import (
     Frame,
     MoebiusMap,
     angle_dist,
+    checked_namedtuple,
     cross,
     frame,
     gamma_orbit,
@@ -328,8 +329,7 @@ def exp3_coord(s: FiniteSubset) -> Exp3Coord:
 # coalescence limits: how the strata glue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairCoalescence:
+class PairCoalescence(namedtuple("PairCoalescence", ("limit_point", "direction"))):
     """Limit data of the pair normal form as the two points merge at r.
 
     The half-plane coordinate of the normal form tends to the boundary point
@@ -338,8 +338,7 @@ class PairCoalescence:
     (the positively oriented ordering swaps together with the side).
     """
 
-    limit_point: complex
-    direction: float
+    __slots__ = ()
 
 
 def pair_coalescence_limit(r: BoundaryPoint) -> PairCoalescence:
@@ -348,8 +347,7 @@ def pair_coalescence_limit(r: BoundaryPoint) -> PairCoalescence:
     return PairCoalescence(limit_point=1.0 + 0.0j, direction=norm_angle(-2.0 * cmath.phase(w)))
 
 
-@dataclass(frozen=True)
-class TripleCoalescencePath:
+class TripleCoalescencePath(namedtuple("TripleCoalescencePath", ("p", "r", "slope", "endpoint"))):
     """Path traced in one half-plane slice by a triple with p, r fixed.
 
     As the middle point q varies, the normal-form point xi(i) moves along a
@@ -359,10 +357,7 @@ class TripleCoalescencePath:
     corner is 0 + 0i for positive slope and 1 + 0i for negative slope.
     """
 
-    p: BoundaryPoint
-    r: BoundaryPoint
-    slope: float
-    endpoint: complex
+    __slots__ = ()
 
     def sample_z(self, q: BoundaryPoint) -> complex:
         """Normal-form point xi(i) for the triple (p, q, r); q must lie
@@ -428,20 +423,17 @@ def edge_collapse_limit(subsets, tol: float = 1e-6) -> Exp3Coord:
 # loops
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SampledLoop:
-    """Ordered samples of a path of subsets; closed means last equals first."""
+class SampledLoop(checked_namedtuple("SampledLoop", ("subsets", "closed"))):
+    """Ordered samples of a path of subsets, kept as a tuple; closed means
+    last equals first, which construction checks."""
 
-    subsets: list[FiniteSubset] = field(default_factory=list)
-    closed: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.closed and self.subsets:
-            if hausdorff_distance(self.subsets[0], self.subsets[-1]) > ANGLE_TOL:
-                raise ValueError("closed loop must end where it starts")
-
-    def __len__(self):
-        return len(self.subsets)
+    def __new__(cls, subsets=(), closed: bool = True):
+        subsets = tuple(subsets)
+        if closed and subsets and hausdorff_distance(subsets[0], subsets[-1]) > ANGLE_TOL:
+            raise ValueError("closed loop must end where it starts")
+        return tuple.__new__(cls, (subsets, closed))
 
 
 def loop_a(s: FiniteSubset, samples: int = 256) -> SampledLoop:

@@ -6,7 +6,9 @@ what the gluing arguments for the subset space need: pushouts of
 presentations along homomorphisms, deterministic Tietze simplification,
 Todd-Coxeter coset enumeration (sound: it certifies finite orders and
 otherwise reports inconclusive), abelianization through Smith normal form,
-and exhaustive counting of homomorphisms into small finite groups.
+and exhaustive counting of homomorphisms into small finite groups.  The
+records (homomorphisms, pushout data, Tietze results and order
+certificates) are immutable tuples.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
@@ -16,10 +18,11 @@ and of the complement of the singleton circle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from itertools import permutations, product
+from collections import namedtuple
+from itertools import islice, permutations, product
 
 from .complexes import AbelianInvariants, dense_smith_normal_form
+from .moebius import checked_namedtuple
 
 Word = tuple[int, ...]
 
@@ -261,28 +264,34 @@ def _is_abelian_free_presentation(p: Presentation) -> bool:
     return all(_canonical_relator(w) in commutators for w in p.relators)
 
 
-@dataclass
-class GroupHom:
+class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified"))):
     """Homomorphism data: an image word per source generator.
 
     Well-definedness (each source relator maps to a trivial word) is checked
     where decidable: free and free-abelian targets.  Elsewhere the
     exponent-sum necessary condition is enforced and the hom is recorded as
-    unverified.
+    unverified.  verified is computed at construction, never given.
     """
 
-    source: Presentation
-    target: Presentation
-    images: list[Word]
-    verified: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != len(self.source.generators):
+    def __new__(cls, source: Presentation, target: Presentation, images):
+        if len(images) != len(source.generators):
             raise ValueError("need one image word per source generator")
-        for w in self.images:
-            _check_letters(w, len(self.target.generators), "image")
-        self.images = [_free_reduce(w) for w in self.images]
-        self.verified = self._check()
+        for w in images:
+            _check_letters(w, len(target.generators), "image")
+        images = [_free_reduce(w) for w in images]
+        unchecked = tuple.__new__(cls, (source, target, images, False))
+        return tuple.__new__(cls, (source, target, images, unchecked._check()))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, copy and pickle through
+        # __getnewargs__: both run the checks and compute verified again
+        return cls(*islice(iterable, 3))
+
+    def __getnewargs__(self):
+        return self[:3]
 
     def apply(self, word: Word) -> Word:
         out: list[int] = []
@@ -324,17 +333,15 @@ def _in_row_span(rows, vec):
     return dense_smith_normal_form(rows) == dense_smith_normal_form(list(rows) + [list(vec)])
 
 
-@dataclass
-class PushoutData:
+class PushoutData(checked_namedtuple("PushoutData", ("corner", "left", "right"))):
     """Two homomorphisms out of a common corner group."""
 
-    corner: Presentation
-    left: GroupHom
-    right: GroupHom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left.source is not self.corner or self.right.source is not self.corner:
+    def __new__(cls, corner: Presentation, left: GroupHom, right: GroupHom):
+        if left.source is not corner or right.source is not corner:
             raise ValueError("both homomorphisms must start at the corner group")
+        return tuple.__new__(cls, (corner, left, right))
 
 
 def pushout(data: PushoutData) -> Presentation:
@@ -366,11 +373,8 @@ TIETZE_STEP_BUDGET = 1000
 REWRITE_ROUNDS = 64
 
 
-@dataclass
-class TietzeResult:
-    presentation: Presentation
-    complete: bool
-    steps: int
+class TietzeResult(namedtuple("TietzeResult", ("presentation", "complete", "steps"))):
+    __slots__ = ()
 
 
 def _substitute(word: Word, gen: int, replacement: Word) -> Word:
@@ -532,8 +536,7 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 # coset enumeration (Todd-Coxeter)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrderCertificate:
+class OrderCertificate(namedtuple("OrderCertificate", ("conclusive", "order", "table"))):
     """Outcome of a coset enumeration over the trivial subgroup.
 
     When conclusive, order is the group order and table the closed coset
@@ -542,9 +545,7 @@ class OrderCertificate:
     infinite groups.
     """
 
-    conclusive: bool
-    order: int | None
-    table: list[list[int]] | None
+    __slots__ = ()
 
     def verify(self, p: Presentation) -> bool:
         """Re-check the table: complete, relator-stable, and transitive."""

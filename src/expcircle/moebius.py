@@ -100,7 +100,15 @@ def cross(p: BoundaryPoint, q: BoundaryPoint) -> float:
     return p.a * q.b - p.b * q.a
 
 
-class Frame(namedtuple("Frame", ("z", "theta"))):
+def checked_namedtuple(name: str, fields):
+    """namedtuple base of a record whose __new__ checks its fields: its
+    _make, through which _replace builds, calls the class, so they check too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Frame(checked_namedtuple("Frame", ("z", "theta"))):
     """Image of a group element under the frame map: a point z of the
     upper half-plane together with the direction theta in [0, 2*pi) of the
     derivative at i.  The scale of the derivative carries no information and
@@ -113,11 +121,6 @@ class Frame(namedtuple("Frame", ("z", "theta"))):
         if not z.imag > 0.0:
             raise ValueError("frame point must lie in the open upper half-plane")
         return tuple.__new__(cls, (z, norm_angle(theta)))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make; route it through the check as well
-        return cls(*iterable)
 
     def approx_eq(self, other: "Frame", tol: float = ANGLE_TOL) -> bool:
         return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol

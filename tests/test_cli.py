@@ -190,8 +190,8 @@ def test_input_error_is_usage_error(monkeypatch, capsys):
 
 
 def test_non_finite_input_is_usage_error():
-    for args in (("coord", "nan"), ("coord", "0", "inf"), ("--tol", "nan", "coord", "0"),
-                 ("--eps", "inf", "knot")):
+    for args in (("coord", "nan"), ("coord", "0", "inf"), ("coord", "-inf"),
+                 ("--tol", "nan", "coord", "0"), ("--eps", "inf", "knot"), ("--eps", "-inf", "knot")):
         code, out, err = run_proc(*args)
         assert code == 2
         assert out == b""
@@ -299,6 +299,9 @@ def test_knot_small_eps_is_refused_or_banded(capsys):
         else:
             assert out == ""
             assert err.startswith("error: ")
+    # a negative eps in exponent form reaches the same gate, not argparse's
+    assert main(["--eps", "-1e-3", "knot"]) == 2
+    assert capsys.readouterr().err.startswith("error: eps must lie in")
 
 
 def _refuse_work(*args, **kwargs):
@@ -343,10 +346,21 @@ def test_knot_bad_samples_is_usage_error():
 
 
 def test_bad_tolerance_is_usage_error():
-    code, _, err = run_proc("--tol", "0", "coord", "0")
-    assert code == 2
-    code, _, err = run_proc("--tol", "-1e-9", "coord", "0")
-    assert code == 2
+    # "-1e-9" reaches the tolerance gate as the flag's value, not as an
+    # option string that leaves --tol without its argument
+    for tol in ("0", "-1e-9"):
+        code, out, err = run_proc("--tol", tol, "coord", "0")
+        assert (code, out) == (2, b"")
+        assert b"error: tolerance must be positive" in err
+
+
+@pytest.mark.parametrize("points", [("-1e-3",), ("1", "-2E+0"), ("-.5e1", "-7")], ids=" ".join)
+def test_negative_angles_in_exponent_form(points, capsys):
+    # "--" makes every later argument a positional; without it a negative
+    # number in exponent form must still be read as an angle
+    assert main(["coord", *points]) == 0
+    out = capsys.readouterr().out
+    assert (main(["coord", "--", *points]), capsys.readouterr().out) == (0, out)
 
 
 def test_homology_k2():
@@ -424,6 +438,17 @@ def test_determinism_bytes():
         assert c1 == c2 == 0
         assert out1 == out2
         assert err1 == err2 == b""
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # dataclasses brings inspect, ast, dis and tokenize into every start,
+    # so the records are namedtuples; -S keeps out what site and the .pth
+    # files it runs would import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import expcircle.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_benchmark_tracer_wraps_and_restores_its_names(monkeypatch):
