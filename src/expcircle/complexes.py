@@ -18,7 +18,9 @@ orbit with a sorted barycentre are mapped: a sixth of the top chains at
 k = 3.  That rests on the torus triangulation being symmetric, which the
 build checks before relying on it.  The second subdivision is enumerated
 chain by chain, each chain built directly as its quotient simplex, a sorted
-tuple of quotient vertex ids; it is never validated or sorted as a whole,
+tuple of quotient vertex ids extended by appends, since the ids are numbered
+in dimension order and rise along every chain (a build where one does not is
+refused); it is never validated or sorted as a whole,
 and the flag memo holds only chains ending at a proper face of a mapped sd1
 simplex.  Torus coordinates are integers scaled by lcm(1..k+1)**2, so the
 barycentres of barycentres that key the identification are exact without
@@ -63,7 +65,6 @@ AbelianInvariants per dimension in a HomologyResult, are immutable tuples.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, count, islice, permutations, repeat
@@ -213,13 +214,6 @@ def _face_table(d: int, ss: list, row: dict) -> array:
     return table
 
 
-def circle_complex(n: int) -> SimplicialComplex:
-    """The n-gon triangulation of a circle."""
-    if n < 3:
-        raise ValueError("polygon needs n >= 3")
-    return SimplicialComplex.from_maximal([(i, (i + 1) % n) for i in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # barycentric subdivision
 # ---------------------------------------------------------------------------
@@ -229,30 +223,17 @@ def _proper_faces(s):
         yield from combinations(s, k)
 
 
-def _subdivision_data(k: SimplicialComplex):
-    """Vertex ids of the subdivision: one per simplex, in dimension order."""
-    ids = {}
-    origin = []
-    for ss in k.simplices:
-        for s in ss:
-            ids[s] = len(origin)
-            origin.append(s)
-    return ids, origin
+def _flags(k: SimplicialComplex, labels, ends):
+    """Every chain of the face poset ending at a simplex in ends, as the
+    tuple of its elements' labels (labels maps a simplex of k to an int); a
+    chain of length L is an (L-1)-simplex of the subdivision.  Every element
+    of such a chain is a face of its last one, so chains are memoised only
+    on the proper faces of ends: a top simplex is no one's face.
 
-
-def _flags(k: SimplicialComplex, labels, ends=None):
-    """Every chain of the face poset as the sorted tuple of its elements'
-    labels (labels maps a simplex of k to an int); a chain of length L is an
-    (L-1)-simplex of the subdivision.  Only chains ending at a simplex in
-    ends (default: all of k) are yielded.  Every element of such a chain is
-    a face of its last one, so chains are memoised only on the proper faces
-    of ends: a top simplex is no one's face.
-
-    Labels assigned in dimension order increase along every chain, so a
-    chain is extended by an append; a smaller label goes in by a sorted
-    insert (see _insert)."""
-    if ends is None:
-        ends = set(chain.from_iterable(k.simplices))
+    Labels must rise along the face poset, as labels assigned in dimension
+    order do, so every chain is sorted and is extended by an append.  Each
+    proper face's label is checked below its coface's once; an equal label
+    means an identification degenerates a simplex."""
     need = {f for s in ends for f in _proper_faces(s)}
     memo: dict[tuple, list] = {}
     for s in chain.from_iterable(k.simplices):
@@ -262,21 +243,16 @@ def _flags(k: SimplicialComplex, labels, ends=None):
             tail = (label,)
             cs = [tail]
             for f in _proper_faces(s):
-                cs += [c + tail if c[-1] < label else _insert(c, label) for c in memo[f]]
+                if labels[f] >= label:
+                    if labels[f] == label:
+                        raise ValueError("identification degenerates a simplex; the action is "
+                                         "not regular even after two subdivisions")
+                    raise ValueError(f"label {labels[f]} of {f} is not below label {label} of {s}")
+                cs += [c + tail for c in memo[f]]
             if s in need:
                 memo[s] = cs
             if wanted:
                 yield from cs
-
-
-def _insert(c: tuple, label: int) -> tuple:
-    """c with label in sorted position; a label already in c means an
-    identification degenerates a simplex."""
-    i = bisect_left(c, label)
-    if c[i:i + 1] == (label,):
-        raise ValueError("identification degenerates a simplex; the action is not "
-                         "regular even after two subdivisions")
-    return c[:i] + (label,) + c[i:]
 
 
 def _complex_of_chains(k: SimplicialComplex, labels, ends, vertex_count: int):
@@ -285,12 +261,6 @@ def _complex_of_chains(k: SimplicialComplex, labels, ends, vertex_count: int):
     for c in _flags(k, labels, ends):
         out[len(c) - 1].append(c)
     return SimplicialComplex(vertex_count, out)
-
-
-def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """First barycentric subdivision (combinatorial flags construction)."""
-    ids, origin = _subdivision_data(k)
-    return _complex_of_chains(k, ids, None, len(origin))
 
 
 def _barycenter(simplex, coords, period: int):
@@ -388,12 +358,12 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     k1 is the first subdivision; its simplices are the vertices of the
     second.  label_fn maps an sd1 simplex to (key, is_representative), and
     equal keys become one quotient vertex, numbered in dimension order, so
-    _flags builds each chain as its quotient simplex, by appends unless a
-    key spans two sd1 dimensions; a quotient simplex met by several chains
-    is kept once by SimplicialComplex.  Returns the quotient and the list
-    of its vertex keys, keys[q] being the key of quotient vertex q.  Raises
-    if the identification degenerates a simplex, the telltale of an
-    insufficiently subdivided action.
+    _flags builds each chain as its quotient simplex by appends; a quotient
+    simplex met by several chains is kept once by SimplicialComplex.
+    Returns the quotient and the list of its vertex keys, keys[q] being the
+    key of quotient vertex q.  Raises if the identification degenerates a
+    simplex, the telltale of an insufficiently subdivided action, and if a
+    face's quotient id is not below its coface's (see _flags).
 
     Only chains ending at a representative are mapped.  The torus build
     (_build_exp_with_boundary) marks exactly one representative in each
@@ -559,16 +529,14 @@ class SparseIntMatrix:
             indptr.append(len(indices))
         return cls(len(dense), len(indptr) - 1, indices, indptr, values)
 
-    def columns(self, keep=None):
-        """Each column as a tuple of its rows and a tuple of its values, in
-        order; with keep, one flag per column, only the flagged columns, and
-        a column left out never becomes a tuple.
+    def columns(self, keep):
+        """The columns flagged in keep, one flag per column, each as a tuple
+        of its rows and a tuple of its values, in order; a column left out
+        never becomes a tuple.
 
         Columns of one width w are zipped from strided slices of the flat
         tables, indices[i::w]; when the values repeat one pattern, every
         column shares one values tuple."""
-        if keep is None:
-            keep = b"\1" * self.ncols
         indices, values, indptr = self.indices, self.values, self.indptr
         if not isinstance(indptr, range):
             spans = compress(map(slice, indptr, islice(indptr, 1, None)), keep)
@@ -681,7 +649,7 @@ def _subtract(col: dict, v: int, pivot: tuple, heap: list) -> None:
                 del col[r]
 
 
-def smith_normal_form(m: SparseIntMatrix, clearing=None):
+def smith_normal_form(m: SparseIntMatrix, clearing):
     """Diagonal invariants d1 | d2 | ... of a SparseIntMatrix, by column
     reduction on the lowest row index, pivoting on units only.
 
@@ -713,15 +681,11 @@ def smith_normal_form(m: SparseIntMatrix, clearing=None):
     for a column to skip; on return it is resized in place to one byte per
     row, nonzero at the rows of this reduction's unit pivots.
     """
-    if clearing is None:
-        skip = bytes(m.ncols)
-    elif len(clearing) != m.ncols:
+    if len(clearing) != m.ncols:
         raise ValueError(f"clearing mask has {len(clearing)} bytes for {m.ncols} columns")
-    else:
-        skip = clearing
     pivots: dict[int, tuple] = {}  # lowest row -> (rows, vals, unit)
     residual = []
-    for rows, vals in m.columns(bytes(map(not_, skip))):
+    for rows, vals in m.columns(bytes(map(not_, clearing))):
         if not rows:
             continue
         low = max(rows)
@@ -759,10 +723,9 @@ def smith_normal_form(m: SparseIntMatrix, clearing=None):
             if v is not None and r in pivots:
                 _subtract(col, v, pivots[r], heap)
         cleared.append(col)
-    if clearing is not None:
-        clearing[:] = bytes(m.nrows)
-        for r in pivots:
-            clearing[r] = 1
+    clearing[:] = bytes(m.nrows)
+    for r in pivots:
+        clearing[r] = 1
     rows = sorted({r for col in cleared for r in col})
     index = {r: i for i, r in enumerate(rows)}
     dense = [[0] * len(cleared) for _ in rows]

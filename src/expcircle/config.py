@@ -66,11 +66,6 @@ def to_boundary(alpha: float) -> BoundaryPoint:
     return BoundaryPoint(math.sin(h), math.cos(h))
 
 
-def from_boundary(x: BoundaryPoint) -> float:
-    """Inverse of to_boundary, with values in [0, 2*pi)."""
-    return norm_angle(2.0 * math.atan2(x.a, x.b))
-
-
 # ---------------------------------------------------------------------------
 # subsets and the quotient metric
 # ---------------------------------------------------------------------------
@@ -241,21 +236,21 @@ class Exp3Coord(namedtuple("Exp3Coord", ("tag", "c1", "c2", "c3"), defaults=(Non
     __slots__ = ()
 
 
-def _lex_min_frame(frames, tol: float = ANGLE_TOL) -> Frame:
-    """The least frame under (Re z, Im z, theta): two keys within tol of each
-    other tie, and the next key decides."""
+def _lex_min_frame(frames) -> Frame:
+    """The least frame under (Re z, Im z, theta): two keys within ANGLE_TOL
+    of each other tie, and the next key decides."""
     best = frames[0]
     for f in frames[1:]:
         z, bz = f.z, best.z
-        if z.real < bz.real - tol:
+        if z.real < bz.real - ANGLE_TOL:
             best = f
-        elif z.real > bz.real + tol:
+        elif z.real > bz.real + ANGLE_TOL:
             continue
-        elif z.imag < bz.imag - tol:
+        elif z.imag < bz.imag - ANGLE_TOL:
             best = f
-        elif z.imag > bz.imag + tol:
+        elif z.imag > bz.imag + ANGLE_TOL:
             continue
-        elif f.theta < best.theta - tol:
+        elif f.theta < best.theta - ANGLE_TOL:
             best = f
     return best
 
@@ -280,15 +275,6 @@ def c3_coord(s: FiniteSubset) -> C3Coord:
     """Chart coordinate of a 3-point subset, independent of input ordering."""
     f = _lex_min_frame(c3_orbit(s))
     return C3Coord(f.z, f.theta)
-
-
-def c3_distance(x: C3Coord, y: C3Coord) -> float:
-    """Orbit-aware chart distance: minimum over representative choices."""
-    best = math.inf
-    for g in y.orbit():
-        d = max(abs(x.z - g.z), angle_dist(x.theta, g.theta))
-        best = min(best, d)
-    return best
 
 
 def c2_chart_raw(p: BoundaryPoint, r: BoundaryPoint) -> tuple[float, float]:

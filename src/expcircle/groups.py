@@ -48,6 +48,16 @@ def _invert(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
+def _substitute(word, images) -> Word:
+    """The word with each letter x replaced by images[|x| - 1], inverted
+    when x is negative, freely reduced."""
+    out: list[int] = []
+    for x in word:
+        img = images[abs(x) - 1]
+        out.extend(img if x > 0 else _invert(img))
+    return _free_reduce(out)
+
+
 def _check_letters(word, n: int, what: str) -> None:
     """Refuse a letter that names none of n generators, before any reduction
     could cancel it."""
@@ -80,7 +90,8 @@ def _canonical_relator(word) -> Word:
 
 
 class Presentation:
-    """Finitely presented group: generator names and reduced relator words."""
+    """Finitely presented group: generator names and reduced relator words.
+    Two presentations are equal when their generators and relators are."""
 
     def __init__(self, generators, relators=()):
         self.generators = list(generators)
@@ -101,6 +112,14 @@ class Presentation:
     def __repr__(self):
         return f"Presentation({format_presentation(self)!r})"
 
+    def __eq__(self, other):
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return self.generators == other.generators and self.relators == other.relators
+
+    def __hash__(self):
+        return hash((tuple(self.generators), tuple(self.relators)))
+
     def rank_data(self):
         """Exponent-sum matrix of the relators, one row per relator."""
         return [_exponent_sums(w, len(self.generators)) for w in self.relators]
@@ -118,10 +137,8 @@ def canonical_form(p: Presentation) -> tuple:
     base = [_canonical_relator(w) for w in p.relators]
     best = None
     for perm in permutations(range(1, n + 1)):
-        mapped = tuple(sorted(
-            _canonical_relator(tuple((1 if x > 0 else -1) * perm[abs(x) - 1] for x in w))
-            for w in base
-        ))
+        images = [(g,) for g in perm]
+        mapped = tuple(sorted(_canonical_relator(_substitute(w, images)) for w in base))
         if best is None or mapped < best:
             best = mapped
     return (n, best)
@@ -265,7 +282,7 @@ def _is_abelian_free_presentation(p: Presentation) -> bool:
 
 
 class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified"))):
-    """Homomorphism data: an image word per source generator.
+    """Homomorphism data: a tuple of image words, one per source generator.
 
     Well-definedness (each source relator maps to a trivial word) is checked
     where decidable: free and free-abelian targets.  Elsewhere the
@@ -280,7 +297,7 @@ class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified")
             raise ValueError("need one image word per source generator")
         for w in images:
             _check_letters(w, len(target.generators), "image")
-        images = [_free_reduce(w) for w in images]
+        images = tuple(_free_reduce(w) for w in images)
         unchecked = tuple.__new__(cls, (source, target, images, False))
         return tuple.__new__(cls, (source, target, images, unchecked._check()))
 
@@ -293,15 +310,8 @@ class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified")
     def __getnewargs__(self):
         return self[:3]
 
-    def apply(self, word: Word) -> Word:
-        out: list[int] = []
-        for x in word:
-            img = self.images[abs(x) - 1]
-            out.extend(img if x > 0 else _invert(img))
-        return _free_reduce(tuple(out))
-
     def _check(self) -> bool:
-        images_of_relators = [self.apply(w) for w in self.source.relators]
+        images_of_relators = [_substitute(w, self.images) for w in self.source.relators]
         if not self.target.relators:
             # free target: trivial iff freely reduced to nothing
             bad = [w for w in images_of_relators if w]
@@ -353,14 +363,10 @@ def pushout(data: PushoutData) -> Presentation:
         while name in names:
             name += "_"
         names.append(name)
-    offset = len(a.generators)
-
-    def shift(word):  # letters of b follow those of a
-        return tuple(x + offset if x > 0 else x - offset for x in word)
-
-    rels = list(a.relators) + [shift(w) for w in b.relators]
+    shift = [(g,) for g in range(len(a.generators) + 1, len(names) + 1)]  # b's letters follow a's
+    rels = list(a.relators) + [_substitute(w, shift) for w in b.relators]
     for wa, wb in zip(data.left.images, data.right.images):
-        rels.append(_free_reduce(wa + _invert(shift(wb))))
+        rels.append(_free_reduce(wa + _invert(_substitute(wb, shift))))
     return Presentation(names, rels)
 
 
@@ -377,30 +383,14 @@ class TietzeResult(namedtuple("TietzeResult", ("presentation", "complete", "step
     __slots__ = ()
 
 
-def _substitute(word: Word, gen: int, replacement: Word) -> Word:
-    out: list[int] = []
-    for x in word:
-        if abs(x) == gen:
-            out.extend(replacement if x > 0 else _invert(replacement))
-        else:
-            out.append(x)
-    return _free_reduce(tuple(out))
-
-
 def _drop_generator(p: Presentation, gen: int, replacement: Word) -> Presentation:
     """Remove generator gen (1-based), rewriting every relator through the
-    replacement word (which must not mention gen)."""
-    def renumber(x):
-        g = abs(x)
-        g2 = g if g < gen else g - 1
-        return g2 if x > 0 else -g2
-
-    rels = []
-    for w in p.relators:
-        w2 = _substitute(word=w, gen=gen, replacement=replacement)
-        rels.append(tuple(renumber(x) for x in w2))
+    replacement word (which must not mention gen) and renumbering the
+    generators after it."""
+    images = [(g,) for g in range(1, gen)] + [()] + [(g,) for g in range(gen, len(p.generators))]
+    images[gen - 1] = _substitute(replacement, images)
     names = [g for i, g in enumerate(p.generators) if i + 1 != gen]
-    return Presentation(names, rels)
+    return Presentation(names, [_substitute(w, images) for w in p.relators])
 
 
 def _power_rule_rewrites(p: Presentation):
@@ -719,10 +709,6 @@ def symmetric_group(n: int) -> FiniteGroup:
         for p in elems
     ]
     return FiniteGroup(table)
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def count_homs(p: Presentation, g: FiniteGroup) -> int:

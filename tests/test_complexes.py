@@ -24,14 +24,11 @@ from expcircle.complexes import (
     _flags,
     _grid_index,
     _grid_point,
-    _subdivision_data,
     _with_base_point,
-    barycentric_subdivision,
     build_exp_complex,
     build_symmetric_product,
     build_torus_complex,
     chain_complex,
-    circle_complex,
     coordinate_permutation_action,
     dense_smith_normal_form,
     homology,
@@ -64,15 +61,39 @@ def rp2_complex():
     )
 
 
+def circle_complex(n):
+    """The n-gon triangulation of a circle."""
+    return SimplicialComplex.from_maximal([(i, (i + 1) % n) for i in range(n)])
+
+
+def _subdivision_data(k):
+    """Vertex ids of the subdivision: one per simplex, in dimension order,
+    so they rise along the face poset.  As the ends of _flags, ids asks for
+    every chain."""
+    origin = list(chain.from_iterable(k.simplices))
+    return {s: i for i, s in enumerate(origin)}, origin
+
+
+def barycentric_subdivision(k):
+    """First barycentric subdivision (combinatorial flags construction)."""
+    ids, origin = _subdivision_data(k)
+    return complexes._complex_of_chains(k, ids, ids, len(origin))
+
+
 # ---------------------------------------------------------------------------
 # smith normal form
 # ---------------------------------------------------------------------------
+
+def _snf(m):
+    """smith_normal_form of m with no column skipped."""
+    return smith_normal_form(m, bytearray(m.ncols))
+
 
 def _snf_both(m):
     """The invariants of a dense matrix from the dense routine, checked
     equal to the sparse routine's on the same matrix."""
     diag = dense_smith_normal_form(m)
-    assert smith_normal_form(SparseIntMatrix.from_dense(m)) == diag
+    assert _snf(SparseIntMatrix.from_dense(m)) == diag
     return diag
 
 
@@ -135,9 +156,14 @@ def test_snf_diagonal_matches_minor_gcds():
             assert y % x == 0
 
 
+def _every_column(m):
+    """m.columns with no column left out."""
+    return m.columns(b"\1" * m.ncols)
+
+
 def _dense(m):
     out = [[0] * m.ncols for _ in range(m.nrows)]
-    for c, (rows, vals) in enumerate(m.columns()):
+    for c, (rows, vals) in enumerate(_every_column(m)):
         for r, v in zip(rows, vals):
             out[r][c] = v
     return out
@@ -187,8 +213,8 @@ def test_boundary_squared_check_matches_product():
     # identity proves nothing for it and the exact sum decides
     for cx in (sphere_complex(), rp2_complex(), build_torus_complex(2, 3), build_exp_complex(2, 3)):
         low, high = chain_complex(cx).boundaries
-        lows = [rows for rows, _ in low.columns()]
-        highs = [rows for rows, _ in high.columns()]
+        lows = [rows for rows, _ in _every_column(low)]
+        highs = [rows for rows, _ in _every_column(high)]
         for c in (0, high.ncols // 2, high.ncols - 1):
             f0, f1, f2 = highs[c]
             others = [r for r in range(low.ncols) if r not in highs[c]]
@@ -308,7 +334,7 @@ def test_snf_sparse_matches_dense():
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
         m = [[rng.choice(SNF_ENTRIES) for _ in range(cols)] for _ in range(rows)]
-        assert smith_normal_form(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
+        assert _snf(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
     for m in (
         # column 0 is a pivot with -1 at its low row 2; columns 1 and 3 meet
         # it, and column 3 leaves a unit at row 1 that column 1's residual
@@ -325,7 +351,7 @@ def test_snf_sparse_matches_dense():
         [[0, 0], [0, 0]],
         [[0, 1, 0], [0, -1, 0]],
     ):
-        assert smith_normal_form(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
+        assert _snf(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
 
 
 def test_snf_sparse_large_with_torsion():
@@ -346,7 +372,7 @@ def test_snf_sparse_large_with_torsion():
     rng.shuffle(row_order)
     rng.shuffle(col_order)
     m = [[m[r][c] for c in col_order] for r in row_order]
-    diag = smith_normal_form(SparseIntMatrix.from_dense(m))
+    diag = _snf(SparseIntMatrix.from_dense(m))
     assert diag == dense_smith_normal_form(m)
     assert any(x > 1 for x in diag)
 
@@ -496,7 +522,7 @@ def _as_lists(cc):
     # a list of (row, value) pins the order of each column's entries, not
     # only its values; zero columns are left out, as the reference leaves them
     return cc.dims, [(b.nrows, b.ncols, {c: list(zip(rows, vals))
-                                         for c, (rows, vals) in enumerate(b.columns())
+                                         for c, (rows, vals) in enumerate(_every_column(b))
                                          if rows})
                      for b in cc.boundaries]
 
@@ -538,7 +564,7 @@ def test_malformed_matrices_are_refused(args, message):
 
 def test_matrix_tables_read_back_as_columns():
     m = SparseIntMatrix(3, 4, array("I", [2, 0, 1, 2]), [0, 1, 1, 4, 4], [5, -1, 3, 7])
-    assert list(m.columns()) == [((2,), (5,)), ((), ()), ((0, 1, 2), (-1, 3, 7)), ((), ())]
+    assert list(_every_column(m)) == [((2,), (5,)), ((), ()), ((0, 1, 2), (-1, 3, 7)), ((), ())]
     assert list(m.columns(b"\0\1\1\0")) == [((), ()), ((0, 1, 2), (-1, 3, 7))]
     assert m.nnz() == 4 and _dense(m) == [[0, 0, -1, 0], [0, 0, 3, 0], [5, 0, 7, 0]]
     # one width: strided slices, the values pattern shared by every column
@@ -546,8 +572,9 @@ def test_matrix_tables_read_back_as_columns():
     cols = list(m.columns(b"\1\0\1"))
     assert cols == [((0, 1), (1, -1)), ((0, 2), (1, -1))] and cols[0][1] is cols[1][1]
     m = SparseIntMatrix(3, 2, array("I", [0, 1, 1, 2]), range(0, 5, 2), [1, -1, 2, 3])
-    assert list(m.columns()) == [((0, 1), (1, -1)), ((1, 2), (2, 3))]
-    assert list(SparseIntMatrix(2, 3).columns()) == [((), ())] * 3
+    assert list(_every_column(m)) == [((0, 1), (1, -1)), ((1, 2), (2, 3))]
+    assert list(m.columns(b"\0\1")) == [((1, 2), (2, 3))]
+    assert list(_every_column(SparseIntMatrix(2, 3))) == [((), ())] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +634,14 @@ def test_clearing_skips_only_unit_pivots():
 
 
 def _snf_twice(m, clearing=None):
-    """Reduce m twice, each time from a copy of the clearing mask, checking
-    after each pass that its columns are unchanged; returns the invariants
-    and the mask they leave, the same both times."""
+    """Reduce m twice, each time from a copy of the clearing mask (none by
+    default: no column skipped), checking after each pass that its columns
+    are unchanged; returns the invariants and the mask they leave, the same
+    both times."""
     tables = (list(m.indices), list(m.indptr), list(m.values))
     out = []
     for _ in range(2):
-        mask = None if clearing is None else bytearray(clearing)
+        mask = bytearray(m.ncols if clearing is None else clearing)
         out.append((smith_normal_form(m, mask), mask))
         assert (list(m.indices), list(m.indptr), list(m.values)) == tables
     assert out[0] == out[1]
@@ -830,7 +858,7 @@ def _identify_all_chains(k1, label_fn):
     qid_by_key = {}
     qid_of_vertex = [qid_by_key.setdefault(label_fn(s)[0], len(qid_by_key)) for s in origin]
     out = [set() for _ in range(k1.dim + 1)]
-    for c in _flags(k1, ids):
+    for c in _flags(k1, ids, ids):
         q = tuple(sorted(qid_of_vertex[v] for v in c))
         if len(set(q)) != len(q):
             raise ValueError("identification degenerates a simplex")
@@ -885,7 +913,7 @@ def _marked_by_masks(k, n):
         keys.append(tuple(sorted(set(bc))))
         masks.append(sum(1 << bit for bit, (i, j) in enumerate(pairs) if bc[i] == bc[j]))
     marked = [set() for _ in range(k + 1)]
-    for c in _flags(k1, ids):
+    for c in _flags(k1, ids, ids):
         m = masks[c[0]]
         for v in c[1:]:
             m &= masks[v]
@@ -958,20 +986,13 @@ def _off_top_keys(k1, own_vertex):
 
 @pytest.mark.parametrize("k", [circle_complex(5), rp2_complex(), build_torus_complex(2, 3)],
                          ids=["circle-n5", "rp2", "T2-n3"])
-def test_sorted_insert_matches_all_chains(monkeypatch, k):
+def test_non_rising_labels_are_refused(k):
+    # a quotient id below a face's is refused, not put in sorted position;
+    # one equal to a face's degenerates the simplex, which the reference
+    # refuses too
     k1 = barycentric_subdivision(k)
-    insert = complexes._insert
-    inserts = []
-
-    def counting_insert(c, label):
-        inserts.append(c)
-        return insert(c, label)
-
-    monkeypatch.setattr(complexes, "_insert", counting_insert)
-    label_fn = _off_top_keys(k1, own_vertex=False)
-    got = complexes._identify_after_two_subdivisions(k1, label_fn)
-    assert inserts
-    assert _quotient_data(got) == _quotient_data(_identify_all_chains(k1, label_fn))
+    with pytest.raises(ValueError, match="is not below label"):
+        complexes._identify_after_two_subdivisions(k1, _off_top_keys(k1, own_vertex=False))
     for identify in (complexes._identify_after_two_subdivisions, _identify_all_chains):
         with pytest.raises(ValueError, match="identification degenerates a simplex"):
             identify(k1, _off_top_keys(k1, own_vertex=True))
@@ -979,16 +1000,30 @@ def test_sorted_insert_matches_all_chains(monkeypatch, k):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_flags_closure_memo_matches_brute_force(seed):
-    # random ends and a random labelling: appends and sorted inserts mixed,
-    # and the memo only on the proper faces of the ends
+    # random ends and random labels that rise in dimension order, shuffled
+    # within each dimension, with gaps; the memo only on the proper faces
+    # of the ends
     rng = random.Random(seed)
     k1 = barycentric_subdivision(rp2_complex() if seed % 2 else build_torus_complex(2, 3))
     ids, origin = _subdivision_data(k1)
-    labels = dict(zip(origin, rng.sample(range(len(origin)), len(origin))))
+    values = sorted(rng.sample(range(3 * len(origin)), len(origin)))
+    labels = {}
+    for ss in k1.simplices:
+        block = values[len(labels):len(labels) + len(ss)]
+        rng.shuffle(block)
+        labels.update(zip(ss, block))
     ends = set(rng.sample(origin, len(origin) // 5))
     want = sorted(tuple(sorted(labels[origin[v]] for v in c))
-                  for c in _flags(k1, ids) if origin[c[-1]] in ends)
+                  for c in _flags(k1, ids, ids) if origin[c[-1]] in ends)
     assert sorted(_flags(k1, labels, ends)) == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build", [build_exp_complex, build_symmetric_product])
+def test_pair_builds_at_the_size_cap(build):
+    # n = 47 is the largest mesh the CLI admits for k = 2: the quotient ids
+    # rise along every chain there too, so the build refuses nothing
+    assert build(2, 47).counts()[-1] == 36 * 47**2
 
 
 @pytest.mark.slow
@@ -1008,7 +1043,7 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
         subdivided.append(k1)
         return identify(k1, label)
 
-    def counting_flags(k, ids, ends=None):
+    def counting_flags(k, ids, ends):
         # the chains of the second subdivision, not those building the first
         for c in _flags(k, ids, ends):
             counts["mapped"] += k in subdivided

@@ -21,13 +21,11 @@ from expcircle.config import (
     c2_chart_raw,
     c2_coord,
     c3_coord,
-    c3_distance,
     c3_orbit,
     core_circle,
     edge_collapse_limit,
     exp3_coord,
     fold_to_domain,
-    from_boundary,
     hausdorff_distance,
     loop_a,
     loop_b,
@@ -53,6 +51,16 @@ from expcircle.moebius import (
 
 B = BoundaryPoint.from_real
 INF = BoundaryPoint.infinity()
+
+
+def from_boundary(x: BoundaryPoint) -> float:
+    """Inverse of to_boundary, with values in [0, 2*pi)."""
+    return norm_angle(2.0 * math.atan2(x.a, x.b))
+
+
+def c3_distance(x: C3Coord, y: C3Coord) -> float:
+    """Orbit-aware chart distance: the least over y's representatives."""
+    return min(max(abs(x.z - g.z), angle_dist(x.theta, g.theta)) for g in y.orbit())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from expcircle.groups import (
     canonical_form,
     coset_enumeration,
     count_homs,
-    cyclic_group,
     format_presentation,
     parse_presentation,
     parse_word,
@@ -26,6 +25,10 @@ from expcircle.groups import (
 
 def P(text):
     return parse_presentation(text)
+
+
+def cyclic_group(n):
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,11 @@ def test_relator_letters_checked_before_reduction():
 
 def test_image_letters_checked_before_reduction():
     source, target = Presentation(["a"]), Presentation(["x"])
-    assert GroupHom(source, target, [(1, -1)]).images == [()]
+    hom = GroupHom(source, target, [(1, -1)])
+    assert hom.images == ((),)
+    # a tuple of words: an image cannot be swapped past the checks
+    with pytest.raises(TypeError):
+        hom.images[0] = (7,)
     for w in ((7, -7), (0, 0), (1, -2, 2)):
         with pytest.raises(ValueError, match="out of range in image"):
             GroupHom(source, target, [w])

@@ -11,6 +11,7 @@ from expcircle.complexes import AbelianInvariants, HomologyResult
 from expcircle.config import (
     FiniteSubset,
     SampledLoop,
+    TripleCoalescencePath,
     core_circle,
     pair_coalescence_limit,
     triple_coalescence_path,
@@ -51,11 +52,14 @@ def test_record_is_an_immutable_tuple(rec):
 
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
 def test_record_copies_and_pickles(rec):
-    # subsets, boundary points and presentations compare by identity, so a
-    # deep copy or an unpickled record is compared through its repr
+    # subsets and boundary points compare by identity, so a deep copy or an
+    # unpickled record holding them is compared through its repr; every
+    # other record, presentations included, compares by value
     assert copy.copy(rec) == rec
     for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert type(twin) is type(rec) and repr(twin) == repr(rec)
+        if not isinstance(rec, (SampledLoop, TripleCoalescencePath)):
+            assert twin == rec
     assert type(rec)._make(rec) == rec
     assert rec._replace() == rec
 
@@ -67,6 +71,21 @@ def test_abelian_invariants_and_homology_read_as_before():
     assert h == HomologyResult((AbelianInvariants(1, ()), AbelianInvariants(0, (2,))))
     assert h != HomologyResult((AbelianInvariants(1), AbelianInvariants(0, (3,))))
     assert (h.betti, h.torsion, str(h)) == ([1, 0], [(), (2,)], "H_0 = Z; H_1 = Z/2")
+
+
+def test_presentations_compare_and_hash_by_value():
+    # generators and relators, read as tuples, are the whole presentation,
+    # so the records holding one compare and hash by value too
+    p = pushout(_DATA)
+    assert tietze_simplify(p) == tietze_simplify(p)
+    assert hash(tietze_simplify(p)) == hash(tietze_simplify(p))
+    twin = pickle.loads(pickle.dumps(_DATA))
+    assert twin == _DATA and hash(twin) == hash(_DATA) and hash(twin.left) == hash(_DATA.left)
+    a3 = Presentation(["a"], [(1, 1, 1)])
+    same = Presentation(("a",), [(1, 1, 1), (1, -1)])  # the relator a a^-1 reduces away
+    assert a3 == same and hash(a3) == hash(same)
+    assert a3 != Presentation(["b"], [(1, 1, 1)]) and a3 != Presentation(["a"], [(1, 1)])
+    assert a3 != "gens: a; rels: a^3"
 
 
 def test_sampled_loop_checks_closing_on_every_path():
