@@ -112,14 +112,14 @@ def cmd_knot(args) -> int:
     # samples are charted for the band check and for the CSV rows only
     lines = ["index,angle1,angle2,phi,theta"]
     if csv or not core:
+        band_phi = math.pi / 2 - args.eps
         for i, s in enumerate(loop.subsets):
             c = c2_coord(s)
-            if not core and abs(c.phi - (math.pi / 2 - args.eps)) > args.tol:
+            if not core and abs(c.phi - band_phi) > args.tol:
                 print("error: sample left the expected band locus", file=sys.stderr)
                 return 1
             if csv:
-                a1, a2 = s.angles
-                lines.append(f"{i},{a1:.12g},{a2:.12g},{c.phi:.12g},{c.theta:.12g}")
+                lines.append("%d,%.12g,%.12g,%.12g,%.12g" % (i, *s.angles, *c))
     if csv:
         lines.append(f"windings: ({w[0]}, {w[1]})")
         _emit("\n".join(lines) + "\n", args.out)

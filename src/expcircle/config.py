@@ -11,9 +11,11 @@ representative is the lexicographic minimum of the orbit).  The chart
 values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame), the coalescence
 limits and the sampled loops are immutable tuples, and the order-3 element
 is the module constant moebius.GAMMA, so a chart call builds no group
-element it does not need.  A subset is read-only, and the orbit of a triple
-is computed once, on the first chart call, then kept on the subset and
-shared by every later one.
+element it does not need.  The pair chart builds no object but its result:
+c2_coord runs moebius.unit_pair, canonical_entries and frame_parts, from
+which BoundaryPoint, MoebiusMap and frame are built, on the two angles.  A
+subset is read-only, and the orbit of a triple is computed once, on the
+first chart call, then kept on the subset and shared by every later one.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -35,11 +37,14 @@ from .moebius import (
     Frame,
     MoebiusMap,
     angle_dist,
+    canonical_entries,
     checked_namedtuple,
     cross,
     frame,
+    frame_parts,
     gamma_orbit,
     norm_angle,
+    unit_pair,
 )
 
 # Two circle points closer than this collapse to one at construction.  The
@@ -150,6 +155,16 @@ def rotate(zeta: float, s: FiniteSubset) -> FiniteSubset:
 # normal forms
 # ---------------------------------------------------------------------------
 
+def _pair_matrix(pa: float, pb: float, ra: float, rb: float) -> tuple[float, float, float, float]:
+    """normalize_pair's matrix for (pa : pb) and (ra : rb), not yet canonical."""
+    det = pa * rb - pb * ra  # cross(p, r)
+    if abs(det) <= ANGLE_TOL:
+        raise ValueError("normalize_pair needs two distinct points")
+    if det > 0.0:
+        return pb, -pa, rb, -ra
+    return -pb, pa, rb, -ra
+
+
 def normalize_pair(p: BoundaryPoint, r: BoundaryPoint) -> MoebiusMap:
     """The orientation-preserving map with p -> 0 and r -> oo.
 
@@ -157,12 +172,7 @@ def normalize_pair(p: BoundaryPoint, r: BoundaryPoint) -> MoebiusMap:
     the naive matrix is orientation reversing, its first row is negated; this
     keeps p at 0 and r at infinity while staying inside PSL(2, R).
     """
-    det = cross(p, r)
-    if abs(det) <= ANGLE_TOL:
-        raise ValueError("normalize_pair needs two distinct points")
-    if det > 0.0:
-        return MoebiusMap(p.b, -p.a, r.b, -r.a)
-    return MoebiusMap(-p.b, p.a, r.b, -r.a)
+    return MoebiusMap(*_pair_matrix(p.a, p.b, r.a, r.b))
 
 
 def normalize_triple(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> MoebiusMap:
@@ -277,23 +287,21 @@ def c3_coord(s: FiniteSubset) -> C3Coord:
     return C3Coord(f.z, f.theta)
 
 
-def c2_chart_raw(p: BoundaryPoint, r: BoundaryPoint) -> tuple[float, float]:
-    """Pre-canonical band coordinates (phi, theta) of the ordered pair (p, r)."""
-    f = frame(normalize_pair(p, r))
-    return (cmath.phase(f.z), f.theta)
-
-
 def c2_coord(s: FiniteSubset) -> C2Coord:
     """Band chart coordinate of a 2-point subset.
 
     The scaling ambiguity is removed by keeping only phi = arg z; the
     order-2 ambiguity by folding (phi, theta) -> (pi - phi, theta - 2 phi)
     into phi <= pi/2, with theta reduced modulo pi on the core phi = pi/2.
+    It computes frame(normalize_pair(p, r)) for the to_boundary points, on floats.
     """
-    if len(s.angles) != 2:
+    angles = s.angles
+    if len(angles) != 2:
         raise ValueError("c2 chart needs a subset of exactly 2 points")
-    p, r = map(to_boundary, s.angles)
-    phi, theta = c2_chart_raw(p, r)
+    h, k = 0.5 * angles[0], 0.5 * angles[1]  # to_boundary's norm_angle: a no-op here
+    m = _pair_matrix(*unit_pair(math.sin(h), math.cos(h)), *unit_pair(math.sin(k), math.cos(k)))
+    z, theta = frame_parts(*canonical_entries(*m))
+    phi = cmath.phase(z)
     if phi > 0.5 * math.pi + ANGLE_TOL:
         phi, theta = math.pi - phi, norm_angle(theta - 2.0 * phi)
     if abs(phi - 0.5 * math.pi) <= ANGLE_TOL:
@@ -499,12 +507,12 @@ def _track_pair_angles(loop: SampledLoop):
     traj_a, traj_b = [a], [b]
     for s in subsets[1:]:
         u, v = s.angles
-        options = []
-        for x, y in ((u, v), (v, u)):
-            da = math.remainder(x - a, TWO_PI)
-            db = math.remainder(y - b, TWO_PI)
-            options.append((max(abs(da), abs(db)), da, db))
-        step, da, db = min(options)
+        da, db = math.remainder(u - a, TWO_PI), math.remainder(v - b, TWO_PI)
+        ea, eb = math.remainder(v - a, TWO_PI), math.remainder(u - b, TWO_PI)
+        step, swapped = max(abs(da), abs(db)), max(abs(ea), abs(eb))
+        # the tie rule of min over (step, da, db): the swap wins only if less
+        if swapped < step or swapped == step and (ea, eb) < (da, db):
+            step, da, db = swapped, ea, eb
         if step >= 0.5 * math.pi:
             raise ValueError(
                 f"under-sampled loop: consecutive angle increment {step:.3g} >= pi/2"
@@ -529,7 +537,7 @@ def winding_diagnostic(loop: SampledLoop) -> tuple[int, int]:
     """
     if not loop.closed or len(loop.subsets) < 2:
         raise ValueError("winding diagnostic needs a closed sampled loop")
-    sizes = {s.size for s in loop.subsets}
+    sizes = {len(s.angles) for s in loop.subsets}
     if sizes == {1}:
         loop = SampledLoop(
             [FiniteSubset([s.angles[0], s.angles[0] + _SINGLETON_SPREAD]) for s in loop.subsets],

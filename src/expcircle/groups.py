@@ -74,17 +74,14 @@ def _exponent_sums(word, n: int) -> list[int]:
     return sums
 
 
-def _canonical_relator(word) -> Word:
-    """Least rotation of the cyclic word or its inverse; a normal form for
-    relator comparison."""
-    w = _cyclic_reduce(word)
-    if not w:
-        return w
-    best = None
+def _canonical_relator(w: Word) -> Word:
+    """Least rotation of the cyclically reduced word w or of its inverse; a
+    normal form for relator comparison."""
+    best = w
     for u in (w, _invert(w)):
         for k in range(len(u)):
             rot = u[k:] + u[:k]
-            if best is None or rot < best:
+            if rot < best:
                 best = rot
     return best
 
@@ -130,15 +127,17 @@ def canonical_form(p: Presentation) -> tuple:
     minimum, over all renamings, of the sorted canonical relator multiset
     (relators themselves compared up to rotation and inversion).  Brute
     force over renamings; presentations here have at most a handful of
-    generators."""
+    generators.  Renaming letters keeps a relator cyclically reduced, so
+    each renamed relator needs only its least rotation."""
     n = len(p.generators)
     if n > 7:
         raise ValueError("canonical form only supported for up to 7 generators")
-    base = [_canonical_relator(w) for w in p.relators]
     best = None
     for perm in permutations(range(1, n + 1)):
-        images = [(g,) for g in perm]
-        mapped = tuple(sorted(_canonical_relator(_substitute(w, images)) for w in base))
+        # letter x goes to rename[x]; a negative letter indexes from the end
+        rename = (0, *perm, *(-g for g in reversed(perm)))
+        mapped = tuple(sorted(_canonical_relator(tuple([rename[x] for x in w]))
+                              for w in p.relators))
         if best is None or mapped < best:
             best = mapped
     return (n, best)
@@ -349,7 +348,7 @@ class PushoutData(checked_namedtuple("PushoutData", ("corner", "left", "right"))
     __slots__ = ()
 
     def __new__(cls, corner: Presentation, left: GroupHom, right: GroupHom):
-        if left.source is not corner or right.source is not corner:
+        if left.source != corner or right.source != corner:
             raise ValueError("both homomorphisms must start at the corner group")
         return tuple.__new__(cls, (corner, left, right))
 

@@ -10,7 +10,9 @@ stabilizers used to put small subsets of the boundary circle in normal form.
 
 A frame is an immutable tuple (z, theta), so building one costs little more
 than a tuple, and the frame action of gamma uses the module constant GAMMA,
-built once by the same validated constructor as gamma().
+built once by the same validated constructor as gamma().  BoundaryPoint,
+MoebiusMap and frame are built from the float functions unit_pair,
+canonical_entries and frame_parts, which give the same bits without objects.
 """
 
 from __future__ import annotations
@@ -49,6 +51,47 @@ def angle_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def unit_pair(a: float, b: float) -> tuple[float, float]:
+    """The pair (a, b) scaled to a^2 + b^2 = 1, its first nonzero coordinate
+    made positive: the fields of BoundaryPoint(a, b)."""
+    n = math.hypot(a, b)
+    if n < 1e-15:
+        raise ValueError("boundary point needs a nonzero pair")
+    a, b = a / n, b / n
+    if a < -MATRIX_TOL or (abs(a) <= MATRIX_TOL and b < 0.0):
+        return -a, -b
+    return a, b
+
+
+def canonical_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """The matrix [[a, b], [c, d]] rescaled to determinant 1, its first
+    nonzero entry made positive: the fields of MoebiusMap(a, b, c, d)."""
+    det = a * d - b * c
+    if not det > 0.0:
+        raise ValueError(f"matrix must have positive determinant, got {det!r}")
+    # Keep entries bit-stable when the matrix is already normalized:
+    # renormalizing a normalized matrix must be the identity map on bits.
+    if abs(det - 1.0) > 1e-12:
+        s = math.sqrt(det)
+        a, b, c, d = a / s, b / s, c / s, d / s
+    for x in (a, b, c, d):
+        if abs(x) > MATRIX_TOL:
+            if x < 0.0:
+                a, b, c, d = -a, -b, -c, -d
+            break
+    # adding 0.0 clears -0.0 entries left over from the sign flip
+    return a + 0.0, b + 0.0, c + 0.0, d + 0.0
+
+
+def frame_parts(a: float, b: float, c: float, d: float) -> tuple[complex, float]:
+    """The fields of frame(t) for t with canonical entries a, b, c, d."""
+    w = c * 1j + d
+    z = (a * 1j + b) / w
+    if not z.imag > 0.0:
+        raise ValueError("frame point must lie in the open upper half-plane")
+    return z, norm_angle(-2.0 * cmath.phase(w))
+
+
 class BoundaryPoint:
     """Point of the boundary circle R u {oo} as a projective pair (a : b).
 
@@ -60,14 +103,7 @@ class BoundaryPoint:
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        n = math.hypot(a, b)
-        if n < 1e-15:
-            raise ValueError("boundary point needs a nonzero pair")
-        a, b = a / n, b / n
-        if a < -MATRIX_TOL or (abs(a) <= MATRIX_TOL and b < 0.0):
-            a, b = -a, -b
-        self.a = a
-        self.b = b
+        self.a, self.b = unit_pair(a, b)
 
     @classmethod
     def from_real(cls, x: float) -> "BoundaryPoint":
@@ -132,21 +168,7 @@ class MoebiusMap:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: float, b: float, c: float, d: float):
-        det = a * d - b * c
-        if not det > 0.0:
-            raise ValueError(f"matrix must have positive determinant, got {det!r}")
-        # Keep entries bit-stable when the matrix is already normalized:
-        # renormalizing a normalized matrix must be the identity map on bits.
-        if abs(det - 1.0) > 1e-12:
-            s = math.sqrt(det)
-            a, b, c, d = a / s, b / s, c / s, d / s
-        for x in (a, b, c, d):
-            if abs(x) > MATRIX_TOL:
-                if x < 0.0:
-                    a, b, c, d = -a, -b, -c, -d
-                break
-        # adding 0.0 clears -0.0 entries left over from the sign flip
-        self.a, self.b, self.c, self.d = a + 0.0, b + 0.0, c + 0.0, d + 0.0
+        self.a, self.b, self.c, self.d = canonical_entries(a, b, c, d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -211,10 +233,7 @@ def apply_interior(t: MoebiusMap, z: complex) -> complex:
 
 def frame(t: MoebiusMap) -> Frame:
     """Frame of t: z = t(i) and theta = arg dt/dz(i) = arg 1/(ci + d)^2."""
-    i = 1j
-    w = t.c * i + t.d
-    z = (t.a * i + t.b) / w
-    return Frame(z, -2.0 * cmath.phase(w))
+    return tuple.__new__(Frame, frame_parts(t.a, t.b, t.c, t.d))
 
 
 def gamma_frame_action(f: Frame) -> Frame:

@@ -23,7 +23,6 @@ from expcircle.config import (
     EXCEPTIONAL_POINT,
     FiniteSubset,
     boundary_torus_curve,
-    c2_chart_raw,
     c3_coord,
     c3_orbit,
     edge_collapse_limit,
@@ -59,6 +58,7 @@ from expcircle.moebius import (
     sigma,
     tau,
 )
+from test_config import c2_chart_raw  # the object-path pair chart
 
 
 def _criterion(num, desc, body):

@@ -476,7 +476,11 @@ def test_benchmark_tracer_wraps_and_restores_its_names(monkeypatch):
             ("expcircle.complexes", "relative_chain_complex"),
             ("expcircle.complexes", "smith_normal_form"),
             ("ChainComplexZ", "check_boundary_squared"),
-            ("ChainComplexZ", "homology")} <= patched
+            ("ChainComplexZ", "homology"),
+            ("expcircle.cli", "boundary_torus_curve"),
+            ("expcircle.cli", "winding_diagnostic"),
+            ("expcircle.cli", "c2_coord"),
+            ("expcircle.config", "frame")} <= patched
     assert [dict(vars(owner)) for owner in owners] == before
     # the wrapped relative_chain_complex is only another name for the one
     # chain-complex constructor

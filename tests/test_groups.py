@@ -1,7 +1,13 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from expcircle.complexes import AbelianInvariants
 from expcircle.groups import (
+    _canonical_relator,
+    _cyclic_reduce,
+    _substitute,
     FiniteGroup,
     GroupHom,
     Presentation,
@@ -107,6 +113,44 @@ def test_canonical_form_renaming():
     assert canonical_form(p) == canonical_form(q)
     assert not same_up_to_renaming(p, P("gens: s t; rels: s^2 t^-2"))
     assert not same_up_to_renaming(p, P("gens: s t u; rels: s^3 t^-2"))
+
+
+def _canonical_form_by_substitution(p):
+    """canonical_form as it was: each renamed relator substituted, freely
+    and cyclically reduced again, then rotated; the reference for the
+    renaming of letters."""
+    def canonical_relator(word):
+        return _canonical_relator(_cyclic_reduce(word))
+
+    n = len(p.generators)
+    base = [canonical_relator(w) for w in p.relators]
+    best = None
+    for perm in permutations(range(1, n + 1)):
+        images = [(g,) for g in perm]
+        mapped = tuple(sorted(canonical_relator(_substitute(w, images)) for w in base))
+        if best is None or mapped < best:
+            best = mapped
+    return (n, best)
+
+
+def test_canonical_form_matches_substitution_on_the_pi1_presentations():
+    for data in (pushout_exp3(), pushout_band_piece(), pushout_complement()):
+        assembled = pushout(data)
+        for p in (assembled, tietze_simplify(assembled).presentation):
+            assert canonical_form(p) == _canonical_form_by_substitution(p)
+
+
+@st.composite
+def small_presentations(draw):
+    n = draw(st.integers(0, 4))
+    letters = st.sampled_from([x for g in range(1, n + 1) for x in (g, -g)])
+    words = st.lists(letters, max_size=7) if n else st.just([])
+    return Presentation([f"g{i}" for i in range(n)], draw(st.lists(words, max_size=4)))
+
+
+@given(small_presentations())
+def test_canonical_form_matches_substitution(p):
+    assert canonical_form(p) == _canonical_form_by_substitution(p)
 
 
 # ---------------------------------------------------------------------------

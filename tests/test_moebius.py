@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from expcircle.moebius import (
     GAMMA,
@@ -11,14 +12,17 @@ from expcircle.moebius import (
     MoebiusMap,
     apply_boundary,
     apply_interior,
+    canonical_entries,
     compose,
     frame,
+    frame_parts,
     gamma,
     gamma_frame_action,
     identity,
     norm_angle,
     sigma,
     tau,
+    unit_pair,
 )
 
 
@@ -203,3 +207,40 @@ def test_gamma_and_tau_constants():
         lhs = gamma_frame_action(f)
         assert lhs.z == apply_interior(gamma(), f.z)
         assert lhs.theta == norm_angle(f.theta - 2.0 * cmath.phase(f.z))
+
+
+def _bits(values):
+    return [x.hex() if isinstance(x, float) else (x.real.hex(), x.imag.hex()) for x in values]
+
+
+# entries with both signs, exact zeros and tiny values, where the sign rule
+# and the rescale of the float functions branch
+ENTRY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13, -1e-13]) | st.floats(-4.0, 4.0)
+
+
+@given(ENTRY, ENTRY)
+def test_unit_pair_gives_the_fields_of_a_boundary_point(a, b):
+    if math.hypot(a, b) < 1e-15:
+        with pytest.raises(ValueError, match="nonzero pair"):
+            unit_pair(a, b)
+        with pytest.raises(ValueError, match="nonzero pair"):
+            BoundaryPoint(a, b)
+        return
+    p = BoundaryPoint(a, b)
+    assert _bits(unit_pair(a, b)) == _bits((p.a, p.b))
+
+
+@given(ENTRY, ENTRY, ENTRY, ENTRY)
+def test_canonical_entries_and_frame_parts_give_the_fields_of_the_objects(a, b, c, d):
+    if not a * d - b * c > 0.0:
+        with pytest.raises(ValueError, match="positive determinant"):
+            canonical_entries(a, b, c, d)
+        with pytest.raises(ValueError, match="positive determinant"):
+            MoebiusMap(a, b, c, d)
+        return
+    t = MoebiusMap(a, b, c, d)
+    entries = canonical_entries(a, b, c, d)
+    assert _bits(entries) == _bits(t.entries())
+    parts = frame_parts(*entries)
+    assert type(parts) is tuple
+    assert _bits(parts) == _bits(frame(t)) == _bits(Frame(*parts))

@@ -102,12 +102,25 @@ def test_sampled_loop_checks_closing_on_every_path():
 
 
 def test_pushout_data_checks_the_corner_on_every_path():
-    other = Presentation(["a", "b"], [(1, 2, -1, -2)])
+    other = Presentation(["a", "b"])  # free, unlike the corner <a, b | [a, b]>
     for build in (lambda: PushoutData(other, _DATA.left, _DATA.right),
                   lambda: PushoutData._make((other, _DATA.left, _DATA.right)),
                   lambda: _DATA._replace(corner=other)):
         with pytest.raises(ValueError, match="must start at the corner group"):
             build()
+
+
+def test_pushout_data_compares_the_corner_by_value():
+    # an equal copy of the corner is the same group; presentations compare
+    # by value, so the homomorphisms start at it
+    corner = copy.deepcopy(_DATA.corner)
+    assert corner is not _DATA.corner
+    for build in (lambda: PushoutData(corner, _DATA.left, _DATA.right),
+                  lambda: PushoutData._make((corner, _DATA.left, _DATA.right)),
+                  lambda: _DATA._replace(corner=corner)):
+        assert build() == _DATA
+    with pytest.raises(ValueError, match="must start at the corner group"):
+        PushoutData(Presentation(["a", "b"]), _DATA.left, _DATA.right)
 
 
 def test_group_hom_checks_images_on_every_path():
