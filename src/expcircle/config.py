@@ -11,11 +11,13 @@ representative is the lexicographic minimum of the orbit).  The chart
 values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame), the coalescence
 limits and the sampled loops are immutable tuples, and the order-3 element
 is the module constant moebius.GAMMA, so a chart call builds no group
-element it does not need.  The pair chart builds no object but its result:
-c2_coord runs moebius.unit_pair, canonical_entries and frame_parts, from
-which BoundaryPoint, MoebiusMap and frame are built, on the two angles.  A
-subset is read-only, and the orbit of a triple is computed once, on the
-first chart call, then kept on the subset and shared by every later one.
+element it does not need.  The pair and triple charts build no object but
+their results: c2_coord and c3_orbit run moebius.unit_pair,
+canonical_entries, frame_parts and (for triples) gamma_frame_parts, from
+which BoundaryPoint, MoebiusMap, frame and gamma_frame_action are built, on
+the angles, with the matrices of _pair_matrix and _triple_matrix.  A subset
+is read-only, and the orbit of a triple is computed once, on the first chart
+call, then kept on the subset and shared by every later one.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -42,6 +44,7 @@ from .moebius import (
     cross,
     frame,
     frame_parts,
+    gamma_frame_parts,
     gamma_orbit,
     norm_angle,
     unit_pair,
@@ -175,6 +178,20 @@ def normalize_pair(p: BoundaryPoint, r: BoundaryPoint) -> MoebiusMap:
     return MoebiusMap(*_pair_matrix(p.a, p.b, r.a, r.b))
 
 
+def _triple_matrix(pa: float, pb: float, qa: float, qb: float,
+                   ra: float, rb: float) -> tuple[float, float, float, float]:
+    """normalize_triple's matrix for (pa : pb), (qa : qb) and (ra : rb), not
+    yet canonical."""
+    a = qa * rb - qb * ra  # cross(q, r)
+    b = qa * pb - qb * pa  # cross(q, p)
+    c = pa * rb - pb * ra  # cross(p, r)
+    if abs(a) <= ANGLE_TOL or abs(b) <= ANGLE_TOL or abs(c) <= ANGLE_TOL:
+        raise ValueError("normalize_triple needs three distinct points")
+    if a * b * c <= 0.0:
+        raise ValueError("triple is not in counterclockwise cyclic order")
+    return pb * a, -pa * a, rb * b, -ra * b
+
+
 def normalize_triple(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> MoebiusMap:
     """The map with p -> 0, q -> 1, r -> oo for a counterclockwise triple.
 
@@ -182,14 +199,7 @@ def normalize_triple(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> Mo
     three points may be infinity.  A clockwise-ordered triple would need an
     orientation-reversing map and is rejected.
     """
-    a = cross(q, r)
-    b = cross(q, p)
-    c = cross(p, r)
-    if abs(a) <= ANGLE_TOL or abs(b) <= ANGLE_TOL or abs(c) <= ANGLE_TOL:
-        raise ValueError("normalize_triple needs three distinct points")
-    if a * b * c <= 0.0:
-        raise ValueError("triple is not in counterclockwise cyclic order")
-    return MoebiusMap(p.b * a, -p.a * a, r.b * b, -r.a * b)
+    return MoebiusMap(*_triple_matrix(p.a, p.b, q.a, q.b, r.a, r.b))
 
 
 def pair_frame(x: BoundaryPoint, y: BoundaryPoint) -> Frame:
@@ -219,7 +229,11 @@ class C2Coord(namedtuple("C2Coord", ("phi", "theta"))):
     __slots__ = ()
 
     def approx_eq(self, other: "C2Coord", tol: float = ANGLE_TOL) -> bool:
-        return abs(self.phi - other.phi) <= tol and angle_dist(self.theta, other.theta) <= tol
+        """Closeness to other or to its fold image (pi - phi', theta' - 2 phi'):
+        on the core the two differ by the half turn c2_coord divides out."""
+        phi, theta = other
+        return any(abs(self.phi - p) <= tol and angle_dist(self.theta, t) <= tol
+                   for p, t in ((phi, theta), (math.pi - phi, theta - 2.0 * phi)))
 
 
 class C3Coord(namedtuple("C3Coord", ("z", "theta"))):
@@ -231,9 +245,6 @@ class C3Coord(namedtuple("C3Coord", ("z", "theta"))):
     """
 
     __slots__ = ()
-
-    def orbit(self) -> tuple[Frame, Frame, Frame]:
-        return gamma_orbit(Frame(self.z, self.theta))
 
     def approx_eq(self, other: "C3Coord", tol: float = ANGLE_TOL) -> bool:
         return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol
@@ -270,21 +281,31 @@ def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
 
     The orbit is computed on the first call and kept on the subset; later
     calls, and so c3_coord, exp3_coord and coord's printed orbit, share
-    that tuple.  A subset of another size raises on every call.
+    that tuple.  A subset of another size raises on every call.  It is
+    gamma_orbit(frame(normalize_triple(p, q, r))) for the to_boundary points,
+    computed on floats.
     """
     orbit = s._orbit
     if orbit is None:
-        if len(s.angles) != 3:
+        angles = s.angles
+        if len(angles) != 3:
             raise ValueError("c3 chart needs a subset of exactly 3 points")
-        orbit = gamma_orbit(frame(normalize_triple(*map(to_boundary, s.angles))))
+        h0, h1, h2 = 0.5 * angles[0], 0.5 * angles[1], 0.5 * angles[2]  # as in c2_coord
+        m = _triple_matrix(*unit_pair(math.sin(h0), math.cos(h0)),
+                           *unit_pair(math.sin(h1), math.cos(h1)),
+                           *unit_pair(math.sin(h2), math.cos(h2)))
+        f0 = frame_parts(*canonical_entries(*m))
+        f1 = gamma_frame_parts(*f0)
+        f2 = gamma_frame_parts(*f1)
+        # the fields are checked, so the frames are built as bare tuples
+        orbit = (tuple.__new__(Frame, f0), tuple.__new__(Frame, f1), tuple.__new__(Frame, f2))
         _set_orbit(s, orbit)
     return orbit
 
 
 def c3_coord(s: FiniteSubset) -> C3Coord:
     """Chart coordinate of a 3-point subset, independent of input ordering."""
-    f = _lex_min_frame(c3_orbit(s))
-    return C3Coord(f.z, f.theta)
+    return tuple.__new__(C3Coord, _lex_min_frame(c3_orbit(s)))
 
 
 def c2_coord(s: FiniteSubset) -> C2Coord:
@@ -313,10 +334,10 @@ def exp3_coord(s: FiniteSubset) -> Exp3Coord:
     """Chart coordinate of any subset, dispatching on its size."""
     angles = s.angles
     if len(angles) == 1:
-        return Exp3Coord("C1", c1=angles[0])
+        return Exp3Coord("C1", angles[0])
     if len(angles) == 2:
-        return Exp3Coord("C2", c2=c2_coord(s))
-    return Exp3Coord("C3", c3=c3_coord(s))
+        return Exp3Coord("C2", None, c2_coord(s))
+    return Exp3Coord("C3", None, None, c3_coord(s))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ stabilizers used to put small subsets of the boundary circle in normal form.
 A frame is an immutable tuple (z, theta), so building one costs little more
 than a tuple, and the frame action of gamma uses the module constant GAMMA,
 built once by the same validated constructor as gamma().  BoundaryPoint,
-MoebiusMap and frame are built from the float functions unit_pair,
-canonical_entries and frame_parts, which give the same bits without objects.
+MoebiusMap, frame and gamma_frame_action are built from the float functions
+unit_pair, canonical_entries, frame_parts and gamma_frame_parts, which give
+the same bits without objects; the pair and triple charts run them directly.
 """
 
 from __future__ import annotations
@@ -236,13 +237,25 @@ def frame(t: MoebiusMap) -> Frame:
     return tuple.__new__(Frame, frame_parts(t.a, t.b, t.c, t.d))
 
 
+def gamma_frame_parts(z: complex, theta: float) -> tuple[complex, float]:
+    """The fields of gamma_frame_action(Frame(z, theta)), with the checks of
+    apply_interior and of Frame."""
+    if not z.imag > 0.0:
+        raise ValueError("apply_interior needs Im z > 0")
+    w = (GAMMA.a * z + GAMMA.b) / (GAMMA.c * z + GAMMA.d)
+    theta -= 2.0 * cmath.phase(z)  # before the check on w, as in Frame(w, theta)
+    if not w.imag > 0.0:
+        raise ValueError("frame point must lie in the open upper half-plane")
+    return w, norm_angle(theta)
+
+
 def gamma_frame_action(f: Frame) -> Frame:
     """Action of gamma on frames: (z, theta) -> (gamma(z), theta - 2 arg z).
 
     This is the frame-coordinate form of left composition with gamma; tau acts
     on theta the same way but sends z to -1/z.
     """
-    return Frame(apply_interior(GAMMA, f.z), f.theta - 2.0 * cmath.phase(f.z))
+    return tuple.__new__(Frame, gamma_frame_parts(*f))
 
 
 def gamma_orbit(f: Frame) -> tuple[Frame, Frame, Frame]:

@@ -155,13 +155,13 @@ def test_homology_3_peak_memory(extra):
 
 def test_coord_charts_a_triple_once(monkeypatch):
     calls = []
-    normalize = config.normalize_triple
+    triple_matrix = config._triple_matrix
 
-    def counting(p, q, r):
-        calls.append((p, q, r))
-        return normalize(p, q, r)
+    def counting(*pairs):
+        calls.append(pairs)
+        return triple_matrix(*pairs)
 
-    monkeypatch.setattr(config, "normalize_triple", counting)
+    monkeypatch.setattr(config, "_triple_matrix", counting)
     code, out = run_cli("coord", "0.3", "2.0", "4.0")
     assert code == 0 and len(json.loads(out)["orbit"]) == 3
     assert len(calls) == 1

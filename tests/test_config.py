@@ -3,10 +3,11 @@ import copy
 import math
 import pickle
 import random
+import re
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from expcircle import config
 from expcircle.config import (
@@ -39,10 +40,16 @@ from expcircle.config import (
 )
 from expcircle.moebius import (
     ANGLE_TOL,
+    TWO_PI,
     BoundaryPoint,
+    Frame,
+    MoebiusMap,
     apply_boundary,
+    canonical_entries,
+    cross,
     frame,
     gamma,
+    gamma_orbit,
     identity,
     compose,
     norm_angle,
@@ -65,9 +72,14 @@ def c2_chart_raw(p: BoundaryPoint, r: BoundaryPoint) -> tuple[float, float]:
     return (cmath.phase(f.z), f.theta)
 
 
+def c3_coord_orbit(c: C3Coord) -> tuple[Frame, Frame, Frame]:
+    """The gamma-orbit of a triple chart point, starting at the point."""
+    return gamma_orbit(Frame(c.z, c.theta))
+
+
 def c3_distance(x: C3Coord, y: C3Coord) -> float:
     """Orbit-aware chart distance: the least over y's representatives."""
-    return min(max(abs(x.z - g.z), angle_dist(x.theta, g.theta)) for g in y.orbit())
+    return min(max(abs(x.z - g.z), angle_dist(x.theta, g.theta)) for g in c3_coord_orbit(y))
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +169,13 @@ def test_subset_is_read_only():
 
 def test_triple_is_charted_once(monkeypatch):
     calls = []
+    triple_matrix = config._triple_matrix
 
-    def counting(p, q, r):
-        calls.append((p, q, r))
-        return normalize_triple(p, q, r)
+    def counting(*pairs):
+        calls.append(pairs)
+        return triple_matrix(*pairs)
 
-    monkeypatch.setattr(config, "normalize_triple", counting)
+    monkeypatch.setattr(config, "_triple_matrix", counting)
     s = FiniteSubset([4.0, 0.3, 2.0])
     coord = exp3_coord(s)
     orbit = c3_orbit(s)
@@ -175,6 +188,27 @@ def test_triple_is_charted_once(monkeypatch):
         with pytest.raises(ValueError, match="exactly 3 points"):
             c3_orbit(pair)
     assert len(calls) == 2
+
+
+def test_charts_build_no_boundary_point_or_map(monkeypatch):
+    built = []
+    for cls in (BoundaryPoint, MoebiusMap):
+        def counting(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    pairs = ([0.3, 2.0], [0.0, math.pi], [math.pi, 5.0])
+    triples = ([4.0, 0.3, 2.0], [0.0, TWO_PI / 3, 2 * TWO_PI / 3], [0.5, math.pi, 6.0])
+    for angles in pairs + triples:
+        exp3_coord(FiniteSubset(angles))
+    for angles in triples:
+        assert len(c3_orbit(FiniteSubset(angles))) == 3
+    with pytest.raises(ValueError, match="exactly 3 points"):
+        c3_orbit(FiniteSubset(pairs[0]))
+    assert built == []
+    normalize_triple(*map(to_boundary, triples[0]))  # the counters count
+    assert built == ["BoundaryPoint"] * 3 + ["MoebiusMap"]
 
 
 def test_hausdorff_examples():
@@ -403,6 +437,19 @@ def test_c2_coord_quarter_pair():
     assert c.approx_eq(C2Coord(math.pi / 2, math.pi / 2))
 
 
+def test_c2_approx_eq_across_the_core():
+    # on the core theta is reduced modulo pi, so two nearly equal antipodal
+    # pairs can land at the two ends of [0, pi)
+    a = c2_coord(FiniteSubset([0.0, math.pi]))
+    b = c2_coord(FiniteSubset([1e-12, 1e-12 + math.pi]))
+    assert a.theta < 1e-15 and math.pi - b.theta < 1e-11
+    assert a.approx_eq(b) and b.approx_eq(a)
+    off = c2_coord(FiniteSubset([0.0, math.pi - 0.1]))  # theta near pi as well
+    quarter = c2_coord(FiniteSubset([math.pi / 2, 3 * math.pi / 2]))
+    for other in (off, quarter):
+        assert not a.approx_eq(other) and not other.approx_eq(a)
+
+
 def test_c2_swap_invariance_and_tau_identification():
     rng = random.Random(11)
     for _ in range(200):
@@ -456,6 +503,83 @@ def test_c2_coord_matches_the_object_path_bit_for_bit(base, gap, swap):
     for t in (FiniteSubset([base, 0.0]), FiniteSubset([math.pi, base])):
         if t.size == 2:
             assert _outcome(c2_coord, t) == _outcome(_c2_by_objects, t)
+
+
+def _normalize_triple_by_crosses(p, q, r):
+    """normalize_triple as it was written on the points: the reference for
+    config._triple_matrix."""
+    a, b, c = cross(q, r), cross(q, p), cross(p, r)
+    if abs(a) <= ANGLE_TOL or abs(b) <= ANGLE_TOL or abs(c) <= ANGLE_TOL:
+        raise ValueError("normalize_triple needs three distinct points")
+    if a * b * c <= 0.0:
+        raise ValueError("triple is not in counterclockwise cyclic order")
+    return MoebiusMap(p.b * a, -p.a * a, r.b * b, -r.a * b)
+
+
+def _c3_by_objects(s):
+    """The triple chart as it was built from objects."""
+    return gamma_orbit(frame(normalize_triple(*map(to_boundary, s.angles))))
+
+
+def _orbit_outcome(chart, s):
+    try:
+        return [(f.z.real.hex(), f.z.imag.hex(), f.theta.hex()) for f in chart(s)]
+    except ValueError as exc:
+        return str(exc)
+
+
+ANGLE = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@st.composite
+def triple_angles(draw):
+    """Three angles: random, equally spaced, with a gap just above the merge
+    threshold, or with a pair within 1e-9 of antipodal; the first is often 0
+    or pi, the boundary points 0 and infinity."""
+    base = draw(PAIR_BASES)
+    kind = draw(st.sampled_from(["random", "equal", "near", "antipodal"]))
+    if kind == "equal":
+        return [base, base + TWO_PI / 3, base + 2 * TWO_PI / 3]
+    if kind == "near":
+        second = base + draw(st.floats(1.001, 1.1)) * DISTINCT_TOL
+    elif kind == "antipodal":
+        second = base + math.pi + draw(st.floats(-1e-9, 1e-9))
+    else:
+        second = draw(ANGLE)
+    return draw(st.permutations([base, second, draw(ANGLE)]))
+
+
+@settings(max_examples=300)
+@given(triple_angles())
+def test_c3_orbit_matches_the_object_path_bit_for_bit(angles):
+    s = FiniteSubset(angles)
+    assume(s.size == 3)
+    assert _orbit_outcome(c3_orbit, s) == _orbit_outcome(_c3_by_objects, s)
+
+
+@given(triple_angles())
+def test_triple_matrix_matches_the_crosses(angles):
+    pts = [to_boundary(a) for a in angles]
+    fields = [x for p in pts for x in (p.a, p.b)]
+    try:
+        want = _normalize_triple_by_crosses(*pts).entries()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            config._triple_matrix(*fields)
+        return
+    entries = canonical_entries(*config._triple_matrix(*fields))
+    assert list(map(float.hex, entries)) == list(map(float.hex, want))
+    assert list(map(float.hex, normalize_triple(*pts).entries())) == list(map(float.hex, want))
+
+
+def test_triple_matrix_rejects_coincident_and_clockwise_points():
+    for bad, message in (((B(0.0), B(0.0), B(1.0)), "three distinct points"),
+                         ((B(0.0), INF, B(1.0)), "counterclockwise cyclic order")):
+        for chart in (_normalize_triple_by_crosses, normalize_triple):
+            with pytest.raises(ValueError, match=message):
+                chart(*bad)
+        with pytest.raises(ValueError, match=message):
+            config._triple_matrix(*(x for p in bad for x in (p.a, p.b)))
 
 
 def test_exp3_coord_dispatch():
@@ -690,7 +814,7 @@ def test_chart_value_contract():
     assert not c2.approx_eq(C2Coord(1.1, 0.5))
     c3 = c3_coord(FiniteSubset([0.3, 2.0, 4.0]))
     assert isinstance(c3, C3Coord) and c3.approx_eq(C3Coord(c3.z, c3.theta + 2.0 * math.pi))
-    orbit = c3.orbit()
+    orbit = c3_coord_orbit(c3)
     assert len(orbit) == 3 and orbit[0] == (c3.z, c3.theta)
     assert c3_distance(c3, C3Coord(orbit[1].z, orbit[1].theta)) < 1e-12
     for value in (e, c2, c3):

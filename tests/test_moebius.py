@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from expcircle.moebius import (
     frame_parts,
     gamma,
     gamma_frame_action,
+    gamma_frame_parts,
     identity,
     norm_angle,
     sigma,
@@ -207,6 +209,28 @@ def test_gamma_and_tau_constants():
         lhs = gamma_frame_action(f)
         assert lhs.z == apply_interior(gamma(), f.z)
         assert lhs.theta == norm_angle(f.theta - 2.0 * cmath.phase(f.z))
+
+
+# frames of random maps; points far out whose gamma image underflows onto
+# the real axis, the second with an arg z that underflows too; points on and
+# below the real axis
+def test_gamma_frame_parts_give_the_fields_of_the_old_action():
+    rng = random.Random(32)
+    frames = [tuple(frame(rand_map(rng))) for _ in range(120)]
+    frames += [(complex(1e300, 1e10), 0.5), (complex(1e200, 1e-200), 0.5),
+               (complex(2.0, 0.0), 1.0), (complex(-1.0, -1.0), 1.0)]
+    for z, theta in frames:
+        try:
+            want = Frame(apply_interior(GAMMA, z), theta - 2.0 * cmath.phase(z))
+        except (ValueError, OverflowError) as exc:
+            for action in (lambda: gamma_frame_parts(z, theta),
+                           lambda: gamma_frame_action(tuple.__new__(Frame, (z, theta)))):
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    action()
+            continue
+        parts = gamma_frame_parts(z, theta)
+        assert type(parts) is tuple
+        assert _bits(parts) == _bits(want) == _bits(gamma_frame_action(Frame(z, theta)))
 
 
 def _bits(values):
