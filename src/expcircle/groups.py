@@ -6,9 +6,9 @@ what the gluing arguments for the subset space need: pushouts of
 presentations along homomorphisms, deterministic Tietze simplification,
 Todd-Coxeter coset enumeration (sound: it certifies finite orders and
 otherwise reports inconclusive), abelianization through Smith normal form,
-and exhaustive counting of homomorphisms into small finite groups.  The
-records (homomorphisms, pushout data, Tietze results and order
-certificates) are immutable tuples.
+and exhaustive counting of homomorphisms into small finite groups.
+Presentations and the records built on them (homomorphisms, pushout data,
+Tietze results and order certificates) are immutable tuples.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
@@ -86,36 +86,31 @@ def _canonical_relator(w: Word) -> Word:
     return best
 
 
-class Presentation:
-    """Finitely presented group: generator names and reduced relator words.
-    Two presentations are equal when their generators and relators are."""
+class Presentation(checked_namedtuple("Presentation", ("generators", "relators"))):
+    """Finitely presented group: a tuple of generator names and a tuple of
+    reduced relator words.  Two presentations are equal when their
+    generators and relators are."""
 
-    def __init__(self, generators, relators=()):
-        self.generators = list(generators)
-        if len(set(self.generators)) != len(self.generators):
+    __slots__ = ()
+
+    def __new__(cls, generators, relators=()):
+        generators = tuple(generators)
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        for name in self.generators:
+        for name in generators:
             if not re.fullmatch(r"[A-Za-z_]\w*", name):
                 raise ValueError(f"bad generator name {name!r}")
-        n = len(self.generators)
+        n = len(generators)
         rels = []
         for w in relators:
             _check_letters(w, n, "relator")
             w = _cyclic_reduce(w)
             if w:
                 rels.append(w)
-        self.relators = rels
+        return tuple.__new__(cls, (generators, tuple(rels)))
 
     def __repr__(self):
         return f"Presentation({format_presentation(self)!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self.generators == other.generators and self.relators == other.relators
-
-    def __hash__(self):
-        return hash((tuple(self.generators), tuple(self.relators)))
 
     def rank_data(self):
         """Exponent-sum matrix of the relators, one row per relator."""
@@ -461,7 +456,7 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
         return result
 
     steps = 0
-    cur = Presentation(p.generators, p.relators)
+    cur = p
     while steps < TIETZE_STEP_BUDGET:
         # drop duplicates and empties
         seen = {}

@@ -54,10 +54,11 @@ def angle_dist(a: float, b: float) -> float:
 
 def unit_pair(a: float, b: float) -> tuple[float, float]:
     """The pair (a, b) scaled to a^2 + b^2 = 1, its first nonzero coordinate
-    made positive: the fields of BoundaryPoint(a, b)."""
+    made positive: the fields of BoundaryPoint(a, b).  A pair whose norm is
+    below 1e-15 or not finite raises ValueError."""
     n = math.hypot(a, b)
-    if n < 1e-15:
-        raise ValueError("boundary point needs a nonzero pair")
+    if not 1e-15 <= n < math.inf:
+        raise ValueError(f"boundary point needs a nonzero pair of finite norm, got ({a!r}, {b!r})")
     a, b = a / n, b / n
     if a < -MATRIX_TOL or (abs(a) <= MATRIX_TOL and b < 0.0):
         return -a, -b
@@ -66,10 +67,11 @@ def unit_pair(a: float, b: float) -> tuple[float, float]:
 
 def canonical_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
     """The matrix [[a, b], [c, d]] rescaled to determinant 1, its first
-    nonzero entry made positive: the fields of MoebiusMap(a, b, c, d)."""
+    nonzero entry made positive: the fields of MoebiusMap(a, b, c, d).  A
+    determinant that is not positive or not finite raises ValueError."""
     det = a * d - b * c
-    if not det > 0.0:
-        raise ValueError(f"matrix must have positive determinant, got {det!r}")
+    if not 0.0 < det < math.inf:
+        raise ValueError(f"matrix must have a finite positive determinant, got {det!r}")
     # Keep entries bit-stable when the matrix is already normalized:
     # renormalizing a normalized matrix must be the identity map on bits.
     if abs(det - 1.0) > 1e-12:
@@ -243,7 +245,9 @@ def gamma_frame_parts(z: complex, theta: float) -> tuple[complex, float]:
     if not z.imag > 0.0:
         raise ValueError("apply_interior needs Im z > 0")
     w = (GAMMA.a * z + GAMMA.b) / (GAMMA.c * z + GAMMA.d)
-    theta -= 2.0 * cmath.phase(z)  # before the check on w, as in Frame(w, theta)
+    # arg z, before the check on w as in Frame(w, theta); atan2 reads 0 where
+    # it underflows, where cmath.phase would raise OverflowError
+    theta -= 2.0 * math.atan2(z.imag, z.real)
     if not w.imag > 0.0:
         raise ValueError("frame point must lie in the open upper half-plane")
     return w, norm_angle(theta)

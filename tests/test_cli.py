@@ -442,11 +442,12 @@ def test_determinism_bytes():
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     # dataclasses brings inspect, ast, dis and tokenize into every start,
-    # so the records are namedtuples; -S keeps out what site and the .pth
-    # files it runs would import
+    # so the records are namedtuples, and the Smith form reads a column's
+    # lowest row with max, so heapq stays out too; -S keeps out what site
+    # and the .pth files it runs would import
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import expcircle.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'heapq'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

@@ -65,26 +65,46 @@ def test_parse_word_refuses_chained_equals():
 
 def test_presentation_roundtrip():
     p = P("gens: s t; rels: s^3 t^-2, s t^-1")
-    assert p.generators == ["s", "t"]
-    assert p.relators == [(1, 1, 1, -2, -2), (1, -2)]
+    assert p.generators == ("s", "t")
+    assert p.relators == ((1, 1, 1, -2, -2), (1, -2))
     again = parse_presentation(format_presentation(p))
     assert again.generators == p.generators and again.relators == p.relators
     free = P("gens: a b; rels:")
-    assert free.relators == []
+    assert free.relators == ()
 
 
 def test_commutator_sugar_in_relator_list():
     p = P("gens: b c; rels: [c^2, b]")
-    assert p.relators == [(2, 2, 1, -2, -2, -1)]
+    assert p.relators == ((2, 2, 1, -2, -2, -1),)
     p = P("gens: a b c; rels: [a, b], c^2 a^-1")
     assert len(p.relators) == 2
 
 
 def test_relators_are_reduced():
     p = Presentation(["a"], [(1, -1)])
-    assert p.relators == []
+    assert p.relators == ()
     p = Presentation(["a", "b"], [(2, 1, -2)])  # cyclic reduction
-    assert p.relators == [(1,)]
+    assert p.relators == ((1,),)
+
+
+def test_presentation_cannot_be_changed_in_place():
+    # with list fields, appending a relator changed the hash of a
+    # presentation held in a set and got past the letter check
+    p = Presentation(["a"])
+    held = {p}
+    for fields in (p.generators, p.relators):
+        with pytest.raises(AttributeError):
+            fields.append((1,))
+    assert p in held
+    with pytest.raises(AttributeError):
+        p.relators = [(5,)]
+    # a new presentation with that relator is checked on every path
+    for build in (lambda: Presentation(["a"], [(5,)]),
+                  lambda: Presentation._make((["a"], [(5,)])),
+                  lambda: p._replace(relators=[(5,)])):
+        with pytest.raises(ValueError, match="out of range in relator"):
+            build()
+    assert abelianization(p) == AbelianInvariants(1)
 
 
 def test_relator_letters_checked_before_reduction():
@@ -212,8 +232,8 @@ def test_hom_validation():
 def test_tietze_trivial_relator():
     res = tietze_simplify(Presentation(["a"], [(1, -1)]))
     assert res.complete
-    assert res.presentation.relators == []
-    assert res.presentation.generators == ["a"]
+    assert res.presentation.relators == ()
+    assert res.presentation.generators == ("a",)
 
 
 def test_tietze_band_piece():

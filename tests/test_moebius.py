@@ -212,8 +212,9 @@ def test_gamma_and_tau_constants():
 
 
 # frames of random maps; points far out whose gamma image underflows onto
-# the real axis, the second with an arg z that underflows too; points on and
-# below the real axis
+# the real axis, the second with an arg z that underflows too (cmath.phase
+# raises OverflowError there, the action reads arg z as 0 and refuses the
+# frame like every other); points on and below the real axis
 def test_gamma_frame_parts_give_the_fields_of_the_old_action():
     rng = random.Random(32)
     frames = [tuple(frame(rand_map(rng))) for _ in range(120)]
@@ -223,6 +224,8 @@ def test_gamma_frame_parts_give_the_fields_of_the_old_action():
         try:
             want = Frame(apply_interior(GAMMA, z), theta - 2.0 * cmath.phase(z))
         except (ValueError, OverflowError) as exc:
+            if isinstance(exc, OverflowError):
+                exc = ValueError("frame point must lie in the open upper half-plane")
             for action in (lambda: gamma_frame_parts(z, theta),
                            lambda: gamma_frame_action(tuple.__new__(Frame, (z, theta)))):
                 with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
@@ -231,6 +234,19 @@ def test_gamma_frame_parts_give_the_fields_of_the_old_action():
         parts = gamma_frame_parts(z, theta)
         assert type(parts) is tuple
         assert _bits(parts) == _bits(want) == _bits(gamma_frame_action(Frame(z, theta)))
+
+
+def test_non_finite_pairs_and_maps_are_refused():
+    # these once stored (nan, 0.0), (nan, nan), (nan, 0, 0, 0) and, with a
+    # determinant that overflows, the zero matrix
+    for a, b in ((math.inf, 1.0), (math.nan, 1.0)):
+        for build in (unit_pair, BoundaryPoint):
+            with pytest.raises(ValueError, match="nonzero pair"):
+                build(a, b)
+    for entries in ((math.inf, 0, 0, 1), (1e200, 1e200, 0, 1e200)):
+        for build in (canonical_entries, MoebiusMap):
+            with pytest.raises(ValueError, match="positive determinant"):
+                build(*entries)
 
 
 def _bits(values):

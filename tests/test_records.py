@@ -50,7 +50,15 @@ def test_record_is_an_immutable_tuple(rec):
     assert repr(rec).startswith(f"{type(rec).__name__}({rec._fields[0]}=")
 
 
-@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+# a presentation is a checked namedtuple too, with its own repr
+PRESENTATION = Presentation(["a", "b"], [(1, 2, -1, -2)])
+
+
+def test_presentation_keeps_its_repr():
+    assert repr(PRESENTATION) == "Presentation('gens: a b; rels: a b a^-1 b^-1')"
+
+
+@pytest.mark.parametrize("rec", RECORDS + [PRESENTATION], ids=lambda rec: type(rec).__name__)
 def test_record_copies_and_pickles(rec):
     # subsets and boundary points compare by identity, so a deep copy or an
     # unpickled record holding them is compared through its repr; every
