@@ -102,7 +102,7 @@ def cmd_coord(args) -> int:
 
 
 def cmd_knot(args) -> int:
-    core, csv = args.core, args.fmt == "csv"
+    core, csv, tol = args.core, args.fmt == "csv", args.tol
     loop = core_circle(args.samples) if core else boundary_torus_curve(args.eps, args.samples)
     try:
         w = winding_diagnostic(loop)
@@ -115,7 +115,7 @@ def cmd_knot(args) -> int:
         band_phi = math.pi / 2 - args.eps
         for i, s in enumerate(loop.subsets):
             c = c2_coord(s)
-            if not core and abs(c.phi - band_phi) > args.tol:
+            if not core and abs(c.phi - band_phi) > tol:
                 print("error: sample left the expected band locus", file=sys.stderr)
                 return 1
             if csv:

@@ -17,7 +17,11 @@ canonical_entries, frame_parts and (for triples) gamma_frame_parts, from
 which BoundaryPoint, MoebiusMap, frame and gamma_frame_action are built, on
 the angles, with the matrices of _pair_matrix and _triple_matrix.  A subset
 is read-only, and the orbit of a triple is computed once, on the first chart
-call, then kept on the subset and shared by every later one.
+call, then kept on the subset and shared by every later one.  The sampled
+pair loops (the band curve, the core and the singleton track of the winding
+diagnostic) are built by _pair_loop, which sets each pair's slots directly
+from its two reduced, ordered angles instead of running FiniteSubset's sort
+and merge scan.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -134,8 +138,8 @@ class FiniteSubset:
         return self.size == other.size and hausdorff_distance(self, other) <= tol
 
 
-# The slots' own setters, for __init__ and c3_orbit; FiniteSubset.__setattr__
-# refuses every assignment.
+# The slots' own setters, for __init__, _pair_loop and c3_orbit;
+# FiniteSubset.__setattr__ refuses every assignment.
 _set_angles = FiniteSubset.angles.__set__
 _set_orbit = FiniteSubset._orbit.__set__
 
@@ -327,7 +331,7 @@ def c2_coord(s: FiniteSubset) -> C2Coord:
         phi, theta = math.pi - phi, norm_angle(theta - 2.0 * phi)
     if abs(phi - 0.5 * math.pi) <= ANGLE_TOL:
         theta = math.fmod(norm_angle(theta), math.pi)
-    return C2Coord(phi, theta)
+    return tuple.__new__(C2Coord, (phi, theta))
 
 
 def exp3_coord(s: FiniteSubset) -> Exp3Coord:
@@ -481,13 +485,31 @@ def loop_b(s: FiniteSubset, samples: int = 256) -> SampledLoop:
     return SampledLoop(pts, closed=True)
 
 
+def _pair_loop(starts, sep: float) -> SampledLoop:
+    """The closed loop of the pairs {x, x + sep}, x running through starts.
+
+    Each endpoint goes through norm_angle and the two are ordered by one
+    comparison; the slots are set as __init__ sets them, with no sort and no
+    merge scan.  Precondition: every x is finite with 0 <= x <= 2*pi, and sep
+    lies in (DISTINCT_TOL, 2*pi - DISTINCT_TOL) by more than rounding.  Then
+    the two points are distinct both ways round the circle, the scan would
+    keep both, and every angle has the same bits as FiniteSubset([x, x + sep]).
+    """
+    new, pts = FiniteSubset.__new__, []
+    for x in starts:
+        a, b = norm_angle(x), norm_angle(x + sep)
+        s = new(FiniteSubset)
+        _set_angles(s, (a, b) if a < b else (b, a))
+        _set_orbit(s, None)
+        pts.append(s)
+    return SampledLoop(pts, closed=True)
+
+
 def core_circle(samples: int = 256) -> SampledLoop:
     """The circle of antipodal pairs, the band core; closes after a half turn."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    pts = [FiniteSubset([math.pi * k / samples, math.pi * k / samples + math.pi])
-           for k in range(samples + 1)]
-    return SampledLoop(pts, closed=True)
+    return _pair_loop([math.pi * k / samples for k in range(samples + 1)], math.pi)
 
 
 def boundary_torus_curve(eps: float, samples: int = 720) -> SampledLoop:
@@ -497,7 +519,8 @@ def boundary_torus_curve(eps: float, samples: int = 720) -> SampledLoop:
     full turn of the sliding parameter, which passes the core position twice.
     The charts fold a pair onto the core side only beyond ANGLE_TOL of it, so
     eps must clear that with a margin for rounding: at 2 * ANGLE_TOL or less
-    the curve cannot be told from the core.
+    the curve cannot be told from the core.  The pairs are built by _pair_loop,
+    with the bits of FiniteSubset([x, x + sep]).
     """
     if not 2.0 * ANGLE_TOL < eps < math.pi / 4.0:
         raise ValueError(
@@ -506,10 +529,7 @@ def boundary_torus_curve(eps: float, samples: int = 720) -> SampledLoop:
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    sep = math.pi - 2.0 * eps
-    pts = [FiniteSubset([TWO_PI * k / samples, TWO_PI * k / samples + sep])
-           for k in range(samples + 1)]
-    return SampledLoop(pts, closed=True)
+    return _pair_loop([TWO_PI * k / samples for k in range(samples + 1)], math.pi - 2.0 * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +542,14 @@ _SINGLETON_SPREAD = 0.2
 
 def _track_pair_angles(loop: SampledLoop):
     """Continuous lifted trajectories (A(t), B(t)) of the two points."""
-    subsets = loop.subsets
+    remainder, subsets = math.remainder, loop.subsets
     first = subsets[0].angles
     a, b = float(first[0]), float(first[1])
     traj_a, traj_b = [a], [b]
     for s in subsets[1:]:
         u, v = s.angles
-        da, db = math.remainder(u - a, TWO_PI), math.remainder(v - b, TWO_PI)
-        ea, eb = math.remainder(v - a, TWO_PI), math.remainder(u - b, TWO_PI)
+        da, db = remainder(u - a, TWO_PI), remainder(v - b, TWO_PI)
+        ea, eb = remainder(v - a, TWO_PI), remainder(u - b, TWO_PI)
         step, swapped = max(abs(da), abs(db)), max(abs(ea), abs(eb))
         # the tie rule of min over (step, da, db): the swap wins only if less
         if swapped < step or swapped == step and (ea, eb) < (da, db):
@@ -560,10 +580,7 @@ def winding_diagnostic(loop: SampledLoop) -> tuple[int, int]:
         raise ValueError("winding diagnostic needs a closed sampled loop")
     sizes = {len(s.angles) for s in loop.subsets}
     if sizes == {1}:
-        loop = SampledLoop(
-            [FiniteSubset([s.angles[0], s.angles[0] + _SINGLETON_SPREAD]) for s in loop.subsets],
-            closed=True,
-        )
+        loop = _pair_loop([s.angles[0] for s in loop.subsets], _SINGLETON_SPREAD)
     elif sizes != {2}:
         raise ValueError(
             "winding diagnostic is defined for loops in the pair stratum "
@@ -579,8 +596,8 @@ def winding_diagnostic(loop: SampledLoop) -> tuple[int, int]:
 
     # transverse position: deviation of the pair separation from antipodal
     devs = [math.remainder(x - y - math.pi, TWO_PI) for x, y in zip(traj_a, traj_b)]
-    if max(abs(d) for d in devs) <= ANGLE_TOL:
+    if max(map(abs, devs)) <= ANGLE_TOL:
         return (m, 0)
-    if min(abs(d) for d in devs) <= ANGLE_TOL or min(devs) < 0.0 < max(devs):
+    if min(map(abs, devs)) <= ANGLE_TOL or min(devs) < 0.0 < max(devs):
         raise ValueError("loop touches or crosses the core circle")
     return (m, 3 * m // 2)

@@ -18,7 +18,6 @@ the same bits without objects; the pair and triple charts run them directly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -92,7 +91,9 @@ def frame_parts(a: float, b: float, c: float, d: float) -> tuple[complex, float]
     z = (a * 1j + b) / w
     if not z.imag > 0.0:
         raise ValueError("frame point must lie in the open upper half-plane")
-    return z, norm_angle(-2.0 * cmath.phase(w))
+    # atan2 reads arg w as 0 where it underflows, where cmath.phase would
+    # raise OverflowError; elsewhere the two give the same bits
+    return z, norm_angle(-2.0 * math.atan2(w.imag, w.real))
 
 
 class BoundaryPoint:

@@ -127,6 +127,24 @@ def test_golden_bytes(case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
 
 
+def test_knot_builds_no_finite_subset(monkeypatch):
+    # the band curve, the core and the singleton track are built by
+    # config._pair_loop, which sets the slots without FiniteSubset.__init__
+    single = config.loop_a(config.FiniteSubset([0.3]), samples=720)
+
+    def refuse(self, *args):
+        raise AssertionError("FiniteSubset.__init__ called")
+
+    monkeypatch.setattr(config.FiniteSubset, "__init__", refuse)
+    for case in ("--eps 0.1 --samples 720 knot", "--samples 720 knot --core"):
+        code, out = run_cli(*case.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
+    assert config.winding_diagnostic(single) == (2, 3)
+    with pytest.raises(AssertionError, match="called"):  # the guard guards
+        config.FiniteSubset([0.3])
+
+
 # tracemalloc peak of the whole homology 3 op at n=3, in bytes (Python
 # 3.11): 20.14 MB absolute and 20.06 MB relative while the simplicial
 # complex and a dict per pivot column were alive through the reduction,

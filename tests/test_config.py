@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from expcircle import config
+from expcircle import cli, config
 from expcircle.config import (
     DISTINCT_TOL,
     EXCEPTIONAL_POINT,
@@ -758,6 +758,45 @@ def test_boundary_torus_curve():
         boundary_torus_curve(1.0, 360)
     with pytest.raises(ValueError):
         boundary_torus_curve(0.0, 360)
+
+
+def _reference_loop(starts, sep):
+    """The pairs {x, x + sep} through FiniteSubset's sort and merge scan."""
+    return [FiniteSubset([x, x + sep]).angles for x in starts]
+
+
+def _angles(loop):
+    # norm_angle clears the sign of -0.0, so == on these tuples is bit equality
+    assert all(type(s) is FiniteSubset and s._orbit is None for s in loop.subsets)
+    return [s.angles for s in loop.subsets]
+
+
+@pytest.mark.parametrize("samples", (2, 3, 7, 720, 1000, cli.MAX_SAMPLES))
+def test_pair_loops_have_the_bits_of_finite_subsets(samples):
+    starts = [TWO_PI * k / samples for k in range(samples + 1)]
+    for eps in (2.0000001 * ANGLE_TOL, 1e-3, 0.1, 0.3, math.pi / 4 - 1e-12):
+        sep = math.pi - 2.0 * eps  # one value, as the curve adds it
+        assert _angles(boundary_torus_curve(eps, samples)) == _reference_loop(starts, sep)
+    starts = [math.pi * k / samples for k in range(samples + 1)]
+    assert _angles(core_circle(samples)) == _reference_loop(starts, math.pi)
+
+
+def test_singleton_track_has_the_bits_of_finite_subsets(monkeypatch):
+    built = []
+
+    def recording(starts, sep, pair_loop=config._pair_loop):
+        built.append(pair_loop(starts, sep))
+        return built[-1]
+
+    monkeypatch.setattr(config, "_pair_loop", recording)
+    for alpha in (0.3, 6.2):  # the second pair wraps past 2*pi
+        single = loop_a(FiniteSubset([alpha]), samples=720)
+        assert winding_diagnostic(single) == (2, 3)
+        starts = [s.angles[0] for s in single.subsets]
+        assert _angles(built[-1]) == _reference_loop(starts, config._SINGLETON_SPREAD)
+    assert len(built) == 2
+    with pytest.raises(ValueError, match="exactly 3 points"):  # the orbit slot is set
+        c3_orbit(built[-1].subsets[0])
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_frame_examples():
     assert abs(f.z - 2j) < 1e-12 and f.theta < 1e-12
 
 
+def test_frame_reads_an_underflowing_arg_w_as_zero():
+    # arg w of w = ci + d underflows to 0 while z = t(i) = 0.01i is a valid
+    # point; cmath.phase(w) raised OverflowError there ("math range error")
+    t = MoebiusMap(0.1, 0.0, 5e-324, 10.0)
+    with pytest.raises(OverflowError):
+        cmath.phase(complex(10.0, 5e-324))
+    f = frame(t)
+    assert f == (0.01j, 0.0) and f.z.imag > 0.0
+    assert frame_parts(*t.entries()) == (0.01j, 0.0)
+
+
 def test_named_element_relations():
     assert sigma(1.0).approx_eq(identity())
     lam = 3.0
