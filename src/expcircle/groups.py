@@ -12,7 +12,11 @@ Tietze results and order certificates) are immutable tuples.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
-and of the complement of the singleton circle.
+and of the complement of the singleton circle.  Their fixed relators and
+images are written as words, with the text form beside each; the text format
+(parse_word, parse_presentation) is for callers and tests.  Finite groups are
+multiplication tables whose associativity is checked by Light's test, on a
+generating set only.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _cyclic_reduce(word) -> Word:
 
 
 def _invert(word) -> Word:
-    return tuple(-x for x in reversed(word))
+    return tuple([-x for x in reversed(word)])
 
 
 def _substitute(word, images) -> Word:
@@ -76,14 +80,20 @@ def _exponent_sums(word, n: int) -> list[int]:
 
 def _canonical_relator(w: Word) -> Word:
     """Least rotation of the cyclically reduced word w or of its inverse; a
-    normal form for relator comparison."""
+    normal form for relator comparison.  A least rotation starts with a
+    least letter, so only those rotations are compared."""
     best = w
     for u in (w, _invert(w)):
-        for k in range(len(u)):
-            rot = u[k:] + u[:k]
-            if rot < best:
-                best = rot
+        least = min(u, default=0)
+        for k, x in enumerate(u):
+            if x == least:
+                rot = u[k:] + u[:k]
+                if rot < best:
+                    best = rot
     return best
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 class Presentation(checked_namedtuple("Presentation", ("generators", "relators"))):
@@ -95,11 +105,11 @@ class Presentation(checked_namedtuple("Presentation", ("generators", "relators")
 
     def __new__(cls, generators, relators=()):
         generators = tuple(generators)
+        for name in generators:
+            if not (isinstance(name, str) and _NAME.fullmatch(name)):
+                raise ValueError(f"bad generator name {name!r}")
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        for name in generators:
-            if not re.fullmatch(r"[A-Za-z_]\w*", name):
-                raise ValueError(f"bad generator name {name!r}")
         n = len(generators)
         rels = []
         for w in relators:
@@ -264,15 +274,11 @@ def format_presentation(p: Presentation) -> str:
 def _is_abelian_free_presentation(p: Presentation) -> bool:
     """True when every relator is a commutator of generators, so the group
     is free abelian on its generators and word triviality is decidable by
-    exponent sums."""
-    n = len(p.generators)
-    commutators = {
-        _canonical_relator((i, j, -i, -j))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    }
-    return all(_canonical_relator(w) in commutators for w in p.relators)
+    exponent sums.  The rotations and inverses of [x, y] for generators
+    x != y are exactly the words a b a^-1 b^-1 with letters a, b of two
+    different generators, and in a cyclically reduced relator of that
+    shape a and b name different generators."""
+    return all(len(w) == 4 and w[2] == -w[0] and w[3] == -w[1] for w in p.relators)
 
 
 class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified"))):
@@ -373,18 +379,22 @@ TIETZE_STEP_BUDGET = 1000
 REWRITE_ROUNDS = 64
 
 
-class TietzeResult(namedtuple("TietzeResult", ("presentation", "complete", "steps"))):
+class TietzeResult(namedtuple("TietzeResult",
+                              ("presentation", "complete", "steps", "abelianization"))):
+    """A simplified presentation, whether simplification ran to its end, the
+    rules applied, and the abelianization, which the input shares."""
+
     __slots__ = ()
 
 
-def _drop_generator(p: Presentation, gen: int, replacement: Word) -> Presentation:
-    """Remove generator gen (1-based), rewriting every relator through the
-    replacement word (which must not mention gen) and renumbering the
-    generators after it."""
-    images = [(g,) for g in range(1, gen)] + [()] + [(g,) for g in range(gen, len(p.generators))]
+def _drop_generator(generators, relators, gen: int, replacement: Word) -> Presentation:
+    """Remove generator gen (1-based) from the presentation on generators and
+    relators, rewriting every relator through the replacement word (which
+    must not mention gen) and renumbering the generators after it."""
+    images = [(g,) for g in range(1, gen)] + [()] + [(g,) for g in range(gen, len(generators))]
     images[gen - 1] = _substitute(replacement, images)
-    names = [g for i, g in enumerate(p.generators) if i + 1 != gen]
-    return Presentation(names, [_substitute(w, images) for w in p.relators])
+    names = [g for i, g in enumerate(generators) if i + 1 != gen]
+    return Presentation(names, [_substitute(w, images) for w in relators])
 
 
 def _power_rule_rewrites(p: Presentation):
@@ -447,13 +457,14 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
     increases and (generators, total length) strictly decreases with every
     applied rule, so the loop terminates; exhausting TIETZE_STEP_BUDGET
     returns the current state flagged incomplete.  Every run re-checks that the
-    abelianization is unchanged.
+    abelianization is unchanged, and the result carries it.
     """
 
-    def finish(result: TietzeResult) -> TietzeResult:
-        if abelianization(result.presentation) != abelianization(p):
+    def finish(cur: Presentation, complete: bool) -> TietzeResult:
+        ab = abelianization(cur)
+        if ab != abelianization(p):
             raise RuntimeError("internal error: simplification changed the abelianization")
-        return result
+        return TietzeResult(cur, complete, steps, ab)
 
     steps = 0
     cur = p
@@ -488,7 +499,7 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
         if elim:
             g, rep, used = elim
             rest = [w for w in cur.relators if w is not used]
-            cur = _drop_generator(Presentation(cur.generators, rest), g, rep)
+            cur = _drop_generator(cur.generators, rest, g, rep)
             steps += 1
             continue
 
@@ -512,8 +523,8 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
                 cur = Presentation(cur.generators, [w for w in new_rels if w])
                 steps += 1
                 continue
-        return finish(TietzeResult(cur, complete=True, steps=steps))
-    return finish(TietzeResult(cur, complete=False, steps=steps))
+        return finish(cur, complete=True)
+    return finish(cur, complete=False)
 
 
 # ---------------------------------------------------------------------------
@@ -669,29 +680,64 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 class FiniteGroup:
-    """Finite group given by its multiplication table."""
+    """Finite group given by its multiplication table, entries the ints
+    0..order-1.
+
+    The table must have an identity, an inverse in every row and be
+    associative.  Associativity is checked by Light's test (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2):
+    (xy)z = x(yz) for all x and z is tested only for y in a generating set.
+    The y that pass hold the identity and are closed under products, and
+    every element is a product of generators, so when the generators pass,
+    every element does: the check is complete.
+    """
 
     def __init__(self, table):
-        self.table = [list(row) for row in table]
-        self.order = len(self.table)
-        for row in self.table:
-            if len(row) != self.order:
+        self.table = t = [list(row) for row in table]
+        self.order = n = len(t)
+        for row in t:
+            if len(row) != n:
                 raise ValueError("multiplication table must be square")
-            if any(x not in range(self.order) for x in row):
+            # 0.0 passes the range check but indexes no row; a bool is no
+            # element index either
+            if any(type(x) is not int for x in row):
+                raise ValueError("multiplication table has an entry that is not an int")
+            if any(not 0 <= x < n for x in row):
                 raise ValueError("multiplication table has an entry outside 0..order-1")
-        t, elems = self.table, range(self.order)
-        identities = [e for e in elems if all(t[e][x] == x == t[x][e] for x in elems)]
+        elems = range(n)
+        identity_row = list(elems)
+        identities = [e for e in elems
+                      if t[e] == identity_row and all(t[x][e] == x for x in elems)]
         if not identities:
             raise ValueError("multiplication table has no identity")
-        self.identity = identities[0]
-        if any(self.identity not in row for row in self.table):
+        self.identity = e = identities[0]
+        if any(e not in row for row in t):
             raise ValueError("multiplication table has an element with no inverse")
-        self.inverse = [row.index(self.identity) for row in self.table]
-        if any(t[t[x][y]][z] != t[x][t[y][z]] for x in elems for y in elems for z in elems):
-            raise ValueError("multiplication table is not associative")
+        self.inverse = [row.index(e) for row in t]
+        for y in _generating_set(t, e):
+            ty = t[y]
+            for tx in t:  # row xy against x(yz) for every z
+                if t[tx[y]] != [tx[v] for v in ty]:
+                    raise ValueError("multiplication table is not associative")
 
-    def mul(self, x, y):
-        return self.table[x][y]
+
+def _generating_set(t, e: int) -> list[int]:
+    """Elements of the table t whose products, formed from e by right
+    multiplication, reach every element: each element not yet reached joins
+    the set in turn.  The closure assumes nothing of t but the identity e."""
+    gens: list[int] = []
+    reached = [e]
+    for g in range(len(t)):
+        if g in reached:
+            continue
+        gens.append(g)
+        reached = [e]
+        for r in reached:  # the list grows while it is read
+            for h in gens:
+                x = t[r][h]
+                if x not in reached:
+                    reached.append(x)
+    return gens
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -699,7 +745,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in elems]
+        [index[tuple(map(p.__getitem__, q))] for q in elems]
         for p in elems
     ]
     return FiniteGroup(table)
@@ -711,20 +757,16 @@ def count_homs(p: Presentation, g: FiniteGroup) -> int:
     k = len(p.generators)
     if g.order**k > 10**8:
         raise ValueError("assignment space too large")
+    table, inverse, e = g.table, g.inverse, g.identity
     count = 0
     for assignment in product(range(g.order), repeat=k):
-        ok = True
         for w in p.relators:
-            cur = g.identity
+            cur = e
             for x in w:
-                t = assignment[abs(x) - 1]
-                if x < 0:
-                    t = g.inverse[t]
-                cur = g.mul(cur, t)
-            if cur != g.identity:
-                ok = False
+                cur = table[cur][assignment[x - 1] if x > 0 else inverse[assignment[-x - 1]]]
+            if cur != e:
                 break
-        if ok:
+        else:
             count += 1
     return count
 
@@ -742,9 +784,9 @@ def pushout_exp3() -> PushoutData:
     meridional loop is the band generator on one side and, after sliding to
     the equal-spacing position, the fibre generator on the other.
     """
-    corner = Presentation(["a", "b"], [parse_word("[a, b]", ["a", "b"])])
-    a_side = Presentation(["s"])
-    b_side = Presentation(["t"])
+    corner = Presentation(("a", "b"), [(1, 2, -1, -2)])  # [a, b]
+    a_side = Presentation(("s",))
+    b_side = Presentation(("t",))
     j = GroupHom(corner, a_side, [(1, 1, 1), (1,)])  # a -> s^3, b -> s
     i = GroupHom(corner, b_side, [(1, 1), (1,)])     # a -> t^2, b -> t
     return PushoutData(corner=corner, left=j, right=i)
@@ -754,9 +796,9 @@ def pushout_band_piece() -> PushoutData:
     """Gluing for the punctured band piece: a thickened torus (generators a,
     b) attached to the band (generator c) along a circle that covers the
     band core twice."""
-    corner = Presentation(["t"])
-    torus = Presentation(["a", "b"], [parse_word("[a, b]", ["a", "b"])])
-    band = Presentation(["c"])
+    corner = Presentation(("t",))
+    torus = Presentation(("a", "b"), [(1, 2, -1, -2)])  # [a, b]
+    band = Presentation(("c",))
     into_torus = GroupHom(corner, torus, [(1,)])   # t -> a
     into_band = GroupHom(corner, band, [(1, 1)])   # t -> c^2
     return PushoutData(corner=corner, left=into_torus, right=into_band)
@@ -766,10 +808,9 @@ def pushout_complement() -> PushoutData:
     """Gluing for the complement of the singleton circle: same cover as the
     full space, but the band piece is punctured, so its group is the
     band-piece result <t, u | [t^2, u]> with u the meridional image."""
-    corner = Presentation(["a", "b"], [parse_word("[a, b]", ["a", "b"])])
-    a_side = Presentation(["s"])
-    gens = ["t", "u"]
-    b_side = Presentation(gens, [parse_word("[t^2, u]", gens)])
+    corner = Presentation(("a", "b"), [(1, 2, -1, -2)])  # [a, b]
+    a_side = Presentation(("s",))
+    b_side = Presentation(("t", "u"), [(1, 1, 2, -1, -1, -2)])  # [t^2, u]
     j = GroupHom(corner, a_side, [(1, 1, 1), (1,)])  # a -> s^3, b -> s
     i = GroupHom(corner, b_side, [(1, 1), (2,)])     # a -> t^2, b -> u
     return PushoutData(corner=corner, left=j, right=i)

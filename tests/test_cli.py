@@ -127,6 +127,23 @@ def test_golden_bytes(case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
 
 
+def test_pi1_parses_no_text(monkeypatch):
+    # the pushout data and the expected presentations are words, so the
+    # pi1 cases keep their digests with the text parsers refusing to run
+    from expcircle import groups
+
+    def refuse(*args):
+        raise AssertionError("pi1 parsed text")
+
+    monkeypatch.setattr(groups, "parse_word", refuse)
+    monkeypatch.setattr(groups, "parse_presentation", refuse)
+    monkeypatch.setattr(cli, "parse_presentation", refuse, raising=False)
+    for case in ("pi1 exp3", "pi1 Bprime", "pi1 complement"):
+        code, out = run_cli(*case.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
+
+
 def test_knot_builds_no_finite_subset(monkeypatch):
     # the band curve, the core and the singleton track are built by
     # config._pair_loop, which sets the slots without FiniteSubset.__init__

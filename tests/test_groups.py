@@ -1,12 +1,14 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expcircle.complexes import AbelianInvariants
 from expcircle.groups import (
     _canonical_relator,
     _cyclic_reduce,
+    _invert,
+    _is_abelian_free_presentation,
     _substitute,
     FiniteGroup,
     GroupHom,
@@ -78,6 +80,17 @@ def test_commutator_sugar_in_relator_list():
     assert p.relators == ((2, 2, 1, -2, -2, -1),)
     p = P("gens: a b c; rels: [a, b], c^2 a^-1")
     assert len(p.relators) == 2
+
+
+def test_presentation_refuses_names_that_are_not_strings():
+    # the name pattern once met a non-string in re, which raised TypeError
+    for names in ([1], ["a", None], [b"a"], [["a"]]):
+        with pytest.raises(ValueError, match="bad generator name"):
+            Presentation(names)
+    with pytest.raises(ValueError, match="bad generator name"):
+        Presentation(["a b"])
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        Presentation(["a", "a"])
 
 
 def test_relators_are_reduced():
@@ -173,9 +186,41 @@ def test_canonical_form_matches_substitution(p):
     assert canonical_form(p) == _canonical_form_by_substitution(p)
 
 
+@given(small_presentations())
+def test_canonical_relator_is_the_least_rotation(p):
+    # the reference compares every rotation, not only those that start
+    # with a least letter
+    for w in p.relators:
+        rotations = [u[k:] + u[:k] for u in (w, _invert(w)) for k in range(len(u))]
+        assert _canonical_relator(w) == min(rotations)
+
+
+@given(small_presentations())
+def test_commutator_relators_are_recognised_by_their_shape(p):
+    # the reference: every relator is, up to rotation and inversion, [x, y]
+    # for two different generators x and y
+    n = len(p.generators)
+    commutators = {_canonical_relator((i, j, -i, -j))
+                   for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    reference = all(_canonical_relator(w) in commutators for w in p.relators)
+    assert _is_abelian_free_presentation(p) == reference
+    torus = Presentation(["a", "b", "c"], [(1, 2, -1, -2), (-3, 1, 3, -1), (2, -3, -2, 3)])
+    assert _is_abelian_free_presentation(torus)
+    assert not _is_abelian_free_presentation(Presentation(["a", "b"], [(1, 2, -1, 2)]))
+
+
 # ---------------------------------------------------------------------------
 # pushouts
 # ---------------------------------------------------------------------------
+
+def test_pushout_data_are_their_text_forms():
+    # the fixed inputs are written as words; the comments beside them give
+    # the text form, which parses to the same presentations
+    torus = P("gens: a b; rels: [a, b]")
+    exp3, band, complement = pushout_exp3(), pushout_band_piece(), pushout_complement()
+    assert exp3.corner == complement.corner == band.left.target == torus
+    assert complement.right.target == P("gens: t u; rels: [t^2, u]")
+
 
 def test_pushout_free_example():
     corner = Presentation(["x"])
@@ -247,6 +292,19 @@ def test_tietze_complement_chain():
     out = tietze_simplify(start)
     assert out.complete
     assert same_up_to_renaming(out.presentation, P("gens: s t; rels: s^3 t^-2"))
+
+
+@pytest.mark.parametrize("build", [pushout_exp3, pushout_band_piece, pushout_complement])
+def test_tietze_result_carries_the_abelianization_of_the_pushouts(build):
+    p = pushout(build())
+    out = tietze_simplify(p)
+    assert out.abelianization == abelianization(p) == abelianization(out.presentation)
+
+
+@given(small_presentations())
+def test_tietze_result_carries_the_abelianization(p):
+    out = tietze_simplify(p)
+    assert out.abelianization == abelianization(p) == abelianization(out.presentation)
 
 
 def test_tietze_preserves_abelianization():
@@ -368,7 +426,7 @@ def test_count_homs_invariant_under_tietze():
 def test_finite_group_tables():
     s3 = symmetric_group(3)
     assert s3.order == 6
-    assert s3.mul(s3.identity, 3) == 3
+    assert s3.table[s3.identity][3] == 3
     z5 = cyclic_group(5)
     assert z5.order == 5
     assert z5.inverse[2] == 3
@@ -383,6 +441,92 @@ def test_finite_group_tables():
     # identity 0 and every row holds it, but (1*1)*2 = 2 and 1*(1*2) = 1
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+
+
+def test_finite_group_refuses_entries_that_are_not_ints():
+    # 0.0 in range(1) holds, so a float once got past the range check and
+    # failed as a list index; a bool is no element index either
+    for table in ([[0.0]], [[0, 1], [1, 0.0]], [[False]], [[0, 1], [1, False]]):
+        with pytest.raises(ValueError, match="not an int"):
+            FiniteGroup(table)
+
+
+# an order-5 loop: identity 0, an inverse in every row and a Latin square,
+# but (1*1)*2 = 2 and 1*(1*2) = 4
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+def test_light_test_refuses_a_latin_square_loop():
+    elems = range(5)
+    assert all(sorted(row) == list(elems) for row in LOOP_5)
+    assert all(sorted(LOOP_5[x][y] for x in elems) == list(elems) for y in elems)
+    assert not _associative(LOOP_5)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(LOOP_5)
+
+
+def test_light_test_checks_every_generator():
+    # every triple with 1 in the middle associates, and 1 generates {0, 1}
+    # only; (1*2)*2 = 0 but 1*(2*2) = 1
+    t = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 0, 1]]
+    assert all(t[t[x][1]][z] == t[x][t[1][z]] for x in range(4) for z in range(4))
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(t)
+
+
+def _associative(t):
+    """The reference: (xy)z = x(yz) over all triples."""
+    elems = range(len(t))
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in elems for y in elems for z in elems)
+
+
+def _cayley_tables():
+    """Tables of the groups of order 1 to 6, identity 0."""
+    cyclic = [[[(i + j) % n for j in range(n)] for i in range(n)] for n in range(1, 7)]
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    return cyclic + [klein, symmetric_group(3).table]
+
+
+@st.composite
+def tables_with_identity_and_inverses(draw):
+    """A relabelled group table, perhaps with two entries of one row
+    swapped, or a random table: each has an identity and an inverse in
+    every row."""
+    kind = draw(st.sampled_from(["group", "swapped", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 6))
+        t = [list(range(n))] + [
+            [x] + draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+            for x in range(1, n)
+        ]
+        for x in range(1, n):
+            t[x][draw(st.integers(1, n - 1))] = 0
+    else:
+        t = [row[:] for row in draw(st.sampled_from(_cayley_tables()))]
+        n = len(t)
+        if kind == "swapped" and n > 2:
+            x = draw(st.integers(1, n - 1))
+            i, j = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+            t[x][i], t[x][j] = t[x][j], t[x][i]
+    # relabel by a permutation, so the identity is not always 0
+    perm = draw(st.permutations(range(n)))
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[t[x][y]]
+    return out
+
+
+@settings(max_examples=300)
+@given(tables_with_identity_and_inverses())
+def test_light_test_agrees_with_the_triple_check(t):
+    try:
+        FiniteGroup(t)
+        accepted = True
+    except ValueError as exc:
+        assert "not associative" in str(exc)
+        accepted = False
+    assert accepted == _associative(t)
 
 
 # ---------------------------------------------------------------------------

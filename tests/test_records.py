@@ -96,6 +96,14 @@ def test_presentations_compare_and_hash_by_value():
     assert a3 != "gens: a; rels: a^3"
 
 
+def test_tietze_result_holds_the_abelianization():
+    out = tietze_simplify(pushout(_DATA))
+    assert out._fields == ("presentation", "complete", "steps", "abelianization")
+    assert out.abelianization == AbelianInvariants(1, ())
+    for twin in (copy.deepcopy(out), pickle.loads(pickle.dumps(out)), out._replace()):
+        assert twin.abelianization == out.abelianization
+
+
 def test_sampled_loop_checks_closing_on_every_path():
     open_path = [FiniteSubset([0.0]), FiniteSubset([1.0])]
     loop = core_circle(16)
