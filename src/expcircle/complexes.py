@@ -139,13 +139,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
 
-    def induced(self, vertices) -> list[list[tuple]]:
-        """Full subcomplex on a vertex set: per dimension, the simplices whose
-        vertices all lie in the set, in this complex's ids.  All dim + 1
-        lists are kept, empty ones included."""
-        keep = set(vertices)
-        return [[s for s in ss if keep.issuperset(s)] for ss in self.simplices]
-
     def cone(self, vertices) -> SimplicialComplex:
         """K u CL, this complex K with a cone on L, the full subcomplex on a
         vertex set; the apex is a new last vertex.

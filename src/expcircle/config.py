@@ -8,20 +8,20 @@ out by keeping only arg z, the order-2 element by folding phi into (0, pi/2]),
 and a canonical representative of a 3-element orbit for triples (the order-3
 element acts by (z, theta) -> (gamma z, theta - 2 arg z); the stored
 representative is the lexicographic minimum of the orbit).  The chart
-values (C2Coord, C3Coord, Exp3Coord, like moebius.Frame), the coalescence
-limits and the sampled loops are immutable tuples, and the order-3 element
-is the module constant moebius.GAMMA, so a chart call builds no group
-element it does not need.  The pair and triple charts build no object but
-their results: c2_coord and c3_orbit run moebius.unit_pair,
-canonical_entries, frame_parts and (for triples) gamma_frame_parts, from
-which BoundaryPoint, MoebiusMap, frame and gamma_frame_action are built, on
-the angles, with the matrices of _pair_matrix and _triple_matrix.  A subset
-is read-only, and the orbit of a triple is computed once, on the first chart
-call, then kept on the subset and shared by every later one.  The sampled
-pair loops (the band curve, the core and the singleton track of the winding
-diagnostic) are built by _pair_loop, which sets each pair's slots directly
-from its two reduced, ordered angles instead of running FiniteSubset's sort
-and merge scan.
+values (C2Coord, Exp3Coord, and for triples the least moebius.Frame of the
+orbit itself), the coalescence limits and the sampled loops, every one of
+them closed, are immutable tuples, and the order-3 element is the module
+constant moebius.GAMMA, so a chart call builds no group element it does not
+need.  The pair and triple charts build no object but their results:
+c2_coord and c3_orbit run moebius.unit_pair, canonical_entries, frame_parts
+and (for triples) gamma_frame_parts, from which BoundaryPoint, MoebiusMap,
+frame and gamma_frame_action are built, on the angles, with the matrices of
+_pair_matrix and _triple_matrix.  A subset is read-only, and the orbit of a
+triple is computed once, on the first chart call, then kept on the subset and
+shared by every later one.  The sampled pair loops (the band curve, the core
+and the singleton track of the winding diagnostic) are built by _pair_loop,
+which sets each pair's slots directly from its two reduced, ordered angles
+instead of running FiniteSubset's sort and merge scan.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -240,20 +240,6 @@ class C2Coord(namedtuple("C2Coord", ("phi", "theta"))):
                    for p, t in ((phi, theta), (math.pi - phi, theta - 2.0 * phi)))
 
 
-class C3Coord(namedtuple("C3Coord", ("z", "theta"))):
-    """Canonical representative (z, theta) of the 3-element orbit of a triple.
-
-    The orbit of (z, theta) under the order-3 normal-form ambiguity is
-    {(z, theta), (gamma z, theta - 2 arg z), ...}; the stored representative
-    is lexicographically minimal under (Re z, Im z, theta).
-    """
-
-    __slots__ = ()
-
-    def approx_eq(self, other: "C3Coord", tol: float = ANGLE_TOL) -> bool:
-        return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol
-
-
 class Exp3Coord(namedtuple("Exp3Coord", ("tag", "c1", "c2", "c3"), defaults=(None, None, None))):
     """Tagged chart coordinate: C1 angle, C2 band point, or C3 orbit point;
     the two fields that do not apply are None."""
@@ -307,9 +293,10 @@ def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
     return orbit
 
 
-def c3_coord(s: FiniteSubset) -> C3Coord:
-    """Chart coordinate of a 3-point subset, independent of input ordering."""
-    return tuple.__new__(C3Coord, _lex_min_frame(c3_orbit(s)))
+def c3_coord(s: FiniteSubset) -> Frame:
+    """Chart coordinate of a 3-point subset, independent of input ordering:
+    the least frame of its orbit, itself one of the frames of c3_orbit."""
+    return _lex_min_frame(c3_orbit(s))
 
 
 def c2_coord(s: FiniteSubset) -> C2Coord:
@@ -442,17 +429,17 @@ def edge_collapse_limit(subsets, tol: float = 1e-6) -> Exp3Coord:
 # loops
 # ---------------------------------------------------------------------------
 
-class SampledLoop(checked_namedtuple("SampledLoop", ("subsets", "closed"))):
-    """Ordered samples of a path of subsets, kept as a tuple; closed means
-    last equals first, which construction checks."""
+class SampledLoop(checked_namedtuple("SampledLoop", ("subsets",))):
+    """Ordered samples of a closed path of subsets, kept as a tuple: the
+    last equals the first, which construction checks."""
 
     __slots__ = ()
 
-    def __new__(cls, subsets=(), closed: bool = True):
+    def __new__(cls, subsets=()):
         subsets = tuple(subsets)
-        if closed and subsets and hausdorff_distance(subsets[0], subsets[-1]) > ANGLE_TOL:
+        if subsets and hausdorff_distance(subsets[0], subsets[-1]) > ANGLE_TOL:
             raise ValueError("closed loop must end where it starts")
-        return tuple.__new__(cls, (subsets, closed))
+        return tuple.__new__(cls, (subsets,))
 
 
 def loop_a(s: FiniteSubset, samples: int = 256) -> SampledLoop:
@@ -460,7 +447,7 @@ def loop_a(s: FiniteSubset, samples: int = 256) -> SampledLoop:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     pts = [rotate(TWO_PI * k / samples, s) for k in range(samples + 1)]
-    return SampledLoop(pts, closed=True)
+    return SampledLoop(pts)
 
 
 def loop_b(s: FiniteSubset, samples: int = 256) -> SampledLoop:
@@ -482,7 +469,7 @@ def loop_b(s: FiniteSubset, samples: int = 256) -> SampledLoop:
     for k in range(samples + 1):
         t = k / samples
         pts.append(FiniteSubset([x1 + t * gaps[0], x2 + t * gaps[1], x3 + t * gaps[2]]))
-    return SampledLoop(pts, closed=True)
+    return SampledLoop(pts)
 
 
 def _pair_loop(starts, sep: float) -> SampledLoop:
@@ -502,7 +489,7 @@ def _pair_loop(starts, sep: float) -> SampledLoop:
         _set_angles(s, (a, b) if a < b else (b, a))
         _set_orbit(s, None)
         pts.append(s)
-    return SampledLoop(pts, closed=True)
+    return SampledLoop(pts)
 
 
 def core_circle(samples: int = 256) -> SampledLoop:
@@ -576,8 +563,8 @@ def winding_diagnostic(loop: SampledLoop) -> tuple[int, int]:
     curve.  m is even, since a loop with odd m swaps its two points and so
     crosses the core, which is refused.  A loop on the core reports (m, 0).
     """
-    if not loop.closed or len(loop.subsets) < 2:
-        raise ValueError("winding diagnostic needs a closed sampled loop")
+    if len(loop.subsets) < 2:
+        raise ValueError("winding diagnostic needs a loop of at least 2 samples")
     sizes = {len(s.angles) for s in loop.subsets}
     if sizes == {1}:
         loop = _pair_loop([s.angles[0] for s in loop.subsets], _SINGLETON_SPREAD)

@@ -15,8 +15,7 @@ the fundamental groups of the full subset space, of the punctured band piece,
 and of the complement of the singleton circle.  Their fixed relators and
 images are written as words, with the text form beside each; the text format
 (parse_word, parse_presentation) is for callers and tests.  Finite groups are
-multiplication tables whose associativity is checked by Light's test, on a
-generating set only.
+multiplication tables checked for associativity on every triple of elements.
 """
 
 from __future__ import annotations
@@ -66,8 +65,9 @@ def _check_letters(word, n: int, what: str) -> None:
     """Refuse a letter that names none of n generators, before any reduction
     could cancel it."""
     for x in word:
-        if x == 0 or abs(x) > n:
-            raise ValueError(f"letter {x} out of range in {what}")
+        # 1.0 and True pass the range test but index no generator
+        if type(x) is not int or x == 0 or abs(x) > n:
+            raise ValueError(f"letter {x!r} out of range in {what}")
 
 
 def _exponent_sums(word, n: int) -> list[int]:
@@ -684,12 +684,8 @@ class FiniteGroup:
     0..order-1.
 
     The table must have an identity, an inverse in every row and be
-    associative.  Associativity is checked by Light's test (Clifford and
-    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2):
-    (xy)z = x(yz) for all x and z is tested only for y in a generating set.
-    The y that pass hold the identity and are closed under products, and
-    every element is a product of generators, so when the generators pass,
-    every element does: the check is complete.
+    associative: (xy)z = x(yz) is checked for every x, y and z, one row
+    xy against x(y·) at a time.
     """
 
     def __init__(self, table):
@@ -714,30 +710,10 @@ class FiniteGroup:
         if any(e not in row for row in t):
             raise ValueError("multiplication table has an element with no inverse")
         self.inverse = [row.index(e) for row in t]
-        for y in _generating_set(t, e):
-            ty = t[y]
+        for y, ty in enumerate(t):
             for tx in t:  # row xy against x(yz) for every z
                 if t[tx[y]] != [tx[v] for v in ty]:
                     raise ValueError("multiplication table is not associative")
-
-
-def _generating_set(t, e: int) -> list[int]:
-    """Elements of the table t whose products, formed from e by right
-    multiplication, reach every element: each element not yet reached joins
-    the set in turn.  The closure assumes nothing of t but the identity e."""
-    gens: list[int] = []
-    reached = [e]
-    for g in range(len(t)):
-        if g in reached:
-            continue
-        gens.append(g)
-        reached = [e]
-        for r in reached:  # the list grows while it is read
-            for h in gens:
-                x = t[r][h]
-                if x not in reached:
-                    reached.append(x)
-    return gens
 
 
 def symmetric_group(n: int) -> FiniteGroup:

@@ -318,7 +318,7 @@ def test_nonzero_boundary_squared_is_refused():
 def test_sub_list_not_closed_under_faces_is_refused():
     # striking the edge (0, 1) without its endpoints leaves the triangles
     # over it with boundaries whose own boundaries do not cancel
-    pair = _struck_pair(sphere_complex(), [[], [(0, 1)]])
+    pair = _struck_chains(sphere_complex(), [[], [(0, 1)]])
     with pytest.raises(ValueError, match="boundary of boundary is nonzero"):
         pair.homology()
 
@@ -456,7 +456,8 @@ def _with_stratum(k, result):
     the full subcomplex on the vertices whose key has fewer than k points,
     as relative_quotient_homology takes it."""
     cx, keys = result
-    return cx, cx.induced({q for q, key in enumerate(keys) if len(key) < k})
+    short = {q for q, key in enumerate(keys) if len(key) < k}
+    return cx, [[s for s in ss if short.issuperset(s)] for ss in cx.simplices]
 
 
 def _by_key(simplices_by_dim, keys):
@@ -501,10 +502,17 @@ def _boundaries_by_slicing(k, sub_simplices):
     return [len(b) for b in bases], out
 
 
-def _struck_pair(k, sub_simplices):
-    """The chain complex of the pair (k, subcomplex), its chains struck
-    from the bases and from the boundary images, built from the reference:
-    a second model of relative homology beside the cone."""
+def _struck_pair(k, vertices):
+    """The chain complex of the pair (k, L), L the full subcomplex on a
+    vertex set: a second model of relative homology beside the cone."""
+    keep = set(vertices)
+    return _struck_chains(k, [[s for s in ss if keep.issuperset(s)] for ss in k.simplices])
+
+
+def _struck_chains(k, sub_simplices):
+    """The chain complex of k with sub_simplices, listed per dimension,
+    struck from the bases and from the boundary images, built from the
+    reference."""
     dims, reference = _boundaries_by_slicing(k, sub_simplices)
     boundaries = []
     for nrows, ncols, cols in reference:
@@ -606,7 +614,7 @@ def complexes_with_vertex_subsets(draw):
 def test_clearing_matches_separate_reductions(case):
     cx, keep = case
     assert homology(cx) == _reference_homology(chain_complex(cx))
-    pair = _struck_pair(cx, cx.induced(keep))
+    pair = _struck_pair(cx, keep)
     assert pair.check_boundary_squared()
     assert pair.homology() == _reference_homology(pair)
 
@@ -687,13 +695,14 @@ def test_cone_keeps_the_complex_and_matches_the_pair(case):
     # appended: the apex, then the cone on each simplex of L in L's order
     apex, top = cx.vertex_count, len(coned.simplices)
     added = [ss[len(old):] for ss, old in zip(coned.simplices, cx.simplices + [[]])]
-    want = [[(apex,)]] + [[s + (apex,) for s in ss] for ss in cx.induced(keep)]
+    want = [[(apex,)]] + [[s + (apex,) for s in ss if keep.issuperset(s)]
+                          for ss in cx.simplices]
     assert added == want[:top] and not any(want[top:])
     validated = SimplicialComplex(coned.vertex_count, coned.simplices)
     assert validated.simplices == coned.simplices and validated.faces == coned.faces
     # a cone on a top simplex adds a dimension, whose group is 0
     got = homology(coned).groups
-    want = _with_base_point(_struck_pair(cx, cx.induced(keep)).homology()).groups
+    want = _with_base_point(_struck_pair(cx, keep).homology()).groups
     assert got[:len(want)] == want and set(got[len(want):]) <= {AbelianInvariants(0)}
 
 
@@ -824,18 +833,6 @@ def _assert_subcomplex(marked):
         for s in marked[d]:
             for i in range(d + 1):
                 assert s[:i] + s[i + 1:] in have[d - 1]
-
-
-def test_induced_is_full_subcomplex():
-    # {0, 2} spans no edge of the square, though both are vertices
-    assert circle_complex(4).induced({0, 2}) == [[(0,), (2,)], []]
-    k = rp2_complex()
-    for vs in ({0, 1, 2}, {0, 1, 3, 4}, {1, 2, 3, 4, 5}):
-        sub = k.induced(vs)
-        assert sub == [[s for s in ss if all(v in vs for v in s)] for ss in k.simplices]
-        _assert_subcomplex(sub)
-    assert k.induced(range(k.vertex_count)) == k.simplices
-    assert k.induced(()) == [[], [], []]
 
 
 def test_exp2_marked_stratum_is_singleton_circle():
@@ -1155,7 +1152,7 @@ def test_coned_stratum_matches_struck_pair(k, n):
     cx, keys = _build_exp_with_boundary(k, n)
     short = [q for q, key in enumerate(keys) if len(key) < k]
     coned = homology(cx.cone(short))
-    struck = _with_base_point(_struck_pair(cx, cx.induced(short)).homology())
+    struck = _with_base_point(_struck_pair(cx, short).homology())
     assert coned == struck
     if k == 2:
         assert coned == H((1, ()), (0, (2,)), (0, ()))

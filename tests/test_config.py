@@ -14,7 +14,6 @@ from expcircle.config import (
     DISTINCT_TOL,
     EXCEPTIONAL_POINT,
     C2Coord,
-    C3Coord,
     Exp3Coord,
     FiniteSubset,
     SampledLoop,
@@ -72,12 +71,12 @@ def c2_chart_raw(p: BoundaryPoint, r: BoundaryPoint) -> tuple[float, float]:
     return (cmath.phase(f.z), f.theta)
 
 
-def c3_coord_orbit(c: C3Coord) -> tuple[Frame, Frame, Frame]:
+def c3_coord_orbit(c: Frame) -> tuple[Frame, Frame, Frame]:
     """The gamma-orbit of a triple chart point, starting at the point."""
-    return gamma_orbit(Frame(c.z, c.theta))
+    return gamma_orbit(c)
 
 
-def c3_distance(x: C3Coord, y: C3Coord) -> float:
+def c3_distance(x: Frame, y: Frame) -> float:
     """Orbit-aware chart distance: the least over y's representatives."""
     return min(max(abs(x.z - g.z), angle_dist(x.theta, g.theta)) for g in c3_coord_orbit(y))
 
@@ -557,6 +556,18 @@ def test_c3_orbit_matches_the_object_path_bit_for_bit(angles):
     assert _orbit_outcome(c3_orbit, s) == _orbit_outcome(_c3_by_objects, s)
 
 
+@settings(max_examples=300)
+@given(triple_angles())
+def test_c3_coord_is_a_frame_of_the_orbit(angles):
+    # the chart value is the orbit's least frame itself, not a copy of it
+    s = FiniteSubset(angles)
+    assume(s.size == 3)
+    coord = c3_coord(s)
+    assert any(coord is f for f in c3_orbit(s))
+    assert exp3_coord(s).c3 == coord
+    assert exp3_coord(FiniteSubset(angles)).c3 == coord
+
+
 @given(triple_angles())
 def test_triple_matrix_matches_the_crosses(angles):
     pts = [to_boundary(a) for a in angles]
@@ -830,9 +841,9 @@ def test_winding_rejections():
     triple = loop_a(FiniteSubset([0.1, 2.0, 4.0]), samples=64)
     with pytest.raises(ValueError):
         winding_diagnostic(triple)
-    open_path = SampledLoop([FiniteSubset([0.0, 1.0]), FiniteSubset([0.1, 1.1])], closed=False)
-    with pytest.raises(ValueError):
-        winding_diagnostic(open_path)
+    # an open path is refused when the loop is built, before any winding
+    with pytest.raises(ValueError, match="closed loop must end where it starts"):
+        SampledLoop([FiniteSubset([0.0, 1.0]), FiniteSubset([0.1, 1.1])])
     with pytest.raises(ValueError):
         winding_diagnostic(core_circle(samples=2))
     # the two points trade places (m = 1): the separation passes antipodal
@@ -852,10 +863,10 @@ def test_chart_value_contract():
     assert c2.approx_eq(C2Coord(1.0 + 1e-12, 0.5 + 2.0 * math.pi))
     assert not c2.approx_eq(C2Coord(1.1, 0.5))
     c3 = c3_coord(FiniteSubset([0.3, 2.0, 4.0]))
-    assert isinstance(c3, C3Coord) and c3.approx_eq(C3Coord(c3.z, c3.theta + 2.0 * math.pi))
+    assert type(c3) is Frame and c3.approx_eq(Frame(c3.z, c3.theta + 2.0 * math.pi))
     orbit = c3_coord_orbit(c3)
     assert len(orbit) == 3 and orbit[0] == (c3.z, c3.theta)
-    assert c3_distance(c3, C3Coord(orbit[1].z, orbit[1].theta)) < 1e-12
+    assert c3_distance(c3, orbit[1]) < 1e-12
     for value in (e, c2, c3):
         twin = type(value)(*value)
         assert value == twin and hash(value) == hash(twin)

@@ -139,6 +139,17 @@ def test_image_letters_checked_before_reduction():
             GroupHom(source, target, [w])
 
 
+def test_letters_that_are_not_ints_are_refused():
+    # 1.0 == 0 and abs(1.0) > 1 are both false, so a float letter once
+    # passed, and repr then failed on it as a tuple index; True is 1
+    source, target = Presentation(["x"]), Presentation(["a"])
+    for w in ((1.0,), (1.0, 1.0), (-1.0,), (True,), (1, False), (1, -1.0)):
+        with pytest.raises(ValueError, match="out of range in relator"):
+            Presentation(["a"], [w])
+        with pytest.raises(ValueError, match="out of range in image"):
+            GroupHom(source, target, [w])
+
+
 def test_canonical_form_renaming():
     p = P("gens: t u; rels: u^3 t^-2")
     q = P("gens: s t; rels: s^3 t^-2")
@@ -456,7 +467,7 @@ def test_finite_group_refuses_entries_that_are_not_ints():
 LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
 
 
-def test_light_test_refuses_a_latin_square_loop():
+def test_associativity_check_refuses_a_latin_square_loop():
     elems = range(5)
     assert all(sorted(row) == list(elems) for row in LOOP_5)
     assert all(sorted(LOOP_5[x][y] for x in elems) == list(elems) for y in elems)
@@ -465,9 +476,9 @@ def test_light_test_refuses_a_latin_square_loop():
         FiniteGroup(LOOP_5)
 
 
-def test_light_test_checks_every_generator():
+def test_associativity_check_covers_every_middle_element():
     # every triple with 1 in the middle associates, and 1 generates {0, 1}
-    # only; (1*2)*2 = 0 but 1*(2*2) = 1
+    # only, so a check on one generator passes; (1*2)*2 = 0 but 1*(2*2) = 1
     t = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 0, 1]]
     assert all(t[t[x][1]][z] == t[x][t[1][z]] for x in range(4) for z in range(4))
     with pytest.raises(ValueError, match="not associative"):
@@ -519,7 +530,7 @@ def tables_with_identity_and_inverses(draw):
 
 @settings(max_examples=300)
 @given(tables_with_identity_and_inverses())
-def test_light_test_agrees_with_the_triple_check(t):
+def test_associativity_check_agrees_with_the_triple_check(t):
     try:
         FiniteGroup(t)
         accepted = True

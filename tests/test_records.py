@@ -107,12 +107,11 @@ def test_tietze_result_holds_the_abelianization():
 def test_sampled_loop_checks_closing_on_every_path():
     open_path = [FiniteSubset([0.0]), FiniteSubset([1.0])]
     loop = core_circle(16)
-    assert SampledLoop() == SampledLoop(subsets=(), closed=True)
-    assert SampledLoop(open_path, closed=False).subsets == tuple(open_path)
+    assert SampledLoop() == SampledLoop(subsets=()) and SampledLoop._fields == ("subsets",)
+    # every loop is closed: an open path is refused on every path
     for build in (lambda: SampledLoop(open_path),
-                  lambda: SampledLoop._make((open_path, True)),
-                  lambda: loop._replace(subsets=open_path),
-                  lambda: SampledLoop(open_path, closed=False)._replace(closed=True)):
+                  lambda: SampledLoop._make((open_path,)),
+                  lambda: loop._replace(subsets=open_path)):
         with pytest.raises(ValueError, match="closed loop must end where it starts"):
             build()
 
