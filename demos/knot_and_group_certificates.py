@@ -5,17 +5,23 @@ boundary of a tube around the circle of antipodal pairs meets the band in a
 single curve winding twice around the tube's core and three times around its
 axis: a (2, 3) torus knot, and sliding loops of nearby pairs shows the
 singleton circle is isotopic to it.  Algebraically, gluing the fundamental
-groups of the cover pieces shows the whole space is simply connected while
+groups of the cover pieces along a corner torus, generated by the rotation
+loop and the meridional loop, shows the whole space is simply connected while
 the complement of the singleton circle has the two-generator one-relation
 group with s^3 = t^2, which abelianizes to Z but admits 12 homomorphisms to
 the symmetric group S_3 where a free group on one generator admits 6.
 """
 
+import math
+
 from expcircle.config import (
     FiniteSubset,
     boundary_torus_curve,
     core_circle,
+    hausdorff_distance,
     loop_a,
+    loop_b,
+    rotate,
     winding_diagnostic,
 )
 from expcircle.groups import (
@@ -50,6 +56,19 @@ print()
 print("=" * 72)
 print("2. The whole space is simply connected")
 print("=" * 72)
+
+# the corner torus of the gluing is generated by the rotation loop a and the
+# meridional loop b, in which each point slides to the next
+generic = FiniteSubset([0.3, 1.7, 4.1])
+for name, loop in (("a", loop_a(generic, samples=120)), ("b", loop_b(generic, samples=120))):
+    gap = hausdorff_distance(loop.subsets[0], loop.subsets[-1])
+    print(f"  corner loop {name} of {generic}: closes (end-to-start distance {gap:.1e})")
+equilateral = FiniteSubset([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+fibre = loop_b(equilateral, samples=120)
+dev = max(hausdorff_distance(s, rotate(k / 120 * 2 * math.pi / 3, equilateral))
+          for k, s in enumerate(fibre.subsets))
+print(f"  on the equilateral triple b is the exceptional fibre, rotation by t * 2pi/3: "
+      f"{dev <= 1e-9} (largest distance {dev:.1e})")
 
 full = pushout(pushout_exp3())
 print(f"  glued presentation: {format_presentation(full)}")

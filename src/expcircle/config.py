@@ -134,9 +134,6 @@ class FiniteSubset:
         pts = ", ".join(f"{a:.12g}" for a in self.angles)
         return f"FiniteSubset({{{pts}}})"
 
-    def approx_eq(self, other: "FiniteSubset", tol: float = ANGLE_TOL) -> bool:
-        return self.size == other.size and hausdorff_distance(self, other) <= tol
-
 
 # The slots' own setters, for __init__, _pair_loop and c3_orbit;
 # FiniteSubset.__setattr__ refuses every assignment.
@@ -231,13 +228,6 @@ class C2Coord(namedtuple("C2Coord", ("phi", "theta"))):
     """
 
     __slots__ = ()
-
-    def approx_eq(self, other: "C2Coord", tol: float = ANGLE_TOL) -> bool:
-        """Closeness to other or to its fold image (pi - phi', theta' - 2 phi'):
-        on the core the two differ by the half turn c2_coord divides out."""
-        phi, theta = other
-        return any(abs(self.phi - p) <= tol and angle_dist(self.theta, t) <= tol
-                   for p, t in ((phi, theta), (math.pi - phi, theta - 2.0 * phi)))
 
 
 class Exp3Coord(namedtuple("Exp3Coord", ("tag", "c1", "c2", "c3"), defaults=(None, None, None))):

@@ -8,7 +8,8 @@ Todd-Coxeter coset enumeration (sound: it certifies finite orders and
 otherwise reports inconclusive), abelianization through Smith normal form,
 and exhaustive counting of homomorphisms into small finite groups.
 Presentations and the records built on them (homomorphisms, pushout data,
-Tietze results and order certificates) are immutable tuples.
+Tietze results and order certificates) are immutable tuples; the first three
+are checked on every path that builds one, _replace, copy and pickle included.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import islice, permutations, product
+from itertools import permutations, product
 
 from .complexes import AbelianInvariants, dense_smith_normal_form
 from .moebius import checked_namedtuple
@@ -281,13 +282,12 @@ def _is_abelian_free_presentation(p: Presentation) -> bool:
     return all(len(w) == 4 and w[2] == -w[0] and w[3] == -w[1] for w in p.relators)
 
 
-class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified"))):
+class GroupHom(checked_namedtuple("GroupHom", ("source", "target", "images"))):
     """Homomorphism data: a tuple of image words, one per source generator.
 
     Well-definedness (each source relator maps to a trivial word) is checked
-    where decidable: free and free-abelian targets.  Elsewhere the
-    exponent-sum necessary condition is enforced and the hom is recorded as
-    unverified.  verified is computed at construction, never given.
+    where decidable: free and free-abelian targets.  Elsewhere only the
+    exponent-sum necessary condition is enforced.
     """
 
     __slots__ = ()
@@ -295,42 +295,28 @@ class GroupHom(namedtuple("GroupHom", ("source", "target", "images", "verified")
     def __new__(cls, source: Presentation, target: Presentation, images):
         if len(images) != len(source.generators):
             raise ValueError("need one image word per source generator")
+        n = len(target.generators)
         for w in images:
-            _check_letters(w, len(target.generators), "image")
+            _check_letters(w, n, "image")
         images = tuple(_free_reduce(w) for w in images)
-        unchecked = tuple.__new__(cls, (source, target, images, False))
-        return tuple.__new__(cls, (source, target, images, unchecked._check()))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, copy and pickle through
-        # __getnewargs__: both run the checks and compute verified again
-        return cls(*islice(iterable, 3))
-
-    def __getnewargs__(self):
-        return self[:3]
-
-    def _check(self) -> bool:
-        images_of_relators = [_substitute(w, self.images) for w in self.source.relators]
-        if not self.target.relators:
+        images_of_relators = [_substitute(w, images) for w in source.relators]
+        if not target.relators:
             # free target: trivial iff freely reduced to nothing
             bad = [w for w in images_of_relators if w]
             if bad:
                 raise ValueError(f"relator image {bad[0]} is nontrivial in the free target")
-            return True
-        n = len(self.target.generators)
-        if _is_abelian_free_presentation(self.target):
+        elif _is_abelian_free_presentation(target):
             for w in images_of_relators:
                 if any(_exponent_sums(w, n)):
                     raise ValueError("relator image nontrivial in the free-abelian target")
-            return True
-        # necessary condition in homology
-        mat = self.target.rank_data()
-        for w in images_of_relators:
-            sums = _exponent_sums(w, n)
-            if any(sums) and not _in_row_span(mat, sums):
-                raise ValueError("relator image fails the abelianized necessary condition")
-        return False
+        else:
+            # necessary condition in homology
+            mat = target.rank_data()
+            for w in images_of_relators:
+                sums = _exponent_sums(w, n)
+                if any(sums) and not _in_row_span(mat, sums):
+                    raise ValueError("relator image fails the abelianized necessary condition")
+        return tuple.__new__(cls, (source, target, images))
 
 
 def _in_row_span(rows, vec):

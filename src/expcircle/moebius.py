@@ -23,7 +23,8 @@ from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 
-# Entrywise tolerance for group-element comparisons.
+# Entries and coordinates at most this in size count as zero when a sign is
+# made canonical.
 MATRIX_TOL = 1e-12
 # Tolerance for angle comparisons modulo 2*pi.
 ANGLE_TOL = 1e-9
@@ -100,8 +101,8 @@ class BoundaryPoint:
     """Point of the boundary circle R u {oo} as a projective pair (a : b).
 
     The pair is normalized to a^2 + b^2 = 1 with the first nonzero coordinate
-    positive, so two points are equal iff their stored pairs agree within
-    tolerance.  (1, 0) is the point at infinity.
+    positive, so each point has one stored pair.  (1, 0) is the point at
+    infinity.
     """
 
     __slots__ = ("a", "b")
@@ -125,9 +126,6 @@ class BoundaryPoint:
         if self.is_infinity():
             raise ValueError("boundary point at infinity has no real value")
         return self.a / self.b
-
-    def approx_eq(self, other: "BoundaryPoint", tol: float = ANGLE_TOL) -> bool:
-        return abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol
 
     def __repr__(self):
         if self.is_infinity():
@@ -162,9 +160,6 @@ class Frame(checked_namedtuple("Frame", ("z", "theta"))):
             raise ValueError("frame point must lie in the open upper half-plane")
         return tuple.__new__(cls, (z, norm_angle(theta)))
 
-    def approx_eq(self, other: "Frame", tol: float = ANGLE_TOL) -> bool:
-        return abs(self.z - other.z) <= tol and angle_dist(self.theta, other.theta) <= tol
-
 
 class MoebiusMap:
     """Element of PSL(2, R): matrix [[a, b], [c, d]], det 1, canonical sign."""
@@ -174,17 +169,8 @@ class MoebiusMap:
     def __init__(self, a: float, b: float, c: float, d: float):
         self.a, self.b, self.c, self.d = canonical_entries(a, b, c, d)
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def approx_eq(self, other: "MoebiusMap", tol: float = MATRIX_TOL) -> bool:
-        return all(abs(x - y) <= tol for x, y in zip(self.entries(), other.entries()))
-
     def __repr__(self):
         return f"MoebiusMap({self.a:.12g}, {self.b:.12g}, {self.c:.12g}, {self.d:.12g})"
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
 
 def identity() -> MoebiusMap:

@@ -1,6 +1,9 @@
 """The demos are the only callers of some library entry points outside the
-tests, so each must run to completion."""
+tests, so each must run to completion; and every library name has a caller
+outside the tests."""
 
+import ast
+import collections
 import os
 import subprocess
 import sys
@@ -10,7 +13,8 @@ import pytest
 
 import expcircle
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", [
@@ -25,3 +29,31 @@ def test_demo_runs(name):
     proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    # a def, class or method of src/expcircle/*.py is called when its name
+    # appears elsewhere in src/, demos/ or benchmarks/ as a name, an
+    # attribute, an import or an identifier string (benchmarks/tracing.py
+    # wraps functions by attribute name); dunders are set aside
+    files = sorted(p.relative_to(ROOT) for d in ("src", "demos", "benchmarks")
+                   for p in (ROOT / d).rglob("*.py"))
+    used, defined = collections.Counter(), []
+    for path in files:
+        tree = ast.parse((ROOT / path).read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                used[node.name.rpartition(".")[2]] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                used[node.value] += 1
+            if (path.parent.as_posix() == "src/expcircle"
+                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.append((path, node.lineno, node.name))
+    unused = sorted((path.as_posix(), line, name) for path, line, name in defined if not used[name])
+    assert not unused, "library names with no caller outside the tests:\n" + "\n".join(
+        f"{path}:{line}: {name}" for path, line, name in unused)

@@ -143,15 +143,22 @@ def test_group_hom_checks_images_on_every_path():
     for images, message in (([(1,)], "one image word per source generator"),
                             ([(2,), (1,)], "out of range in image")):
         for build in (lambda: GroupHom(hom.source, hom.target, images),
-                      lambda: GroupHom._make((hom.source, hom.target, images, True)),
+                      lambda: GroupHom._make((hom.source, hom.target, images)),
                       lambda: hom._replace(images=images)):
             with pytest.raises(ValueError, match=message):
                 build()
-    # the relator check runs too, and verified is computed, never taken
+    # the relator check runs too, and the three fields are the whole record
     # (namedtuple's _replace raises ValueError before 3.13, TypeError since)
+    free2 = Presentation(["x", "y"])
     with pytest.raises(ValueError, match="nontrivial in the free target"):
-        hom._replace(target=Presentation(["x", "y"]), images=[(1,), (2,)])
+        hom._replace(target=free2, images=[(1,), (2,)])
     with pytest.raises((TypeError, ValueError), match="unexpected field names"):
         hom._replace(verified=False)
-    assert GroupHom._make((hom.source, hom.target, [(1, 1, 1, -1, 1), (1,)], False)) == hom
-    assert hom.verified and pickle.loads(pickle.dumps(hom)).verified
+    assert GroupHom._make((hom.source, hom.target, [(1, 1, 1, -1, 1), (1,)])) == hom
+    assert pickle.loads(pickle.dumps(hom)) == hom
+    # copy and pickle rebuild through the constructor, so they refuse a hom
+    # that bypassed it
+    bad = tuple.__new__(GroupHom, (hom.source, free2, ((1,), (2,))))
+    for rebuild in (copy.copy, lambda h: pickle.loads(pickle.dumps(h))):
+        with pytest.raises(ValueError, match="nontrivial in the free target"):
+            rebuild(bad)
