@@ -92,7 +92,12 @@ print("4. The complement of the singleton circle")
 print("=" * 72)
 
 comp = pushout(pushout_complement())
-print(f"  glued presentation: {format_presentation(comp)}")
+text = format_presentation(comp)
+print(f"  glued presentation: {text}")
+# the text form is the one a reader copies: it must parse back to the group
+if parse_presentation(text) != comp:
+    raise SystemExit(f"the text form {text!r} does not parse back to the glued presentation")
+print(f"  its text form parses back to it, all {len(comp.relators)} relators")
 simplified = tietze_simplify(comp).presentation
 print(f"  simplified:         {format_presentation(simplified)}")
 print(f"  abelianization:     {abelianization(simplified)}")

@@ -61,6 +61,7 @@ from .moebius import (
 DISTINCT_TOL = 4.0 * ANGLE_TOL
 
 EXCEPTIONAL_POINT = cmath.exp(1j * math.pi / 3.0)
+_HALF_PI = 0.5 * math.pi  # phi on the band core
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +305,9 @@ def c2_coord(s: FiniteSubset) -> C2Coord:
     m = _pair_matrix(*unit_pair(math.sin(h), math.cos(h)), *unit_pair(math.sin(k), math.cos(k)))
     z, theta = frame_parts(*canonical_entries(*m))
     phi = cmath.phase(z)
-    if phi > 0.5 * math.pi + ANGLE_TOL:
+    if phi > _HALF_PI + ANGLE_TOL:
         phi, theta = math.pi - phi, norm_angle(theta - 2.0 * phi)
-    if abs(phi - 0.5 * math.pi) <= ANGLE_TOL:
+    if abs(phi - _HALF_PI) <= ANGLE_TOL:
         theta = math.fmod(norm_angle(theta), math.pi)
     return tuple.__new__(C2Coord, (phi, theta))
 
@@ -315,10 +316,10 @@ def exp3_coord(s: FiniteSubset) -> Exp3Coord:
     """Chart coordinate of any subset, dispatching on its size."""
     angles = s.angles
     if len(angles) == 1:
-        return Exp3Coord("C1", angles[0])
+        return tuple.__new__(Exp3Coord, ("C1", angles[0], None, None))
     if len(angles) == 2:
-        return Exp3Coord("C2", None, c2_coord(s))
-    return Exp3Coord("C3", None, None, c3_coord(s))
+        return tuple.__new__(Exp3Coord, ("C2", None, c2_coord(s), None))
+    return tuple.__new__(Exp3Coord, ("C3", None, None, c3_coord(s)))
 
 
 # ---------------------------------------------------------------------------

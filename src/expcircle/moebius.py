@@ -9,11 +9,12 @@ H x S^1; the named elements gamma, tau and sigma_lambda generate the
 stabilizers used to put small subsets of the boundary circle in normal form.
 
 A frame is an immutable tuple (z, theta), so building one costs little more
-than a tuple, and the frame action of gamma uses the module constant GAMMA,
-built once by the same validated constructor as gamma().  BoundaryPoint,
-MoebiusMap, frame and gamma_frame_action are built from the float functions
-unit_pair, canonical_entries, frame_parts and gamma_frame_parts, which give
-the same bits without objects; the pair and triple charts run them directly.
+than a tuple, and the frame action of gamma reads GAMMA's entries as module
+floats, GAMMA being built once by the same validated constructor as gamma().
+BoundaryPoint, MoebiusMap, frame and gamma_frame_action are built from the
+float functions unit_pair, canonical_entries, frame_parts and
+gamma_frame_parts, which give the same bits without objects; the pair and
+triple charts run them directly.
 """
 
 from __future__ import annotations
@@ -31,19 +32,15 @@ ANGLE_TOL = 1e-9
 
 
 def norm_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi).  An infinite or NaN angle raises
-    ValueError."""
-    try:
-        t = math.fmod(theta, TWO_PI)
-    except ValueError:  # fmod's bare "math domain error"
-        raise ValueError(f"angle must be finite, got {theta!r}") from None
-    if t < 0.0:
-        t += TWO_PI
-        if t >= TWO_PI:  # fmod can land exactly on 2*pi after the correction
-            t -= TWO_PI
-    elif not t < TWO_PI:  # NaN, the one value fmod lets through
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    return t + 0.0  # clear the sign of -0.0
+    """Reduce an angle to [0, 2*pi).  Float % is fmod with 2*pi added to a
+    negative remainder (which can round up to 2*pi, read as 0.0), and a zero
+    remainder is +0.0.  An infinite or NaN angle leaves NaN: ValueError."""
+    t = theta % TWO_PI
+    if t < TWO_PI:
+        return t
+    if t == TWO_PI:
+        return 0.0
+    raise ValueError(f"angle must be finite, got {theta!r}")
 
 
 def angle_dist(a: float, b: float) -> float:
@@ -77,11 +74,11 @@ def canonical_entries(a: float, b: float, c: float, d: float) -> tuple[float, fl
     if abs(det - 1.0) > 1e-12:
         s = math.sqrt(det)
         a, b, c, d = a / s, b / s, c / s, d / s
-    for x in (a, b, c, d):
-        if abs(x) > MATRIX_TOL:
-            if x < 0.0:
-                a, b, c, d = -a, -b, -c, -d
-            break
+    # the first entry above MATRIX_TOL in size sets the sign (if none is: no flip)
+    lead = (a if abs(a) > MATRIX_TOL else b if abs(b) > MATRIX_TOL
+            else c if abs(c) > MATRIX_TOL else d)
+    if lead < -MATRIX_TOL:
+        a, b, c, d = -a, -b, -c, -d
     # adding 0.0 clears -0.0 entries left over from the sign flip
     return a + 0.0, b + 0.0, c + 0.0, d + 0.0
 
@@ -198,6 +195,7 @@ def tau() -> MoebiusMap:
 
 
 GAMMA = gamma()
+_GA, _GB, _GC, _GD = GAMMA.a, GAMMA.b, GAMMA.c, GAMMA.d  # read once for gamma_frame_parts
 
 
 def sigma(lam: float) -> MoebiusMap:
@@ -231,7 +229,7 @@ def gamma_frame_parts(z: complex, theta: float) -> tuple[complex, float]:
     apply_interior and of Frame."""
     if not z.imag > 0.0:
         raise ValueError("apply_interior needs Im z > 0")
-    w = (GAMMA.a * z + GAMMA.b) / (GAMMA.c * z + GAMMA.d)
+    w = (_GA * z + _GB) / (_GC * z + _GD)
     # arg z, before the check on w as in Frame(w, theta); atan2 reads 0 where
     # it underflows, where cmath.phase would raise OverflowError
     theta -= 2.0 * math.atan2(z.imag, z.real)

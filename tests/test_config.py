@@ -862,6 +862,28 @@ def test_winding_rejections():
     ])
     with pytest.raises(ValueError, match="crosses the core"):
         winding_diagnostic(swap)
+    # the separation opens to exactly pi at the middle sample and closes
+    # again, so the loop touches the core there without crossing it
+    touch = SampledLoop([FiniteSubset([0.0, math.pi - 0.5 * abs(k - 32) / 32]) for k in range(65)])
+    assert touch.subsets[32].angles == (0.0, math.pi)
+    with pytest.raises(ValueError, match="^loop touches or crosses the core circle$"):
+        winding_diagnostic(touch)
+
+
+def test_exp3_coord_records_equal_keyword_built_ones():
+    for angles in ([0.4], [0.3, 2.0], [0.0, math.pi], [0.3, 2.0, 4.0],
+                   [0.0, TWO_PI / 3, 2 * TWO_PI / 3]):
+        s = FiniteSubset(angles)
+        rec = exp3_coord(s)
+        if len(angles) == 1:
+            want = Exp3Coord("C1", c1=s.angles[0])
+        elif len(angles) == 2:
+            want = Exp3Coord("C2", c2=c2_coord(s))
+        else:
+            want = Exp3Coord("C3", c3=c3_coord(s))
+        assert type(rec) is Exp3Coord and rec == want
+        assert [name for name in rec._fields if getattr(rec, name) is None] == \
+            [name for name in ("c1", "c2", "c3") if name != f"c{len(angles)}"]
 
 
 def test_chart_value_contract():

@@ -4,10 +4,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from expcircle.moebius import (
     GAMMA,
+    MATRIX_TOL,
+    TWO_PI,
     BoundaryPoint,
     Frame,
     MoebiusMap,
@@ -300,3 +302,86 @@ def test_canonical_entries_and_frame_parts_give_the_fields_of_the_objects(a, b, 
     parts = frame_parts(*entries)
     assert type(parts) is tuple
     assert _bits(parts) == _bits(frame(t)) == _bits(Frame(*parts))
+
+
+# norm_angle and canonical_entries as they were written before they became a
+# float remainder and a conditional chain; the references the current forms
+# must match bit for bit
+def _norm_angle_fmod(theta):
+    try:
+        t = math.fmod(theta, TWO_PI)
+    except ValueError:
+        raise ValueError(f"angle must be finite, got {theta!r}") from None
+    if t < 0.0:
+        t += TWO_PI
+        if t >= TWO_PI:
+            t -= TWO_PI
+    elif not t < TWO_PI:
+        raise ValueError(f"angle must be finite, got {theta!r}")
+    return t + 0.0
+
+
+def _canonical_entries_loop(a, b, c, d):
+    det = a * d - b * c
+    if not 0.0 < det < math.inf:
+        raise ValueError(f"matrix must have a finite positive determinant, got {det!r}")
+    if abs(det - 1.0) > 1e-12:
+        s = math.sqrt(det)
+        a, b, c, d = a / s, b / s, c / s, d / s
+    for x in (a, b, c, d):
+        if abs(x) > MATRIX_TOL:
+            if x < 0.0:
+                a, b, c, d = -a, -b, -c, -d
+            break
+    return a + 0.0, b + 0.0, c + 0.0, d + 0.0
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -2.2e-308]))
+def test_norm_angle_matches_the_fmod_form(theta):
+    # Hypothesis floats include subnormals and values near the float limits
+    assert norm_angle(theta).hex() == _norm_angle_fmod(theta).hex()
+
+
+def test_norm_angle_edge_values():
+    for theta in (-0.0, 0.0, TWO_PI, -TWO_PI, -2.0 * TWO_PI, -1e-17, -5e-324):
+        assert norm_angle(theta).hex() == _norm_angle_fmod(theta).hex()
+    # negative remainders that round up to 2*pi read 0.0
+    assert norm_angle(-1e-17).hex() == norm_angle(-5e-324).hex() == (0.0).hex()
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'angle must be finite, got {theta!r}')}$"):
+            norm_angle(theta)
+
+
+# entries at, just inside and just outside MATRIX_TOL, zeros of both signs
+NEAR_TOL = st.sampled_from([
+    0.0, -0.0, MATRIX_TOL, -MATRIX_TOL, 5e-13, -5e-13,
+    math.nextafter(MATRIX_TOL, 0.0), -math.nextafter(MATRIX_TOL, 0.0),
+    math.nextafter(MATRIX_TOL, 1.0), -math.nextafter(MATRIX_TOL, 1.0),
+])
+
+
+# the examples have determinant 1 within 1e-12, so no rescale: their leading
+# entries reach the sign rule exactly at +-MATRIX_TOL
+@given(NEAR_TOL | ENTRY, NEAR_TOL | ENTRY, NEAR_TOL | ENTRY, ENTRY)
+@example(MATRIX_TOL, -1.0, 1.0, 0.0)
+@example(-MATRIX_TOL, -1.0, 1.0, 0.0)
+@example(-MATRIX_TOL, 1.0, -1.0, 0.0)
+@example(-0.0, -MATRIX_TOL, 1e12, 0.0)
+@example(0.0, MATRIX_TOL, -1e12, -0.0)
+@example(-MATRIX_TOL, 0.0, -0.0, -1e12)
+@example(MATRIX_TOL, -0.0, 0.0, 1e12)
+@example(MATRIX_TOL, 0.0, -1.0, 1e12)
+@example(-MATRIX_TOL, -0.0, 1.0, -1e12)
+def test_canonical_entries_matches_the_loop_form(a, b, c, d):
+    got = _outcome(canonical_entries, a, b, c, d)
+    assert got == _outcome(_canonical_entries_loop, a, b, c, d)
+    if got[0] != "ValueError":
+        assert "-0x0.0p+0" not in got
