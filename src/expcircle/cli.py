@@ -21,7 +21,7 @@ import sys
 
 from . import complexes
 from .complexes import (
-    build_exp_complex,
+    build_exp_model,
     relative_quotient_homology,
     rp3_collapse_oracle,
 )
@@ -156,7 +156,7 @@ def cmd_homology(args) -> int:
             # the complex is dropped once its chain complex is built, so the
             # reduction holds one copy of it; chain_complex is looked up on
             # the module, whose names benchmarks/tracing.py wraps
-            cx = build_exp_complex(args.k, args.mesh_n)
+            cx = build_exp_model(args.k, args.mesh_n).complex
             counts, euler = cx.counts(), cx.euler_characteristic()
             chains = complexes.chain_complex(cx)
             del cx

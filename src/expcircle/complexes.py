@@ -6,25 +6,25 @@ identifies after two barycentric subdivisions, the standard regularity
 margin that makes the identified complex compute the homology of the
 identified space: each vertex of the second subdivision is keyed by a
 function of its barycentre, and equal keys become one quotient vertex.  Two
-keys are used.  The underlying set of the coordinates gives the subset
-space exp_k, tuples identified when they have the same underlying set; the
-sorted coordinates give the symmetric product SP^k, tuples identified up to
-permutation only.  The build also returns each quotient vertex's key, so a
-stratum is the full subcomplex on the vertices whose keys satisfy a
-predicate.  Both keys are invariant under permuting coordinates, so only a
-fundamental domain is subdivided, the closure of the torus simplices with a
-sorted barycentre, and only chains ending at the one sd1 simplex of each
-orbit with a sorted barycentre are mapped: a sixth of the top chains at
-k = 3.  That rests on the torus triangulation being symmetric, which the
-build checks before relying on it.  The second subdivision is enumerated
-chain by chain, each chain built directly as its quotient simplex, a sorted
-tuple of quotient vertex ids extended by appends, since the ids are numbered
-in dimension order and rise along every chain (a build where one does not is
-refused); it is never validated or sorted as a whole,
-and the flag memo holds only chains ending at a proper face of a mapped sd1
-simplex.  Torus coordinates are integers scaled by lcm(1..k+1)**2, so the
-barycentres of barycentres that key the identification are exact without
-fractions.
+keys are used.  The underlying set of the coordinates gives the subset space
+exp_k, tuples identified when they have the same underlying set; the sorted
+coordinates give the symmetric product SP^k, tuples identified up to
+permutation only.  The build returns an ExpModel, the quotient with each
+vertex's key, and a stratum is its full(pred), the full subcomplex on the
+vertices whose keys satisfy pred.  Both keys are invariant under permuting
+coordinates, so only a fundamental domain is subdivided, the closure of the
+torus simplices with a sorted barycentre, and only chains ending at the one
+sd1 simplex of each orbit with a sorted barycentre are mapped: a sixth of
+the top chains at k = 3.  That rests on the torus triangulation being
+symmetric, which the build checks before relying on it.  The second
+subdivision is enumerated chain by chain, each chain built directly as its
+quotient simplex, a sorted tuple of quotient vertex ids extended by appends,
+since the ids are numbered in dimension order and rise along every chain (a
+build where one does not is refused); it is never validated or sorted as a
+whole, and the flag memo holds only chains ending at a proper face of a
+mapped sd1 simplex.  Torus coordinates are integers scaled by lcm(1..k+1)**2,
+so the barycentres of barycentres that key the identification are exact
+without fractions.
 
 A complex keeps each dimension in the order its simplices were first given,
 so nothing the build makes is sorted; one dict per dimension both drops the
@@ -385,9 +385,33 @@ def _underlying_set(point) -> tuple:
     return tuple(sorted(set(point)))
 
 
-def _build_exp_with_boundary(k: int, n: int, key=_underlying_set):
-    """Quotient of the k-torus on an n-grid and the key of each of its
-    vertices, keys[q] being the key of quotient vertex q.
+class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
+    """A quotient of the k-torus as _build_exp_with_boundary makes it: the
+    complex, and keys[q] the key of its vertex q, integers modulo period
+    where x stands for the angle 2 pi x / period.  A stratum is the full
+    subcomplex on the vertices whose keys satisfy a predicate.  The build is
+    the only maker, so nothing is checked."""
+
+    __slots__ = ()
+
+    def vertices(self, pred) -> list[int]:
+        """The ids of the vertices whose keys satisfy pred, in order."""
+        return [q for q, key in enumerate(self.keys) if pred(key)]
+
+    def full(self, pred):
+        """(complex, ids): the full subcomplex on vertices(pred), renumbered
+        in order, so its simplices stay sorted, and ids[i] the model's id of
+        its vertex i."""
+        ids = self.vertices(pred)
+        keep, new = set(ids), dict(zip(ids, count()))
+        return SimplicialComplex(len(ids), [
+            [tuple(map(new.__getitem__, s)) for s in ss if keep.issuperset(s)]
+            for ss in self.complex.simplices]), ids
+
+
+def _build_exp_with_boundary(k: int, n: int, key=_underlying_set) -> ExpModel:
+    """Quotient of the k-torus on an n-grid, as an ExpModel with the key of
+    each of its vertices.
 
     A vertex of the second subdivision is keyed by key(barycentre), a
     function of its integer torus coordinates.  The default, the underlying
@@ -431,25 +455,25 @@ def _build_exp_with_boundary(k: int, n: int, key=_underlying_set):
         bc = _barycenter(s, coords1, period)
         return key(bc), list(bc) == sorted(bc)
 
-    return _identify_after_two_subdivisions(k1, label_fn)
+    return ExpModel(*_identify_after_two_subdivisions(k1, label_fn), period)
 
 
-def build_exp_complex(k: int, n: int) -> SimplicialComplex:
+def build_exp_model(k: int, n: int) -> ExpModel:
     """Simplicial model of the space of subsets of at most k circle points.
 
     Tuples of the k-torus are identified exactly when they have the same
     underlying set; this refines the coordinate-permutation quotient by also
     collapsing repeated coordinates onto smaller subsets, which is what the
-    subset space requires.
+    subset space requires.  keys[q] is vertex q's point set.
     """
-    return _build_exp_with_boundary(k, n)[0]
+    return _build_exp_with_boundary(k, n)
 
 
-def build_symmetric_product(k: int, n: int) -> SimplicialComplex:
+def build_symmetric_product(k: int, n: int) -> ExpModel:
     """Simplicial model of the symmetric product SP^k of the circle: tuples
     of the k-torus identified up to permuting coordinates, repeated entries
-    kept apart from smaller subsets."""
-    return _build_exp_with_boundary(k, n, lambda bc: tuple(sorted(bc)))[0]
+    kept apart from smaller subsets; keys[q] is vertex q's sorted tuple."""
+    return _build_exp_with_boundary(k, n, lambda bc: tuple(sorted(bc)))
 
 
 # ---------------------------------------------------------------------------
@@ -890,11 +914,11 @@ def relative_quotient_homology(n: int) -> HomologyResult:
     whose boundaries are face tables, so its d o d check is proved entirely
     by the face identity.
     """
-    cx, keys = _build_exp_with_boundary(3, n)
-    # one complex at a time: K goes once its cone is built, and the cone
-    # once its chain complex is, so the reduction holds only the chains
-    cx = cx.cone([q for q, key in enumerate(keys) if len(key) < 3])
-    del keys
+    model = _build_exp_with_boundary(3, n)
+    # one complex at a time: the model goes once its cone is built, and the
+    # cone once its chain complex is, so the reduction holds only the chains
+    cx = model.complex.cone(model.vertices(lambda key: len(key) < 3))
+    del model
     chains = chain_complex(cx)
     del cx
     return chains.homology()

@@ -14,7 +14,7 @@ import pytest
 
 from expcircle.complexes import (
     AbelianInvariants,
-    build_exp_complex,
+    build_exp_model,
     homology,
     relative_quotient_homology,
     rp3_collapse_oracle,
@@ -182,10 +182,10 @@ def test_criterion_4_coalescence():
 def test_criterion_5_homology_of_subset_spaces():
     def body():
         t0 = time.perf_counter()
-        h2 = homology(build_exp_complex(2, 3))
+        h2 = homology(build_exp_model(2, 3).complex)
         assert h2.betti == [1, 1, 0] and all(t == () for t in h2.torsion)
         for n in (3, 4):
-            h3 = homology(build_exp_complex(3, n))
+            h3 = homology(build_exp_model(3, n).complex)
             assert h3.betti == [1, 0, 0, 1]
             assert all(t == () for t in h3.torsion)
         assert time.perf_counter() - t0 < 300.0

@@ -351,7 +351,7 @@ def _refuse_work(*args, **kwargs):
     ("homology", "2", "--relative"),
 ])
 def test_size_caps_are_usage_errors(monkeypatch, capsys, args):
-    for name in ("build_exp_complex", "relative_quotient_homology", "boundary_torus_curve"):
+    for name in ("build_exp_model", "relative_quotient_homology", "boundary_torus_curve"):
         monkeypatch.setattr(cli, name, _refuse_work)
     assert main(list(args)) == 2
     captured = capsys.readouterr()
@@ -362,13 +362,13 @@ def test_size_caps_are_usage_errors(monkeypatch, capsys, args):
 def test_size_cap_admits_exp3_at_n5(monkeypatch):
     # the cap is checked, then the build is swapped for a small one
     calls = []
-    build = cli.build_exp_complex
+    build = cli.build_exp_model
 
     def small_exp(k, n):
         calls.append((k, n))
         return build(2, 3)
 
-    monkeypatch.setattr(cli, "build_exp_complex", small_exp)
+    monkeypatch.setattr(cli, "build_exp_model", small_exp)
     code, out = run_cli("--mesh-n", "5", "homology", "3")
     assert code == 0
     assert calls == [(3, 5)]

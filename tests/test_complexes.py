@@ -15,6 +15,7 @@ from expcircle import complexes
 from expcircle.complexes import (
     AbelianInvariants,
     ChainComplexZ,
+    ExpModel,
     HomologyResult,
     SimplicialComplex,
     SparseIntMatrix,
@@ -25,7 +26,7 @@ from expcircle.complexes import (
     _grid_index,
     _grid_point,
     _with_base_point,
-    build_exp_complex,
+    build_exp_model,
     build_symmetric_product,
     build_torus_complex,
     chain_complex,
@@ -211,7 +212,8 @@ def test_boundary_squared_check_matches_product():
     assert seen == {True, False}
     # one standard column of d2 edited in a copy of its rows, so the face
     # identity proves nothing for it and the exact sum decides
-    for cx in (sphere_complex(), rp2_complex(), build_torus_complex(2, 3), build_exp_complex(2, 3)):
+    for cx in (sphere_complex(), rp2_complex(), build_torus_complex(2, 3),
+               build_exp_model(2, 3).complex):
         low, high = chain_complex(cx).boundaries
         lows = [rows for rows, _ in _every_column(low)]
         highs = [rows for rows, _ in _every_column(high)]
@@ -251,13 +253,6 @@ def test_boundary_squared_reads_values_beside_a_face_table():
         assert (not any(map(any, _matmul(_dense(low), _dense(high))))) == want
 
 
-def _coned(k, n):
-    """The subset-space complex with its short-key stratum coned off, as
-    relative_quotient_homology takes it."""
-    cx, keys = _build_exp_with_boundary(k, n)
-    return cx.cone([q for q, key in enumerate(keys) if len(key) < k])
-
-
 def _from_dense(cx):
     """cx's chain complex with every boundary rebuilt by from_dense, whose
     offsets are a list: no boundary is read as a face table."""
@@ -281,14 +276,18 @@ def _flipped(cx):
     (lambda: chain_complex(sphere_complex()), 0, True),
     (lambda: chain_complex(rp2_complex()), 0, True),
     (lambda: chain_complex(build_torus_complex(2, 3)), 0, True),
-    *[(lambda n=n: chain_complex(build_exp_complex(2, n)), 0, True) for n in (3, 4, 5)],
-    (lambda: chain_complex(_coned(2, 3)), 0, True),
+    *[(lambda n=n: chain_complex(build_exp_model(2, n).complex), 0, True) for n in (3, 4, 5)],
+    # the model with its short-key stratum coned off, as relative_quotient_homology takes it
+    (lambda: chain_complex((m := build_exp_model(2, 3)).complex.cone(
+        m.vertices(lambda key: len(key) < 2))), 0, True),
     (lambda: _from_dense(rp2_complex()), 10, True),
     (lambda: _from_dense(build_torus_complex(3, 3)), 324 + 162, True),
     (lambda: _flipped(sphere_complex()), 4, False),
     (lambda: _flipped(build_torus_complex(3, 3)), 162, False),
-    pytest.param(lambda: chain_complex(build_exp_complex(3, 3)), 0, True, marks=pytest.mark.slow),
-    pytest.param(lambda: chain_complex(_coned(3, 3)), 0, True, marks=pytest.mark.slow),
+    pytest.param(lambda: chain_complex(build_exp_model(3, 3).complex), 0, True,
+                 marks=pytest.mark.slow),
+    pytest.param(lambda: chain_complex((m := build_exp_model(3, 3)).complex.cone(
+        m.vertices(lambda key: len(key) < 3))), 0, True, marks=pytest.mark.slow),
 ], ids=["sphere", "rp2", "torus2-n3", "exp2-n3", "exp2-n4", "exp2-n5", "exp2-n3-coned",
         "rp2-dense", "torus3-n3-dense", "sphere-flipped", "torus3-n3-flipped", "exp3-n3",
         "exp3-n3-coned"])
@@ -451,15 +450,6 @@ def test_simplicial_complex_lists_each_simplex_once():
     assert list(cx.faces[2]) == [1, 0, 2]
 
 
-def _with_stratum(k, result):
-    """(complex, stratum) from the build's (complex, keys): the stratum is
-    the full subcomplex on the vertices whose key has fewer than k points,
-    as relative_quotient_homology takes it."""
-    cx, keys = result
-    short = {q for q, key in enumerate(keys) if len(key) < k}
-    return cx, [[s for s in ss if short.issuperset(s)] for ss in cx.simplices]
-
-
 def _by_key(simplices_by_dim, keys):
     """Simplices with every vertex replaced by its key, per dimension:
     the same for two numberings of one quotient."""
@@ -469,7 +459,7 @@ def _by_key(simplices_by_dim, keys):
 # name -> complex
 FACE_CASES = {
     "rp2": rp2_complex,
-    **{f"exp2-n{n}": (lambda n=n: build_exp_complex(2, n)) for n in (3, 4, 5)},
+    **{f"exp2-n{n}": (lambda n=n: build_exp_model(2, n).complex) for n in (3, 4, 5)},
 }
 
 
@@ -544,7 +534,8 @@ def test_boundaries_match_face_slicing(name):
 def test_chain_complex_shares_the_face_table():
     # every boundary is the complex's face table itself, not a copy, its
     # offsets stepping by the simplex width
-    for cx in (sphere_complex(), build_exp_complex(2, 3), _coned(2, 3)):
+    m = build_exp_model(2, 3)
+    for cx in (sphere_complex(), m.complex, m.complex.cone(m.vertices(lambda key: len(key) < 2))):
         for d, b in enumerate(chain_complex(cx).boundaries, 1):
             assert b.indices is cx.faces[d]
             assert b.indptr == range(0, len(cx.faces[d]) + 1, d + 1)
@@ -661,7 +652,7 @@ def test_snf_leaves_its_input_unchanged():
     # pivots' tuples are made; exp_2 at n=3 is a band, so its d2 is
     # injective and d1 has rank one short of its rows, reduced with and
     # without the mask d2 leaves
-    d1, d2 = chain_complex(build_exp_complex(2, 3)).boundaries
+    d1, d2 = chain_complex(build_exp_model(2, 3).complex).boundaries
     invs, mask = _snf_twice(d2, bytearray(d2.ncols))
     assert invs == [1] * d2.ncols and any(mask)
     assert _snf_twice(d1)[0] == _snf_twice(d1, mask)[0] == [1] * (d1.nrows - 1)
@@ -755,7 +746,7 @@ def test_torus_action_is_simplicial():
 # ---------------------------------------------------------------------------
 
 def test_quotient_torus_swap_is_mobius_band():
-    assert homology(build_symmetric_product(2, 3)) == H((1, ()), (1, ()), (0, ()))
+    assert homology(build_symmetric_product(2, 3).complex) == H((1, ()), (1, ()), (0, ()))
 
 
 def test_quotient_rejects_non_simplicial():
@@ -788,7 +779,7 @@ def _symmetric_product_by_orbit_minimum(k, n):
 
     k1, coords1, period = _sd1_barycentres(k, n)
     cx, labels = complexes._identify_after_two_subdivisions(k1, label_fn)
-    return cx, [tuple(sorted(_barycenter(s, coords1, period))) for s in labels]
+    return ExpModel(cx, [tuple(sorted(_barycenter(s, coords1, period))) for s in labels], period)
 
 
 def _sorted_point(point):
@@ -799,48 +790,84 @@ def _sorted_point(point):
 def test_symmetric_product_matches_orbit_minimum(k, n):
     got = _build_exp_with_boundary(k, n, _sorted_point)
     want = _symmetric_product_by_orbit_minimum(k, n)
-    assert got[0].simplices == build_symmetric_product(k, n).simplices
-    assert got[0].counts() == want[0].counts()
-    assert sorted(got[1]) == sorted(want[1])
-    assert _by_key(got[0].simplices, got[1]) == _by_key(want[0].simplices, want[1])
+    assert got.complex.simplices == build_symmetric_product(k, n).complex.simplices
+    assert got.complex.counts() == want.complex.counts()
+    assert got.period == want.period and sorted(got.keys) == sorted(want.keys)
+    assert _by_key(got.complex.simplices, got.keys) == _by_key(want.complex.simplices, want.keys)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_symmetric_square_is_exp2(n):
     # for pairs the sorted tuple and the underlying set determine each
     # other, so the two keys make the same complex, list for list
-    sp2, e2 = build_symmetric_product(2, n), build_exp_complex(2, n)
+    sp2, e2 = build_symmetric_product(2, n).complex, build_exp_model(2, n).complex
     assert sp2.simplices == e2.simplices
     assert sp2.faces == e2.faces
 
 
 def test_exp2_is_closed_band():
-    e2 = build_exp_complex(2, 3)
+    e2 = build_exp_model(2, 3).complex
     assert homology(e2) == H((1, ()), (1, ()), (0, ()))
-    e2b = build_exp_complex(2, 4)
+    e2b = build_exp_model(2, 4).complex
     assert homology(e2b) == H((1, ()), (1, ()), (0, ()))
 
 
 def test_exp2_top_count_closed_form():
     # n**k * ((k+1)!)**2 top simplices, the figure the CLI's size cap uses
     for n in range(3, 7):
-        assert build_exp_complex(2, n).counts()[-1] == 36 * n**2
-
-
-def _assert_subcomplex(marked):
-    have = [set(m) for m in marked]
-    for d in range(1, len(marked)):
-        for s in marked[d]:
-            for i in range(d + 1):
-                assert s[:i] + s[i + 1:] in have[d - 1]
+        assert build_exp_model(2, n).complex.counts()[-1] == 36 * n**2
 
 
 def test_exp2_marked_stratum_is_singleton_circle():
-    cx, marked = _with_stratum(2, _build_exp_with_boundary(2, 3))
-    assert [len(m) for m in marked] == [12, 12, 0]
-    _assert_subcomplex(marked)
-    for d, m in enumerate(marked):
-        assert set(m) <= set(cx.simplices[d])
+    # full validates its complex, so the stratum is closed under faces
+    m = build_exp_model(2, 3)
+    stratum, ids = m.full(lambda key: len(key) < 2)
+    assert stratum.counts() == [12, 12]
+    for ss, have in zip(stratum.simplices, m.complex.simplices):
+        assert {tuple(ids[v] for v in s) for s in ss} <= set(have)
+
+
+def _full_by_comprehension(model, pred):
+    """Reference for ExpModel.vertices and full: the vertices whose keys
+    satisfy pred and the full subcomplex on them, in the model's own
+    numbering and in its order within each dimension."""
+    ids = [q for q, key in enumerate(model.keys) if pred(key)]
+    keep = set(ids)
+    return ids, [[s for s in ss if keep.issuperset(s)] for ss in model.complex.simplices]
+
+
+@pytest.mark.parametrize("build, n", [(build_exp_model, 3), (build_exp_model, 5),
+                                      (build_symmetric_product, 4)])
+def test_full_matches_the_comprehension(build, n):
+    # mapped back through ids, full lists the reference's simplices in the
+    # same order, and the dimensions left empty are dropped; the keys of the
+    # symmetric product repeat their points, so sizes are of sets
+    model = build(2, n)
+    half = model.period // 2
+    for pred in (lambda key: len(set(key)) < 2, lambda key: len(set(key)) == 2,
+                 lambda key: key[0] < half):
+        ids, want = _full_by_comprehension(model, pred)
+        stratum, got = model.full(pred)
+        assert got == model.vertices(pred) == ids
+        assert [[tuple(ids[v] for v in s) for s in ss] for ss in stratum.simplices] == [
+            ss for ss in want if ss]
+
+
+@pytest.mark.parametrize("k, n, counts", [
+    (2, 3, [[12, 12], [156, 432, 276]]),
+    (2, 4, [[16, 16], [280, 792, 512]]),
+    pytest.param(3, 3, [[12, 12], [156, 432, 276], [2668, 14632, 22260, 10296]],
+                 marks=pytest.mark.slow),
+], ids=["k2-n3", "k2-n4", "k3-n3"])
+def test_open_strata(k, n, counts):
+    # the full subcomplexes on the keys of one size: the singletons are the
+    # circle exp_1, the pairs an open Moebius band and the triples an open
+    # solid torus, each with the homology of a circle
+    model = build_exp_model(k, n)
+    for size, want in enumerate(counts, 1):
+        stratum, _ = model.full(lambda key: len(key) == size)
+        assert stratum.counts() == want
+        assert homology(stratum) == H((1, ()), (1, ()), *[(0, ())] * (size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +917,7 @@ def _identify_whole_torus(k, n):
         bc = _barycenter(s, coords1, period)
         return tuple(sorted(set(bc))), _is_sorted(bc)
 
-    return complexes._identify_after_two_subdivisions(k1, label_fn)
+    return ExpModel(*complexes._identify_after_two_subdivisions(k1, label_fn), period)
 
 
 def _marked_by_masks(k, n):
@@ -899,7 +926,8 @@ def _marked_by_masks(k, n):
     whole torus gets one bit per coordinate pair, set where its barycentre's
     two coordinates agree, and a quotient simplex is marked when some chain
     of the second subdivision over it has a nonzero AND of its element
-    masks.  Quotient simplices are given by their vertices' keys."""
+    masks.  Quotient simplices are given by their vertices' keys, in each
+    dimension that has any, as a full subcomplex lists them."""
     k1, coords1, period = _sd1_barycentres(k, n)
     ids, origin = _subdivision_data(k1)
     pairs = list(combinations(range(k), 2))
@@ -916,13 +944,19 @@ def _marked_by_masks(k, n):
             m &= masks[v]
         if m:
             marked[len(c) - 1].add(tuple(sorted(keys[v] for v in c)))
-    return [sorted(s) for s in marked]
+    return [sorted(s) for s in marked if s]
+
+
+def _short_by_key(model, k):
+    """The full subcomplex on the vertices whose key has fewer than k
+    points, each vertex named by its key."""
+    stratum, ids = model.full(lambda key: len(key) < k)
+    return _by_key(stratum.simplices, [model.keys[q] for q in ids])
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_exp2_marked_stratum_matches_masks(n):
-    cx, keys = _build_exp_with_boundary(2, n)
-    assert _by_key(_with_stratum(2, (cx, keys))[1], keys) == _marked_by_masks(2, n)
+    assert _short_by_key(_build_exp_with_boundary(2, n), 2) == _marked_by_masks(2, n)
 
 
 @pytest.mark.parametrize("k, n", [(2, n) for n in range(3, 8)] + [(3, 3), (3, 4)])
@@ -944,19 +978,19 @@ def test_domain_build_matches_whole_torus(k, n):
     # the same quotient up to vertex numbering: keys, simplices and the
     # short-key stratum agree once every vertex is named by its key
     got, want = _build_exp_with_boundary(k, n), _identify_whole_torus(k, n)
-    assert got[0].counts() == want[0].counts()
-    assert sorted(got[1]) == sorted(want[1])
-    assert _by_key(got[0].simplices, got[1]) == _by_key(want[0].simplices, want[1])
-    assert (_by_key(_with_stratum(k, got)[1], got[1])
-            == _by_key(_with_stratum(k, want)[1], want[1]))
+    assert got.complex.counts() == want.complex.counts()
+    assert got.period == want.period and sorted(got.keys) == sorted(want.keys)
+    assert _by_key(got.complex.simplices, got.keys) == _by_key(want.complex.simplices, want.keys)
+    assert _short_by_key(got, k) == _short_by_key(want, k)
 
 
-def _quotient_data(result):
-    """What two builds of one quotient share: the vertex count, the keys and
-    each dimension's set of simplices; the order within a dimension is the
-    order the chains were met in, which differs between the two."""
-    cx, keys = result if isinstance(result, tuple) else (result, None)
-    return cx.vertex_count, keys, [set(ss) for ss in cx.simplices]
+def _quotient_data(model):
+    """What two builds of one quotient share, field by field: the vertex
+    count and each dimension's set of simplices, the keys and the period;
+    the order within a dimension is the order the chains were met in, which
+    differs between the two."""
+    cx, keys, period = model
+    return cx.vertex_count, [set(ss) for ss in cx.simplices], keys, period
 
 
 @pytest.mark.parametrize("build", [
@@ -1016,11 +1050,11 @@ def test_flags_closure_memo_matches_brute_force(seed):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("build", [build_exp_complex, build_symmetric_product])
+@pytest.mark.parametrize("build", [build_exp_model, build_symmetric_product])
 def test_pair_builds_at_the_size_cap(build):
     # n = 47 is the largest mesh the CLI admits for k = 2: the quotient ids
     # rise along every chain there too, so the build refuses nothing
-    assert build(2, 47).counts()[-1] == 36 * 47**2
+    assert build(2, 47).complex.counts()[-1] == 36 * 47**2
 
 
 @pytest.mark.slow
@@ -1048,10 +1082,10 @@ def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
 
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", counting_identify)
     monkeypatch.setattr(complexes, "_flags", counting_flags)
-    cx, keys = _build_exp_with_boundary(3, 3)
+    model = _build_exp_with_boundary(3, 3)
     assert counts == {"top_representatives": 648, "mapped": 68840}
-    assert _by_key(_with_stratum(3, (cx, keys))[1], keys) == _marked_by_masks(3, 3)
-    got = _quotient_data((cx, keys))
+    assert _short_by_key(model, 3) == _marked_by_masks(3, 3)
+    got = _quotient_data(model)
     monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
     assert got == _quotient_data(_build_exp_with_boundary(3, 3))
 
@@ -1061,12 +1095,12 @@ def test_build_order_does_not_depend_on_the_hash_seed():
     # from iterating lists; sets are only asked for membership
     src = str(Path(complexes.__file__).resolve().parent.parent)
     code = ("from expcircle.complexes import _build_exp_with_boundary\n"
-            "cx, keys = _build_exp_with_boundary(2, 3)\n"
+            "cx, keys, _ = _build_exp_with_boundary(2, 3)\n"
             "print(cx.simplices, [t.tolist() for t in cx.faces], keys)")
     out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
            for seed in ("0", "4242")]
-    cx, keys = _build_exp_with_boundary(2, 3)
+    cx, keys, _ = _build_exp_with_boundary(2, 3)
     assert out[0] == out[1] == f"{cx.simplices} {[t.tolist() for t in cx.faces]} {keys}\n"
 
 
@@ -1084,20 +1118,20 @@ def test_asymmetric_torus_is_refused(asymmetric_torus):
 def test_plain_permutation_quotient_differs_from_subset_space():
     # identifying tuples only up to permutation yields the symmetric product,
     # a circle-like space with boundary; the subset space needs the extra
-    # collapse of repeated coordinates (compare build_exp_complex)
-    sp3 = build_symmetric_product(3, 3)
+    # collapse of repeated coordinates (compare build_exp_model)
+    sp3 = build_symmetric_product(3, 3).complex
     assert sp3.counts() == [2992, 18868, 31428, 15552]
     assert homology(sp3) == H((1, ()), (1, ()), (0, ()), (0, ()))
 
 
 @pytest.mark.slow
 def test_exp3_homology_is_sphere_n3():
-    e3 = build_exp_complex(3, 3)
+    e3 = build_exp_model(3, 3).complex
     assert e3.euler_characteristic() == 0
     assert homology(e3) == H((1, ()), (0, ()), (0, ()), (1, ()))
 
 
-# tracemalloc peak of homology(build_exp_complex(3, 3)), build excluded, in
+# tracemalloc peak of homology(build_exp_model(3, 3).complex), build excluded, in
 # bytes: 26.49 MB when each column was a dict (27.07 MB under Python 3.10),
 # 13.81 MB with row and value tuples (13.85 MB under 3.10), 14.01 MB with a
 # dict per pivot column, 10.36 MB with pivots on the boundary's own tuples
@@ -1111,7 +1145,7 @@ HOMOLOGY_PEAK_BOUND = 8_370_000
 
 @pytest.mark.slow
 def test_exp3_homology_peak_memory():
-    e3 = build_exp_complex(3, 3)
+    e3 = build_exp_model(3, 3).complex
     tracemalloc.start()
     try:
         h = homology(e3)
@@ -1124,7 +1158,7 @@ def test_exp3_homology_peak_memory():
 
 @pytest.mark.slow
 def test_exp3_homology_is_sphere_n4():
-    e3 = build_exp_complex(3, 4)
+    e3 = build_exp_model(3, 4).complex
     assert e3.counts() == [6712, 43576, 73728, 36864]
     assert homology(e3) == H((1, ()), (0, ()), (0, ()), (1, ()))
 
@@ -1132,10 +1166,9 @@ def test_exp3_homology_is_sphere_n4():
 @pytest.mark.slow
 def test_exp3_marked_stratum_is_exp2():
     # the degenerate triples are the pair space, simplex for simplex in count
-    _, marked = _with_stratum(3, _build_exp_with_boundary(3, 3))
-    assert [len(m) for m in marked] == build_exp_complex(2, 3).counts() + [0]
-    assert [len(m) for m in marked] == [168, 492, 324, 0]
-    _assert_subcomplex(marked)
+    # (full validates its complex, so the stratum is closed under faces)
+    stratum, _ = build_exp_model(3, 3).full(lambda key: len(key) < 3)
+    assert stratum.counts() == build_exp_model(2, 3).complex.counts() == [168, 492, 324]
 
 
 @pytest.mark.slow
@@ -1149,10 +1182,10 @@ def test_coned_stratum_matches_struck_pair(k, n):
     # from the chains with the base point put back.  exp_2 with exp_1
     # collapsed is RP^2, whose Z/2 reaches the dense residual; exp_3 with
     # exp_2 collapsed is the projective oracle's space
-    cx, keys = _build_exp_with_boundary(k, n)
-    short = [q for q, key in enumerate(keys) if len(key) < k]
-    coned = homology(cx.cone(short))
-    struck = _with_base_point(_struck_pair(cx, short).homology())
+    model = build_exp_model(k, n)
+    short = model.vertices(lambda key: len(key) < k)
+    coned = homology(model.complex.cone(short))
+    struck = _with_base_point(_struck_pair(model.complex, short).homology())
     assert coned == struck
     if k == 2:
         assert coned == H((1, ()), (0, (2,)), (0, ()))

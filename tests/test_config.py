@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from expcircle import cli, config
+from expcircle.complexes import build_exp_model
 from expcircle.config import (
     DISTINCT_TOL,
     EXCEPTIONAL_POINT,
@@ -909,3 +910,26 @@ def test_chart_value_contract():
             setattr(value, value._fields[0], None)
     assert repr(c2) == "C2Coord(phi=1.0, theta=0.5)"
     assert repr(e) == "Exp3Coord(tag='C1', c1=0.4, c2=None, c3=None)"
+
+
+@pytest.mark.parametrize("k, n, antipodal, equilateral", [(3, 3, 3, 4), (3, 4, 8, 4), (2, 4, 8, 0)])
+def test_model_keys_chart_to_their_stratum(k, n, antipodal, equilateral):
+    # a vertex key of the simplicial model is a point set, each integer x
+    # standing for the angle 2 pi x / period: the charts put it in the
+    # stratum of its size, an antipodal pair on the band's core and an
+    # equilateral triple at the exceptional point
+    model = build_exp_model(k, n)
+    period = model.period
+    seen = [0, 0]
+    for key in model.keys:
+        s = FiniteSubset([2.0 * math.pi * x / period for x in key])
+        coord = exp3_coord(s)
+        assert coord.tag == f"C{len(key)}", key
+        gaps = {(b - a) % period for a, b in zip(key, key[1:] + key[:1])}
+        if len(key) == 2 and gaps == {period // 2}:
+            assert abs(coord.c2.phi - 0.5 * math.pi) <= ANGLE_TOL, key
+            seen[0] += 1
+        elif len(key) == 3 and gaps == {period // 3}:
+            assert any(abs(f.z - EXCEPTIONAL_POINT) <= ANGLE_TOL for f in c3_orbit(s)), key
+            seen[1] += 1
+    assert seen == [antipodal, equilateral]

@@ -8,7 +8,6 @@ from expcircle.groups import (
     _canonical_relator,
     _cyclic_reduce,
     _invert,
-    _is_abelian_free_presentation,
     _substitute,
     FiniteGroup,
     GroupHom,
@@ -206,20 +205,6 @@ def test_canonical_relator_is_the_least_rotation(p):
         assert _canonical_relator(w) == min(rotations)
 
 
-@given(small_presentations())
-def test_commutator_relators_are_recognised_by_their_shape(p):
-    # the reference: every relator is, up to rotation and inversion, [x, y]
-    # for two different generators x and y
-    n = len(p.generators)
-    commutators = {_canonical_relator((i, j, -i, -j))
-                   for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-    reference = all(_canonical_relator(w) in commutators for w in p.relators)
-    assert _is_abelian_free_presentation(p) == reference
-    torus = Presentation(["a", "b", "c"], [(1, 2, -1, -2), (-3, 1, 3, -1), (2, -3, -2, 3)])
-    assert _is_abelian_free_presentation(torus)
-    assert not _is_abelian_free_presentation(Presentation(["a", "b"], [(1, 2, -1, 2)]))
-
-
 # ---------------------------------------------------------------------------
 # pushouts
 # ---------------------------------------------------------------------------
@@ -279,6 +264,25 @@ def test_hom_validation():
         # any two words into a free group on one generator commute, so use a
         # rank-2 free target where images genuinely fail to commute
         GroupHom(corner, Presentation(["x", "y"]), [(1,), (2,)])
+
+
+@pytest.mark.parametrize("source, target, images, accepted", [
+    # an abelian target decides: the images' exponent sums must lie in the
+    # span of the target's relators
+    ("gens: x; rels: x^2", "gens: a b; rels: [a, b]", ["a"], False),
+    ("gens: x y; rels: [x, y]", "gens: a b; rels: [a, b]", ["a^2", "a b"], True),
+    ("gens: x; rels: x^2", "gens: t; rels: t^3", ["t"], False),
+    ("gens: x; rels: x^3", "gens: t; rels: t^3", ["t"], True),
+], ids=["torus-refuses-x2", "torus-accepts-commuting", "z3-refuses-x2", "z3-accepts-x3"])
+def test_hom_relator_images_are_checked_through_the_abelianization(source, target, images,
+                                                                    accepted):
+    source, target = P(source), P(target)
+    words = [parse_word(w, target.generators) for w in images]
+    if accepted:
+        assert GroupHom(source, target, words).images == tuple(words)
+    else:
+        with pytest.raises(ValueError, match="fails the abelianized check"):
+            GroupHom(source, target, words)
 
 
 # ---------------------------------------------------------------------------
