@@ -134,6 +134,14 @@ def cmd_knot(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    # the op allocates about 150k tuples, dicts and arrays, none of them in a
+    # reference cycle, so the cyclic GC is paused (imported here, where the
+    # op needs it, not at start-up); it only walks them, about 200 times at
+    # n=3.  The caller's GC state comes back on every path out
+    import gc
+
+    enabled = gc.isenabled()
+    gc.disable()
     # the inputs are validated by now, so a ValueError from the build or the
     # homology (a degenerate identification, an asymmetric torus, a nonzero
     # d∘d) is a failed verification in either mode
@@ -175,6 +183,9 @@ def cmd_homology(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
     _emit(_dump(record), args.out)
     return 0 if ok else 1
 

@@ -27,25 +27,30 @@ so the barycentres of barycentres that key the identification are exact
 without fractions.
 
 A complex keeps each dimension in the order its simplices were first given,
-so nothing the build makes is sorted; one dict per dimension both drops the
-repeats and looks up the facets of the dimension above.  The pair stratum
-L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), so relative
-homology is the absolute homology of an ordinary complex and chain_complex
-is the one simplicial chain-complex constructor.
+so nothing the build makes is sorted.  The pair stratum L of exp_3 is coned
+off (K u CL, homotopy equivalent to K/L), so relative homology is the
+absolute homology of an ordinary complex and chain_complex is the one
+simplicial chain-complex constructor.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  A SparseIntMatrix is compressed sparse
 column: flat tables of row indices and values and the offsets of each
-column in them.  Validation looks up every facet of a complex once and
-keeps the rows as a face table, the d + 1 facet rows of each d-simplex in
-turn; that is already the flat row table of the boundary, so every boundary
-shares it, beside offsets that step by d + 1 and the signs repeated, and
-the chain complex copies nothing of the complex.  The d o d check proves a
-composite of two face tables zero from the face identity (facet j of facet
-i is facet i - 1 of facet j, for j < i), tested on strided slices of the
-flat tables, a whole position of every column at once, and sums exactly
-only the columns whose rows differ, or every column when a boundary is laid
-out otherwise; no product matrix is built.  Then the boundaries are reduced
+column in them.  Validation looks up every facet of a complex once, by
+position: facet i of all the d-simplices is picked from their vertex
+tuples by one itemgetter, looked up in a dict of the dimension below and
+written into the strided slice i::d + 1 of the face table, the d + 1 facet
+rows of each d-simplex in turn.  Only a failed check or lookup sends the
+dimension through the per-simplex loop that names the faulty simplex.  The
+face table is already the flat row table of the boundary, so every
+boundary shares it, beside offsets that step by d + 1 and the signs
+repeated; the chain complex copies nothing of the complex and checks none
+of its rows again, each being the index of a facet that was found.  The
+d o d check proves a composite of two face tables zero from the face
+identity (facet j of facet i is facet i - 1 of facet j, for j < i): for
+each pair of positions it compares two tuples, each made by one itemgetter
+call over a whole position of every column, and sums exactly only the
+columns whose rows differ, or every column when a boundary is laid out
+otherwise; no product matrix is built.  Then the boundaries are reduced
 top-down, the highest first, by smith_normal_form, the column reduction of
 persistent homology: each column is reduced on its lowest row index, and
 the unit pivots are consumed.  A column becomes a tuple of rows and a tuple
@@ -82,30 +87,27 @@ class SimplicialComplex:
     per dimension, closed under taking faces.
 
     Each dimension lists its simplices once, in the order first given;
-    dimension 0 is the vertices in order.  One dict per dimension drops the
-    repeats and then, its values overwritten with the indices, looks up the
-    facets of the dimension above.  faces[d] is the face table of dimension
-    d: for each d-simplex in order, the indices in simplices[d - 1] of its
-    d + 1 facets, facet i dropping vertex i (faces[0] is empty)."""
+    dimension 0 is the vertices in order.  A dict drops each dimension's
+    repeats, and another, mapping the dimension below to its indices, looks
+    up the facets; each is dropped once used, so at most one dimension's
+    dict is alive.  faces[d] is the face table of dimension d: for each
+    d-simplex in order, the indices in simplices[d - 1] of its d + 1
+    facets, facet i dropping vertex i (faces[0] is empty)."""
 
     def __init__(self, vertex_count: int, simplices_by_dim):
         self.vertex_count = vertex_count
         self.simplices = []
         self.faces = []
-        below = None
         for d, ss in enumerate(simplices_by_dim):
-            index = dict.fromkeys(map(tuple, ss))  # values set to the indices below
-            ss = list(index)
-            if d:
-                self.faces.append(_face_table(d, ss, below))
+            ss = list(dict.fromkeys(map(tuple, ss)))
+            if d:  # the lookup dict of the dimension below lives for this call only
+                self.faces.append(_face_table(d, ss, dict(zip(self.simplices[-1], count()))))
             else:
                 ss.sort()
                 if ss != [(v,) for v in range(vertex_count)]:
                     raise ValueError("dimension 0 must list every vertex exactly once")
                 self.faces.append(array("I"))
-            index.update(zip(ss, count()))
             self.simplices.append(ss)
-            below = index
         while self.simplices and not self.simplices[-1]:
             self.simplices.pop()
             self.faces.pop()
@@ -185,27 +187,33 @@ def _face_table(d: int, ss: list, row: dict) -> array:
     """The face table of the d-simplices ss, row mapping each (d-1)-simplex
     to its index; refuses a simplex that is degenerate, unsorted or missing
     a facet."""
-    # strictly increasing vertices (checked column by column) and found
-    # facets; on any failure the per-simplex loop names it
-    ok = set(map(len, ss)) <= {d + 1} and all(
-        all(map(lt, map(itemgetter(i), ss), map(itemgetter(i + 1), ss))) for i in range(d))
-    facets = chain.from_iterable(map(combinations, ss, repeat(d)))
-    rows = list(map(row.get, facets)) if ok else [None]
-    if None in rows:
-        for s in ss:
-            if len(s) != d + 1 or len(set(s)) != d + 1:
-                raise ValueError(f"degenerate simplex {s} in dimension {d}")
-            if list(s) != sorted(s):
-                raise ValueError(f"unsorted simplex {s}")
-            for f in combinations(s, d):
-                if f not in row:
-                    raise ValueError(f"missing face {f} of {s}")
-    # combinations drop the last vertex first; facet i drops vertex i
-    rows = array("I", rows)
-    table = rows[:]
-    for i in range(d + 1):
-        table[i::d + 1] = rows[d - i::d + 1]
-    return table
+    # facet i of every simplex at once, picked by position and written into
+    # its strided slice.  The keys of row are strictly increasing (checked
+    # one dimension down), so a simplex of d + 1 >= 3 vertices whose facets
+    # are all found is too, its first and last facets overlapping; an edge's
+    # two vertices are compared.  On any failure the per-simplex loop names
+    # it
+    w = d + 1
+    table = array("I", [0]) * (w * len(ss))
+    try:
+        if set(map(len, ss)) <= {w} and (
+                d > 1 or all(map(lt, map(itemgetter(0), ss), map(itemgetter(1), ss)))):
+            for i in range(w):
+                drop = itemgetter(*range(i), *range(i + 1, w))
+                facets = map(drop, ss) if d > 1 else zip(map(drop, ss))
+                table[i::w] = array("I", map(row.__getitem__, facets))
+            return table
+    except KeyError:
+        pass
+    for s in ss:
+        if len(s) != w or len(set(s)) != w:
+            raise ValueError(f"degenerate simplex {s} in dimension {d}")
+        if list(s) != sorted(s):
+            raise ValueError(f"unsorted simplex {s}")
+        for f in combinations(s, d):
+            if f not in row:
+                raise ValueError(f"missing face {f} of {s}")
+    raise AssertionError("a face table refused by position passed the per-simplex checks")
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +411,8 @@ class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
         in order, so its simplices stay sorted, and ids[i] the model's id of
         its vertex i."""
         ids = self.vertices(pred)
+        if not ids:
+            raise ValueError("empty stratum: no vertex key satisfies the predicate")
         keep, new = set(ids), dict(zip(ids, count()))
         return SimplicialComplex(len(ids), [
             [tuple(map(new.__getitem__, s)) for s in ss if keep.issuperset(s)]
@@ -767,13 +777,13 @@ def _composite_is_zero(low, lrows, high, hrows) -> bool:
     """Whether low * high is zero, given each boundary's rows by position,
     or None for one that is not a face table (_face_rows); see
     ChainComplexZ.check_boundary_squared."""
-    if lrows is None or hrows is None:
+    if lrows is None or hrows is None or high.ncols < 2:  # itemgetter needs two indices
         unproved = range(high.ncols)
     else:
         unproved = set()
+        pick = [itemgetter(*rows) for rows in hrows]
         for j, i in combinations(range(len(hrows)), 2):
-            left = list(map(lrows[j].__getitem__, hrows[i]))
-            right = list(map(lrows[i - 1].__getitem__, hrows[j]))
+            left, right = pick[i](lrows[j]), pick[j](lrows[i - 1])
             if left != right:
                 unproved.update(compress(count(), map(ne, left, right)))
         unproved = sorted(unproved)
@@ -811,14 +821,17 @@ class ChainComplexZ:
         if row j of low column i equals row i - 1 of low column j for every
         j < i, all terms cancel in pairs.  A simplicial boundary passes,
         since both rows are the simplex less its vertices j and i.  Each
-        pair (j, i) is tested for all columns at once, on strided slices of
-        the flat tables, and each boundary is sliced once, as the high side
-        of one composite and the low side of the next.
+        pair (j, i) is tested for all columns at once: an itemgetter of
+        high's rows at one position picks the named low rows in one call,
+        and two such tuples are compared.  Each boundary is sliced into its
+        rows by position once, as the high side of one composite and the
+        low side of the next.
 
-        A column whose rows differ at some pair, and every column of a
-        composite with a side that is not a face table, is summed exactly by
-        _composite_column_is_zero, and the first nonzero one ends the
-        check.  No product matrix is built."""
+        A column whose rows differ at some pair, every column of a
+        composite with a side that is not a face table, and a high side of
+        fewer than two columns, whose itemgetter would give no tuple, are
+        summed exactly by _composite_column_is_zero, and the first nonzero
+        one ends the check.  No product matrix is built."""
         below = None  # a boundary and its rows by position
         for w, high in enumerate(self.boundaries, 2):
             above = (high, _face_rows(high, w))
@@ -866,13 +879,17 @@ def chain_complex(k: SimplicialComplex) -> ChainComplexZ:
     """Simplicial chain complex with the orientation from sorted vertices.
 
     Each boundary is k's face table itself, with offsets stepping by the
-    simplex width and the signs repeated beside it, so nothing is copied."""
+    simplex width and the signs repeated beside it, so nothing is copied.
+    The SparseIntMatrix checks are not run: every row is the index of a
+    facet found in the dict of dimension d - 1 (or, in a cone, one of K's
+    rows or a cone's index), so it is in range, and the offsets and the
+    signs are laid out here, d + 1 per column."""
     boundaries = []
     for d in range(1, k.dim + 1):
-        faces, ncols = k.faces[d], len(k.simplices[d])
-        boundaries.append(SparseIntMatrix(len(k.simplices[d - 1]), ncols, faces,
-                                          range(0, len(faces) + 1, d + 1),
-                                          array("b", _signs(d + 1)) * ncols))
+        b = object.__new__(SparseIntMatrix)
+        b.nrows, b.ncols, b.indices = len(k.simplices[d - 1]), len(k.simplices[d]), k.faces[d]
+        b.indptr, b.values = range(0, len(b.indices) + 1, d + 1), array("b", _signs(d + 1)) * b.ncols
+        boundaries.append(b)
     return ChainComplexZ(k.counts(), boundaries)
 
 

@@ -22,6 +22,7 @@ from expcircle.complexes import (
     _barycenter,
     _build_exp_with_boundary,
     _check_simplicial,
+    _face_table,
     _flags,
     _grid_index,
     _grid_point,
@@ -307,6 +308,25 @@ def test_boundary_squared_fast_path(monkeypatch, make, summed, holds):
     assert len(calls) == summed
 
 
+def test_boundary_squared_on_a_face_table_of_one_column_or_none(monkeypatch):
+    # itemgetter of one index returns a scalar and of none raises, so a
+    # face-table high side of one column is summed exactly and one of none
+    # holds.  The triangle's facet rows are [2, 1, 0]; [2, 0, 1] keeps the
+    # face-table layout but names the edges out of place
+    exact = complexes._composite_column_is_zero
+    calls = []
+    monkeypatch.setattr(complexes, "_composite_column_is_zero",
+                        lambda *args: calls.append(args) or exact(*args))
+    low, high = chain_complex(SimplicialComplex.from_maximal([(0, 1, 2)])).boundaries
+    assert list(high.indices) == [2, 1, 0] and high.indptr == range(0, 4, 3)
+    edited = SparseIntMatrix(3, 1, array("I", [2, 0, 1]), high.indptr, high.values)
+    empty = SparseIntMatrix(3, 0, array("I"), range(0, 1, 3), array("b"))
+    for top, want, summed in ((high, True, 1), (edited, False, 1), (empty, True, 0)):
+        calls.clear()
+        assert ChainComplexZ([3, 3, top.ncols], [low, top]).check_boundary_squared() == want
+        assert len(calls) == summed
+
+
 def test_nonzero_boundary_squared_is_refused():
     d1 = SparseIntMatrix.from_dense([[1, 1]])
     d2 = SparseIntMatrix.from_dense([[1], [1]])
@@ -437,6 +457,56 @@ def test_euler_characteristic_matches_betti():
 def test_simplicial_complex_refusals(vertex_count, simplices, message):
     with pytest.raises(ValueError, match=message):
         SimplicialComplex(vertex_count, simplices)
+
+
+def test_missing_facet_looked_up_last_is_named():
+    # the facets are looked up position by position over all simplices, so
+    # the one missing here, facet 2 of the last triangle, is the last lookup;
+    # the per-simplex loop still names it, after passing the first triangle
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (1, 4)]
+    with pytest.raises(ValueError, match=r"^missing face \(1, 3\) of \(1, 3, 4\)$"):
+        SimplicialComplex(5, [[(v,) for v in range(5)], edges, [(0, 1, 2), (1, 3, 4)]])
+    with pytest.raises(ValueError, match=r"^missing face \(0, 1\) of \(0, 1, 2\)$"):
+        SimplicialComplex(3, [[(0,), (1,), (2,)], [(1, 2), (0, 2)], [(0, 1, 2)]])
+
+
+def _face_table_by_combinations(d, ss, row):
+    """Reference face table: each simplex's facets by combinations, which
+    drop the last vertex first, reversed so that facet i drops vertex i."""
+    return array("I", [row[f] for s in ss for f in reversed(list(combinations(s, d)))])
+
+
+@st.composite
+def dimensions_with_rows(draw):
+    """A dimension d >= 1 of a random complex, a sublist of its simplices
+    (empty, one simplex or more, in any order) and the row dict of the
+    dimension below."""
+    n = draw(st.integers(2, 7))
+    tops = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4), min_size=1,
+                         max_size=10))
+    cx = SimplicialComplex.from_maximal([(v,) for v in range(n)] + [tuple(t) for t in tops])
+    d = draw(st.integers(1, cx.dim))
+    ss = draw(st.lists(st.sampled_from(cx.simplices[d]), unique=True,
+                       max_size=len(cx.simplices[d])))
+    return d, ss, {s: i for i, s in enumerate(cx.simplices[d - 1])}
+
+
+@given(dimensions_with_rows())
+def test_face_table_by_position_matches_combinations(case):
+    d, ss, row = case
+    assert _face_table(d, ss, row) == _face_table_by_combinations(d, ss, row)
+
+
+def test_face_table_by_position_edge_cases():
+    # an empty dimension, a dimension of one simplex and edges, whose
+    # facets are picked by one index
+    row0 = {(v,): v for v in range(4)}
+    row1 = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+    assert _face_table(1, [], row0) == _face_table(3, [], {}) == array("I")
+    assert _face_table(1, [(0, 3)], row0) == array("I", [3, 0])
+    assert _face_table(2, [(0, 1, 2)], row1) == array("I", [2, 1, 0])
+    # a trailing empty dimension is looked up and dropped
+    assert SimplicialComplex(3, [[(0,), (1,), (2,)], [(0, 1)], []]).counts() == [3, 1]
 
 
 def test_simplicial_complex_lists_each_simplex_once():
@@ -851,6 +921,15 @@ def test_full_matches_the_comprehension(build, n):
         assert got == model.vertices(pred) == ids
         assert [[tuple(ids[v] for v in s) for s in ss] for ss in stratum.simplices] == [
             ss for ss in want if ss]
+
+
+def test_full_refuses_an_empty_stratum():
+    # no key of exp_2 has three points: the refusal names the empty stratum,
+    # not the vertex check of the complex it would have built
+    model = build_exp_model(2, 4)
+    with pytest.raises(ValueError, match="^empty stratum: no vertex key satisfies the predicate$"):
+        model.full(lambda key: len(key) == 3)
+    assert model.vertices(lambda key: len(key) == 3) == []
 
 
 @pytest.mark.parametrize("k, n, counts", [
