@@ -24,7 +24,14 @@ build where one does not is refused); it is never validated or sorted as a
 whole, and the flag memo holds only chains ending at a proper face of a
 mapped sd1 simplex.  Torus coordinates are integers scaled by lcm(1..k+1)**2,
 so the barycentres of barycentres that key the identification are exact
-without fractions.
+without fractions.  Each stage lets go of its inputs once the next holds what
+it needs: the torus and its barycentre, domain and id dicts once the first
+subdivision exists; the first subdivision, its labels, the representatives
+and the key dict once the quotient chains are collected, only the key list
+surviving; and each dimension's list of chains once it is deduplicated.  So
+the build peaks while the quotient's top simplices are validated, holding
+only the quotient's simplices, the lookup dict of its triangles and its face
+tables.
 
 A complex keeps each dimension in the order its simplices were first given,
 so nothing the build makes is sorted.  The pair stratum L of exp_3 is coned
@@ -73,7 +80,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import chain, combinations, compress, count, islice, permutations, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, permutations, repeat
 from math import gcd, lcm
 from operator import gt, itemgetter, lt, ne, not_
 
@@ -98,8 +105,9 @@ class SimplicialComplex:
         self.vertex_count = vertex_count
         self.simplices = []
         self.faces = []
-        for d, ss in enumerate(simplices_by_dim):
-            ss = list(dict.fromkeys(map(tuple, ss)))
+        # map holds no given list once it has deduplicated it, so one that
+        # nothing else holds is dropped before its dimension is validated
+        for d, ss in enumerate(map(_distinct, simplices_by_dim)):
             if d:  # the lookup dict of the dimension below lives for this call only
                 self.faces.append(_face_table(d, ss, dict(zip(self.simplices[-1], count()))))
             else:
@@ -183,6 +191,11 @@ class SimplicialComplex:
         return f"SimplicialComplex(counts={self.counts()})"
 
 
+def _distinct(ss) -> list:
+    """The simplices ss as tuples, each once, in the order first given."""
+    return list(dict.fromkeys(map(tuple, ss)))
+
+
 def _face_table(d: int, ss: list, row: dict) -> array:
     """The face table of the d-simplices ss, row mapping each (d-1)-simplex
     to its index; refuses a simplex that is degenerate, unsorted or missing
@@ -257,12 +270,16 @@ def _flags(k: SimplicialComplex, labels, ends):
                 yield from cs
 
 
-def _complex_of_chains(k: SimplicialComplex, labels, ends, vertex_count: int):
-    """The complex on vertices 0..vertex_count-1 of the chains _flags builds."""
-    out = [[] for _ in range(k.dim + 1)]
-    for c in _flags(k, labels, ends):
+def _complex_of_chains(chains, dim: int, vertex_count: int):
+    """The complex on vertices 0..vertex_count-1 of the chains, a _flags
+    generator over a complex of dimension dim.  The generator is exhausted
+    before the complex is validated, which frees its complex, labels and
+    ends once no caller holds them, and each dimension's list of chains is
+    popped as it is handed over, so it goes once it is deduplicated."""
+    out = [[] for _ in range(dim + 1)]
+    for c in chains:
         out[len(c) - 1].append(c)
-    return SimplicialComplex(vertex_count, out)
+    return SimplicialComplex(vertex_count, map(out.pop, repeat(0, len(out))))
 
 
 def _barycenter(simplex, coords, period: int):
@@ -384,7 +401,13 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
         labels[s] = qid_by_key.setdefault(key, len(qid_by_key))
         if is_representative:
             ends.add(s)
-    return _complex_of_chains(k1, labels, ends, len(qid_by_key)), list(qid_by_key)
+    keys = list(qid_by_key)
+    chains, dim = _flags(k1, labels, ends), k1.dim
+    # the generator is left the only holder of k1, the labels and the ends,
+    # so they go once the chains are collected and before the quotient is
+    # validated (the caller hands k1 over without keeping it)
+    del qid_by_key, k1, labels, ends
+    return _complex_of_chains(chains, dim, len(keys)), keys
 
 
 def _underlying_set(point) -> tuple:
@@ -409,14 +432,33 @@ class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
     def full(self, pred):
         """(complex, ids): the full subcomplex on vertices(pred), renumbered
         in order, so its simplices stay sorted, and ids[i] the model's id of
-        its vertex i."""
+        its vertex i.
+
+        Every facet of a kept simplex is kept, so its face rows are the
+        model's, renumbered through the simplices kept one dimension down,
+        as cone reuses K's rows: no facet is looked up again."""
         ids = self.vertices(pred)
         if not ids:
             raise ValueError("empty stratum: no vertex key satisfies the predicate")
-        keep, new = set(ids), dict(zip(ids, count()))
-        return SimplicialComplex(len(ids), [
-            [tuple(map(new.__getitem__, s)) for s in ss if keep.issuperset(s)]
-            for ss in self.complex.simplices]), ids
+        cx, keep = self.complex, set(ids)
+        # new[j] is the count of simplices kept before index j of a dimension,
+        # so the new index of j when it is kept; a vertex's index is its id
+        new = renumber = list(accumulate(map(keep.__contains__, range(cx.vertex_count)), initial=0))
+        simplices, faces = [[(v,) for v in range(len(ids))]], [array("I")]
+        for d in range(1, cx.dim + 1):
+            ss, rows, w = cx.simplices[d], cx.faces[d], d + 1
+            kept = bytes(map(keep.issuperset, ss))
+            table = array("I", [0]) * (w * kept.count(1))
+            if not table:  # nothing above an empty dimension either
+                break
+            for i in range(w):
+                table[i::w] = array("I", map(new.__getitem__, compress(rows[i::w], kept)))
+            simplices.append([tuple(map(renumber.__getitem__, s)) for s in compress(ss, kept)])
+            faces.append(table)
+            new = list(accumulate(kept, initial=0))
+        out = object.__new__(SimplicialComplex)
+        out.vertex_count, out.simplices, out.faces = len(ids), simplices, faces
+        return out, ids
 
 
 def _build_exp_with_boundary(k: int, n: int, key=_underlying_set) -> ExpModel:
@@ -458,14 +500,19 @@ def _build_exp_with_boundary(k: int, n: int, key=_underlying_set) -> ExpModel:
     domain = {f for s, bc in bcs.items() if list(bc) == sorted(bc)
               for f in chain(_proper_faces(s), [s])}
     ids = {s: i for i, s in enumerate(s for s in bcs if s in domain)}
-    k1 = _complex_of_chains(k0, ids, domain, len(ids))
     coords1 = [bcs[s] for s in ids]
+    # the torus stage goes once the first subdivision exists.  That is held
+    # in a list only to be popped into the call below: CPython 3.11 and later
+    # move a call's arguments into the callee's frame, so nothing here keeps
+    # the first subdivision once its chains are mapped
+    first = [_complex_of_chains(_flags(k0, ids, domain), k0.dim, len(ids))]
+    del k0, coords0, bcs, domain, ids
 
     def label_fn(s):
         bc = _barycenter(s, coords1, period)
         return key(bc), list(bc) == sorted(bc)
 
-    return ExpModel(*_identify_after_two_subdivisions(k1, label_fn), period)
+    return ExpModel(*_identify_after_two_subdivisions(first.pop(), label_fn), period)
 
 
 def build_exp_model(k: int, n: int) -> ExpModel:

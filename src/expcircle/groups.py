@@ -10,8 +10,10 @@ and exhaustive counting of homomorphisms into small finite groups.
 Presentations and the records built on them (homomorphisms, pushout data,
 Tietze results and order certificates) are immutable tuples; the first three
 are checked on every path that builds one, _replace, copy and pickle included.
-GroupHom checks a homomorphism's relator images exactly into free and
-abelian targets, and into any other only through the abelianization.
+GroupHom checks a homomorphism's relator images exactly into free targets
+and targets known to be abelian; into any other it accepts only images that
+are trivial or a target relator up to rotation and inversion, and refuses
+the rest as undecided.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .complexes import AbelianInvariants, dense_smith_normal_form
 from .moebius import checked_namedtuple
@@ -277,11 +279,14 @@ def format_presentation(p: Presentation) -> str:
 class GroupHom(checked_namedtuple("GroupHom", ("source", "target", "images"))):
     """Homomorphism data: a tuple of image words, one per source generator.
 
-    Each source relator must map to a trivial word.  Into a free target that
-    is decided by free reduction.  Into any other, the relator images added
-    to the target's relators must leave its abelianization unchanged: exact
-    for an abelian target, which is no proper quotient of itself, and only a
-    necessary condition otherwise.
+    Each source relator must map to a trivial word, and is refused where
+    that is not decided.  Into a free target it is decided by free
+    reduction.  Into a target known to be abelian (one generator, or the
+    commutator of every pair of generators among its relators) the relator
+    images added to the target's relators must leave its abelianization
+    unchanged, which is exact: an abelian group is no proper quotient of
+    itself.  Into any other an image is accepted only if it freely reduces
+    to nothing or is a rotation of a target relator or of its inverse.
     """
 
     __slots__ = ()
@@ -294,14 +299,22 @@ class GroupHom(checked_namedtuple("GroupHom", ("source", "target", "images"))):
             _check_letters(w, n, "image")
         images = tuple(_free_reduce(w) for w in images)
         images_of_relators = tuple(_substitute(w, images) for w in source.relators)
-        if not target.relators:
+        relators = set(map(_canonical_relator, target.relators))
+        if not relators:
             # free target: trivial iff freely reduced to nothing
             bad = [w for w in images_of_relators if w]
             if bad:
                 raise ValueError(f"relator image {bad[0]} is nontrivial in the free target")
-        elif (abelianization(Presentation(target.generators, target.relators + images_of_relators))
-              != abelianization(target)):
-            raise ValueError("relator image fails the abelianized check")
+        elif all(_canonical_relator((i, j, -i, -j)) in relators
+                 for i, j in combinations(range(1, n + 1), 2)):
+            if (abelianization(Presentation(target.generators, target.relators + images_of_relators))
+                    != abelianization(target)):
+                raise ValueError("relator image fails the abelianized check")
+        else:
+            bad = [w for w in images_of_relators if w and _canonical_relator(w) not in relators]
+            if bad:
+                raise ValueError(f"relator image {bad[0]} is undecided: the target is not known "
+                                 "to be abelian and the image is none of its relators")
         return tuple.__new__(cls, (source, target, images))
 
 

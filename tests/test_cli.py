@@ -170,8 +170,11 @@ def test_knot_builds_no_finite_subset(monkeypatch):
 # built and pivots share the boundary's tuples (13.61 and 13.78 MB on the
 # machine that measured the next pair), and 10.84 and 10.66 MB with the
 # boundaries sharing the complex's face tables, where the build is the op's
-# peak.  The bound sits halfway between the last two pairs.
-CLI_HOMOLOGY_PEAK_BOUND = 12_200_000
+# peak, then 10.20 and 9.55 MB with face tables by position.  With the
+# build letting go of each stage before it validates the quotient they read
+# 8.81 and 8.22 MB.  The bound sits halfway between the last two absolute
+# figures.
+CLI_HOMOLOGY_PEAK_BOUND = 9_500_000
 
 
 @pytest.mark.slow
@@ -187,6 +190,27 @@ def test_homology_3_peak_memory(extra):
     assert code == 0
     assert rec["match"] if extra else rec["betti"] == [1, 0, 0, 1]
     assert peak < CLI_HOMOLOGY_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.slow
+def test_repeated_relative_ops_retain_nothing():
+    # a benchmark child's peak RSS rises over its first rounds of this op and
+    # then holds: the allocator keeps freed memory for reuse, and no op keeps
+    # data, since the traced size after each op is the first op's.  A full
+    # collection first empties the interpreter's free lists, which hold about
+    # 1 MB of freed objects after an op and count as traced
+    sizes = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            code, out = run_cli("--mesh-n", "3", "homology", "3", "--relative")
+            assert code == 0 and json.loads(out)["match"]
+            del out
+            gc.collect()
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) - min(sizes) < 64 * 1024, sizes
 
 
 def test_coord_charts_a_triple_once(monkeypatch):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from array import array
 from itertools import chain, combinations, permutations
 from math import gcd, lcm, prod
@@ -79,7 +80,7 @@ def _subdivision_data(k):
 def barycentric_subdivision(k):
     """First barycentric subdivision (combinatorial flags construction)."""
     ids, origin = _subdivision_data(k)
-    return complexes._complex_of_chains(k, ids, ids, len(origin))
+    return complexes._complex_of_chains(_flags(k, ids, ids), k.dim, len(origin))
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +912,9 @@ def _full_by_comprehension(model, pred):
 def test_full_matches_the_comprehension(build, n):
     # mapped back through ids, full lists the reference's simplices in the
     # same order, and the dimensions left empty are dropped; the keys of the
-    # symmetric product repeat their points, so sizes are of sets
+    # symmetric product repeat their points, so sizes are of sets.  Its face
+    # tables, renumbered from the model's, are the ones validation finds for
+    # the renumbered reference
     model = build(2, n)
     half = model.period // 2
     for pred in (lambda key: len(set(key)) < 2, lambda key: len(set(key)) == 2,
@@ -921,6 +924,12 @@ def test_full_matches_the_comprehension(build, n):
         assert got == model.vertices(pred) == ids
         assert [[tuple(ids[v] for v in s) for s in ss] for ss in stratum.simplices] == [
             ss for ss in want if ss]
+        new = {q: v for v, q in enumerate(ids)}
+        validated = SimplicialComplex(len(ids), [[tuple(new[q] for q in s) for s in ss]
+                                                 for ss in want])
+        assert stratum.vertex_count == validated.vertex_count
+        assert stratum.simplices == validated.simplices
+        assert stratum.faces == validated.faces
 
 
 def test_full_refuses_an_empty_stratum():
@@ -1181,6 +1190,28 @@ def test_build_order_does_not_depend_on_the_hash_seed():
            for seed in ("0", "4242")]
     cx, keys, _ = _build_exp_with_boundary(2, 3)
     assert out[0] == out[1] == f"{cx.simplices} {[t.tolist() for t in cx.faces]} {keys}\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments alive in the caller until it returns")
+@pytest.mark.parametrize("k", [2, 3])
+def test_build_drops_each_stage_before_validating_the_quotient(monkeypatch, k):
+    # the build validates three complexes in turn: the torus, its first
+    # subdivision and the quotient.  When the quotient's validation starts,
+    # the two before it are unreachable, so they are already freed
+    made, alive = [], []
+    init = SimplicialComplex.__init__
+
+    def tracking_init(self, vertex_count, simplices_by_dim):
+        if len(made) == 2:
+            alive.extend(ref() is not None for ref in made)
+        made.append(weakref.ref(self))
+        init(self, vertex_count, simplices_by_dim)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", tracking_init)
+    model = _build_exp_with_boundary(k, 3)
+    assert len(made) == 3 and made[2]() is model.complex
+    assert alive == [False, False]
 
 
 def test_asymmetric_torus_is_refused(asymmetric_torus):

@@ -273,7 +273,10 @@ def test_hom_validation():
     ("gens: x y; rels: [x, y]", "gens: a b; rels: [a, b]", ["a^2", "a b"], True),
     ("gens: x; rels: x^2", "gens: t; rels: t^3", ["t"], False),
     ("gens: x; rels: x^3", "gens: t; rels: t^3", ["t"], True),
-], ids=["torus-refuses-x2", "torus-accepts-commuting", "z3-refuses-x2", "z3-accepts-x3"])
+    # the commutator may be written either way round
+    ("gens: x; rels: x^2", "gens: a b; rels: [b, a]", ["a"], False),
+], ids=["torus-refuses-x2", "torus-accepts-commuting", "z3-refuses-x2", "z3-accepts-x3",
+        "torus-written-inverted-refuses-x2"])
 def test_hom_relator_images_are_checked_through_the_abelianization(source, target, images,
                                                                     accepted):
     source, target = P(source), P(target)
@@ -282,6 +285,29 @@ def test_hom_relator_images_are_checked_through_the_abelianization(source, targe
         assert GroupHom(source, target, words).images == tuple(words)
     else:
         with pytest.raises(ValueError, match="fails the abelianized check"):
+            GroupHom(source, target, words)
+
+
+@pytest.mark.parametrize("images, accepted", [
+    # [a, c] is not trivial in <a, b, c | [a, b]> (108 homs into S3 against
+    # 48 for Z^3), though its abelianization is unchanged by it
+    (["a", "c"], False),
+    (["a", "b c"], False),
+    (["a", "b"], True),
+    (["b", "a"], True),
+    (["b", "a^-1"], True),
+    (["a b", "a b"], True),
+], ids=["commutator-a-c", "commutator-a-bc", "relator", "inverse", "rotation", "trivial"])
+def test_hom_into_a_target_not_known_abelian_accepts_only_its_relators(images, accepted):
+    # the target has relators and not every pair of its generators commutes
+    # among them, so a relator image is decided only when it freely reduces
+    # to nothing or is a target relator up to rotation and inversion
+    source, target = P("gens: x y; rels: [x, y]"), P("gens: a b c; rels: [a, b]")
+    words = [parse_word(w, target.generators) for w in images]
+    if accepted:
+        assert GroupHom(source, target, words).images == tuple(words)
+    else:
+        with pytest.raises(ValueError, match="is undecided"):
             GroupHom(source, target, words)
 
 
