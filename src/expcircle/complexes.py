@@ -436,14 +436,16 @@ class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
 
         Every facet of a kept simplex is kept, so its face rows are the
         model's, renumbered through the simplices kept one dimension down,
-        as cone reuses K's rows: no facet is looked up again."""
+        as cone reuses K's rows: no facet is looked up again.  A row naming
+        a simplex outside the stratum is refused, as cone refuses it."""
         ids = self.vertices(pred)
         if not ids:
             raise ValueError("empty stratum: no vertex key satisfies the predicate")
         cx, keep = self.complex, set(ids)
-        # new[j] is the count of simplices kept before index j of a dimension,
-        # so the new index of j when it is kept; a vertex's index is its id
-        new = renumber = list(accumulate(map(keep.__contains__, range(cx.vertex_count)), initial=0))
+        # below[j] is 1 when simplex j one dimension down is kept, and new[j]
+        # the count kept before it, so its new index; a vertex's index is its id
+        below = bytes(map(keep.__contains__, range(cx.vertex_count)))
+        new = renumber = list(accumulate(below, initial=0))
         simplices, faces = [[(v,) for v in range(len(ids))]], [array("I")]
         for d in range(1, cx.dim + 1):
             ss, rows, w = cx.simplices[d], cx.faces[d], d + 1
@@ -452,10 +454,14 @@ class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
             if not table:  # nothing above an empty dimension either
                 break
             for i in range(w):
-                table[i::w] = array("I", map(new.__getitem__, compress(rows[i::w], kept)))
+                row = list(compress(rows[i::w], kept))
+                if not all(map(below.__getitem__, row)):
+                    s = next(s for s, f in zip(compress(ss, kept), row) if not below[f])
+                    raise ValueError(f"missing face {s[:i] + s[i + 1:]} of {s}")
+                table[i::w] = array("I", map(new.__getitem__, row))
             simplices.append([tuple(map(renumber.__getitem__, s)) for s in compress(ss, kept)])
             faces.append(table)
-            new = list(accumulate(kept, initial=0))
+            below, new = kept, list(accumulate(kept, initial=0))
         out = object.__new__(SimplicialComplex)
         out.vertex_count, out.simplices, out.faces = len(ids), simplices, faces
         return out, ids

@@ -18,8 +18,11 @@ the rest as undecided.
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
 and of the complement of the singleton circle.  Their fixed relators and
-images are written as words, with the text form beside each; the text format
-(parse_word, parse_presentation) is for callers and tests.  Finite groups are
+images are written as words, with the text form beside each: the form
+format_presentation prints and parse_presentation reads, as in 'gens: s t;
+rels: s^3 t^-2, s t^-1'.  Names are split on spaces and relators on commas; a
+word is 1 (the empty word) or space-separated terms name or name^n, n an int,
+so a commutator is written out: x y x^-1 y^-1.  Finite groups are
 multiplication tables checked for associativity on every triple of elements.
 """
 
@@ -161,62 +164,31 @@ def same_up_to_renaming(p: Presentation, q: Presentation) -> bool:
 # word and presentation text format
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<op>[\[\],^()])|(?P<int>-?\d+))")
+MAX_WORD_LENGTH = 10**6
+
+_TERM = re.compile(rf"({_NAME.pattern})(?:\^(-?[0-9]+))?")
 
 
 def parse_word(text: str, generators) -> Word:
-    """Parse a word: juxtaposition is product, ^n is a power, [x, y] is the
-    commutator x y x^-1 y^-1, and w1 = w2 means w1 w2^-1."""
+    """Read a word as format_word prints it: 1, or space-separated terms
+    name or name^n with n an int, freely reduced.  A term that would take
+    the word past MAX_WORD_LENGTH letters is refused before it is expanded."""
     index = {g: i + 1 for i, g in enumerate(generators)}
-    if text.count("=") > 1:
-        raise ValueError(f"more than one '=' in {text!r}")
-    if "=" in text:
-        lhs, rhs = text.split("=")
-        return _free_reduce(parse_word(lhs, generators) + _invert(parse_word(rhs, generators)))
-
-    pos = 0
-
-    def parse_sequence(stop=None) -> tuple[int, ...]:
-        nonlocal pos
-        pieces: list[tuple[int, ...]] = []
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            tok = m.group("name") or m.group("op") or m.group("int")
-            pos = m.end()
-            if stop and tok == stop:
-                stop = None
-                break
-            if m.group("name"):
-                if tok not in index:
-                    raise ValueError(f"unknown generator {tok!r}")
-                pieces.append((index[tok],))
-            elif tok == "[":
-                x = parse_sequence(stop=",")
-                y = parse_sequence(stop="]")
-                pieces.append(x + y + _invert(x) + _invert(y))
-            elif tok == "(":
-                pieces.append(parse_sequence(stop=")"))
-            elif tok == "^":
-                m2 = _TOKEN.match(text, pos)
-                if not m2 or not m2.group("int"):
-                    raise ValueError("^ must be followed by an integer")
-                pos = m2.end()
-                e = int(m2.group("int"))
-                if not pieces:
-                    raise ValueError("^ with nothing before it")
-                last = pieces.pop()
-                pieces.append(last * e if e >= 0 else _invert(last) * (-e))
-            else:
-                raise ValueError(f"unexpected token {tok!r}")
-        if stop:
-            raise ValueError(f"missing {stop!r}")
-        return tuple(x for piece in pieces for x in piece)
-
-    return _free_reduce(parse_sequence())
+    terms = text.split()
+    if terms == ["1"]:
+        return ()
+    if not terms:
+        raise ValueError("empty word: the empty word is written 1")
+    letters: list[int] = []
+    for term in terms:
+        m = _TERM.fullmatch(term)
+        if not m or m[1] not in index:
+            raise ValueError(f"term {term!r} is not g or g^n for a generator g")
+        e = int(m[2] or 1)
+        if len(letters) + abs(e) > MAX_WORD_LENGTH:
+            raise ValueError(f"word longer than {MAX_WORD_LENGTH} letters")
+        letters += [index[m[1]] if e > 0 else -index[m[1]]] * abs(e)
+    return _free_reduce(letters)
 
 
 def format_word(word: Word, generators) -> str:
@@ -237,34 +209,14 @@ def format_word(word: Word, generators) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse the plain format 'gens: s t; rels: s^3 t^-2, s t^-1'."""
-    m = re.fullmatch(r"\s*gens:\s*(?P<gens>[^;]*);\s*rels:\s*(?P<rels>.*)\s*", text.strip())
+    """Read 'gens: s t; rels: s^3 t^-2, s t^-1' as format_presentation
+    prints it: generator names split on spaces, relators on commas."""
+    m = re.fullmatch(r"gens:([^;]*);\s*rels:(.*)", text.strip())
     if not m:
         raise ValueError("expected 'gens: ...; rels: ...'")
-    gens = m.group("gens").split()
-    rel_text = m.group("rels").strip()
-    rels = []
-    if rel_text:
-        for chunk in _split_relators(rel_text):
-            rels.append(parse_word(chunk, gens))
-    return Presentation(gens, rels)
-
-
-def _split_relators(text: str):
-    # commas inside [x, y] belong to the commutator, not the relator list
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            yield text[start:i]
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        yield tail
+    gens = m[1].split()
+    rels = m[2].split(",") if m[2].strip() else []
+    return Presentation(gens, [parse_word(w, gens) for w in rels])
 
 
 def format_presentation(p: Presentation) -> str:
@@ -735,7 +687,7 @@ def pushout_exp3() -> PushoutData:
     meridional loop is the band generator on one side and, after sliding to
     the equal-spacing position, the fibre generator on the other.
     """
-    corner = Presentation(("a", "b"), [(1, 2, -1, -2)])  # [a, b]
+    corner = Presentation(("a", "b"), [(1, 2, -1, -2)])  # a b a^-1 b^-1
     a_side = Presentation(("s",))
     b_side = Presentation(("t",))
     j = GroupHom(corner, a_side, [(1, 1, 1), (1,)])  # a -> s^3, b -> s
@@ -748,7 +700,7 @@ def pushout_band_piece() -> PushoutData:
     b) attached to the band (generator c) along a circle that covers the
     band core twice."""
     corner = Presentation(("t",))
-    torus = Presentation(("a", "b"), [(1, 2, -1, -2)])  # [a, b]
+    torus = Presentation(("a", "b"), [(1, 2, -1, -2)])  # a b a^-1 b^-1
     band = Presentation(("c",))
     into_torus = GroupHom(corner, torus, [(1,)])   # t -> a
     into_band = GroupHom(corner, band, [(1, 1)])   # t -> c^2
@@ -759,9 +711,9 @@ def pushout_complement() -> PushoutData:
     """Gluing for the complement of the singleton circle: same cover as the
     full space, but the band piece is punctured, so its group is the
     band-piece result <t, u | [t^2, u]> with u the meridional image."""
-    corner = Presentation(("a", "b"), [(1, 2, -1, -2)])  # [a, b]
+    corner = Presentation(("a", "b"), [(1, 2, -1, -2)])  # a b a^-1 b^-1
     a_side = Presentation(("s",))
-    b_side = Presentation(("t", "u"), [(1, 1, 2, -1, -1, -2)])  # [t^2, u]
+    b_side = Presentation(("t", "u"), [(1, 1, 2, -1, -1, -2)])  # t^2 u t^-2 u^-1
     j = GroupHom(corner, a_side, [(1, 1, 1), (1,)])  # a -> s^3, b -> s
     i = GroupHom(corner, b_side, [(1, 1), (2,)])     # a -> t^2, b -> u
     return PushoutData(corner=corner, left=j, right=i)

@@ -145,6 +145,23 @@ def test_pi1_parses_no_text(monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[case]
 
 
+def test_pi1_text_reads_the_same_in_the_library_and_the_benchmark_checks(monkeypatch):
+    # benchmarks/checks.py reads the printed presentations with its own short
+    # parser; it and groups.parse_presentation must agree on every pi1 record
+    from expcircle import groups
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    checks = importlib.import_module("checks")
+    for case in ("exp3", "Bprime", "complement"):
+        code, out = run_cli("pi1", case)
+        assert code == 0
+        rec = json.loads(out)
+        for field in ("assembled", "simplified"):
+            p = groups.parse_presentation(rec[field])
+            gens, rels = checks.parse_presentation(rec[field])
+            assert (p.generators, p.relators) == (tuple(gens), tuple(map(tuple, rels)))
+
+
 def test_knot_builds_no_finite_subset(monkeypatch):
     # the band curve, the core and the singleton track are built by
     # config._pair_loop, which sets the slots without FiniteSubset.__init__

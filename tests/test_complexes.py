@@ -941,6 +941,23 @@ def test_full_refuses_an_empty_stratum():
     assert model.vertices(lambda key: len(key) == 3) == []
 
 
+def test_full_refuses_a_face_row_outside_the_stratum():
+    # the facet-0 row of the singleton edge (0, 34) tampered to name vertex
+    # 1, a pair: full once renumbered it to a vertex of the circle, while
+    # cone on the same ids refuses it
+    model = build_exp_model(2, 3)
+    cx, circle = model.complex, (lambda key: len(key) < 2)
+    j = cx.simplices[1].index((0, 34))
+    assert cx.faces[1][2 * j] == 34 and len(model.keys[1]) == 2
+    cx.faces[1][2 * j] = 1
+    with pytest.raises(ValueError, match=r"missing face \(34, 168\) of \(0, 34, 168\)"):
+        cx.cone(model.vertices(circle))
+    with pytest.raises(ValueError, match=r"missing face \(34,\) of \(0, 34\)"):
+        model.full(circle)
+    # the pairs do not need the row: their stratum is built as before
+    assert model.full(lambda key: len(key) == 2)[0].counts() == [156, 432, 276]
+
+
 @pytest.mark.parametrize("k, n, counts", [
     (2, 3, [[12, 12], [156, 432, 276]]),
     (2, 4, [[16, 16], [280, 792, 512]]),

@@ -1,10 +1,13 @@
+import re
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from expcircle.complexes import AbelianInvariants
 from expcircle.groups import (
+    _NAME,
     _canonical_relator,
     _cyclic_reduce,
     _invert,
@@ -17,7 +20,9 @@ from expcircle.groups import (
     canonical_form,
     coset_enumeration,
     count_homs,
+    MAX_WORD_LENGTH,
     format_presentation,
+    format_word,
     parse_presentation,
     parse_word,
     pushout,
@@ -46,22 +51,28 @@ def test_parse_word():
     gens = ["s", "t"]
     assert parse_word("s t^-1", gens) == (1, -2)
     assert parse_word("s^3 t^-2", gens) == (1, 1, 1, -2, -2)
-    assert parse_word("[s, t]", gens) == (1, 2, -1, -2)
-    assert parse_word("s^3 = t^2", gens) == (1, 1, 1, -2, -2)
     assert parse_word("s s^-1", gens) == ()
-    assert parse_word("(s t)^2", gens) == (1, 2, 1, 2)
-    with pytest.raises(ValueError):
-        parse_word("x", gens)
-    with pytest.raises(ValueError):
-        parse_word("s^x", gens)
-
-
-def test_parse_word_refuses_chained_equals():
-    # "a = b = c" once parsed silently to a c b^-1
-    gens = ["a", "b", "c"]
-    for text in ("a = b = c", "a == b", "= a ="):
-        with pytest.raises(ValueError, match="more than one '='"):
+    assert parse_word("1", gens) == ()
+    for text in ("x", "s^x", "s^", "s^+2", "s 1", "", "s^2^2"):
+        with pytest.raises(ValueError):
             parse_word(text, gens)
+
+
+def test_parse_word_reads_the_empty_word_as_printed():
+    # format_word writes the empty word as 1, which once read as an
+    # unexpected token
+    for gens in (["a"], ["s", "t"], []):
+        assert format_word((), gens) == "1"
+        assert parse_word(format_word((), gens), gens) == ()
+
+
+def test_parse_word_refuses_a_long_word_before_expanding_it():
+    # a^1000000000000 once asked for a tuple of 10^12 letters
+    with pytest.raises(ValueError, match="longer than"):
+        parse_presentation("gens: a; rels: a^1000000000000")
+    with pytest.raises(ValueError, match="longer than"):
+        parse_word(f"a^{MAX_WORD_LENGTH // 2} a^-{MAX_WORD_LENGTH // 2 + 1}", ["a"])
+    assert parse_word(f"a^{MAX_WORD_LENGTH}", ["a"]) == (1,) * MAX_WORD_LENGTH
 
 
 def test_presentation_roundtrip():
@@ -74,11 +85,36 @@ def test_presentation_roundtrip():
     assert free.relators == ()
 
 
-def test_commutator_sugar_in_relator_list():
-    p = P("gens: b c; rels: [c^2, b]")
+@st.composite
+def printable_presentations(draw):
+    # names as Presentation allows them, digits and underscores included
+    names = draw(st.lists(st.from_regex(_NAME, fullmatch=True), min_size=1, max_size=4,
+                          unique=True))
+    letters = st.sampled_from([x for g in range(1, len(names) + 1) for x in (g, -g)])
+    return Presentation(names, draw(st.lists(st.lists(letters, max_size=12), max_size=4)))
+
+
+@given(printable_presentations())
+def test_presentation_text_round_trip(p):
+    assert parse_presentation(format_presentation(p)) == p
+
+
+def test_readme_example_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library interchange format", 1)[1]
+    line = re.search(r"^gens: .*$", section, re.M)[0]
+    assert format_presentation(parse_presentation(line)) == line
+
+
+def test_relator_list_splits_on_commas():
+    p = P("gens: b c; rels: c^2 b c^-2 b^-1")
     assert p.relators == ((2, 2, 1, -2, -2, -1),)
-    p = P("gens: a b c; rels: [a, b], c^2 a^-1")
+    p = P("gens: a b c; rels: a b a^-1 b^-1, c^2 a^-1")
     assert len(p.relators) == 2
+    assert P("gens: ; rels: ") == Presentation(())
+    for text in ("gens: a; rels: a,", "gens: a; rels: a, , a", "rels: a; gens: a", "gens: a"):
+        with pytest.raises(ValueError):
+            P(text)
 
 
 def test_presentation_refuses_names_that_are_not_strings():
@@ -212,10 +248,10 @@ def test_canonical_relator_is_the_least_rotation(p):
 def test_pushout_data_are_their_text_forms():
     # the fixed inputs are written as words; the comments beside them give
     # the text form, which parses to the same presentations
-    torus = P("gens: a b; rels: [a, b]")
+    torus = P("gens: a b; rels: a b a^-1 b^-1")
     exp3, band, complement = pushout_exp3(), pushout_band_piece(), pushout_complement()
     assert exp3.corner == complement.corner == band.left.target == torus
-    assert complement.right.target == P("gens: t u; rels: [t^2, u]")
+    assert complement.right.target == P("gens: t u; rels: t^2 u t^-2 u^-1")
 
 
 def test_pushout_free_example():
@@ -243,7 +279,7 @@ def test_pushout_main_gluing():
 
 def test_pushout_band_piece():
     out = pushout(pushout_band_piece())
-    assert same_up_to_renaming(out, P("gens: a b c; rels: [a, b], a c^-2"))
+    assert same_up_to_renaming(out, P("gens: a b c; rels: a b a^-1 b^-1, a c^-2"))
 
 
 def test_pushout_name_collision():
@@ -255,7 +291,7 @@ def test_pushout_name_collision():
 
 
 def test_hom_validation():
-    corner = Presentation(["a", "b"], [parse_word("[a, b]", ["a", "b"])])
+    corner = Presentation(["a", "b"], [parse_word("a b a^-1 b^-1", ["a", "b"])])
     free = Presentation(["s"])
     hom = GroupHom(corner, free, [(1, 1, 1), (1,)])
     assert hom.images == ((1, 1, 1), (1,))
@@ -269,12 +305,12 @@ def test_hom_validation():
 @pytest.mark.parametrize("source, target, images, accepted", [
     # an abelian target decides: the images' exponent sums must lie in the
     # span of the target's relators
-    ("gens: x; rels: x^2", "gens: a b; rels: [a, b]", ["a"], False),
-    ("gens: x y; rels: [x, y]", "gens: a b; rels: [a, b]", ["a^2", "a b"], True),
+    ("gens: x; rels: x^2", "gens: a b; rels: a b a^-1 b^-1", ["a"], False),
+    ("gens: x y; rels: x y x^-1 y^-1", "gens: a b; rels: a b a^-1 b^-1", ["a^2", "a b"], True),
     ("gens: x; rels: x^2", "gens: t; rels: t^3", ["t"], False),
     ("gens: x; rels: x^3", "gens: t; rels: t^3", ["t"], True),
     # the commutator may be written either way round
-    ("gens: x; rels: x^2", "gens: a b; rels: [b, a]", ["a"], False),
+    ("gens: x; rels: x^2", "gens: a b; rels: b a b^-1 a^-1", ["a"], False),
 ], ids=["torus-refuses-x2", "torus-accepts-commuting", "z3-refuses-x2", "z3-accepts-x3",
         "torus-written-inverted-refuses-x2"])
 def test_hom_relator_images_are_checked_through_the_abelianization(source, target, images,
@@ -302,7 +338,7 @@ def test_hom_into_a_target_not_known_abelian_accepts_only_its_relators(images, a
     # the target has relators and not every pair of its generators commutes
     # among them, so a relator image is decided only when it freely reduces
     # to nothing or is a target relator up to rotation and inversion
-    source, target = P("gens: x y; rels: [x, y]"), P("gens: a b c; rels: [a, b]")
+    source, target = P("gens: x y; rels: x y x^-1 y^-1"), P("gens: a b c; rels: a b a^-1 b^-1")
     words = [parse_word(w, target.generators) for w in images]
     if accepted:
         assert GroupHom(source, target, words).images == tuple(words)
@@ -325,11 +361,11 @@ def test_tietze_trivial_relator():
 def test_tietze_band_piece():
     out = tietze_simplify(pushout(pushout_band_piece()))
     assert out.complete
-    assert same_up_to_renaming(out.presentation, P("gens: b c; rels: [c^2, b]"))
+    assert same_up_to_renaming(out.presentation, P("gens: b c; rels: c^2 b c^-2 b^-1"))
 
 
 def test_tietze_complement_chain():
-    start = P("gens: s t u; rels: [t^2, u], s^3 t^-2, s u^-1")
+    start = P("gens: s t u; rels: t^2 u t^-2 u^-1, s^3 t^-2, s u^-1")
     out = tietze_simplify(start)
     assert out.complete
     assert same_up_to_renaming(out.presentation, P("gens: s t; rels: s^3 t^-2"))
@@ -350,10 +386,10 @@ def test_tietze_result_carries_the_abelianization(p):
 
 def test_tietze_preserves_abelianization():
     cases = [
-        P("gens: s t u; rels: [t^2, u], s^3 t^-2, s u^-1"),
-        P("gens: a b c; rels: [a, b], a c^-2"),
+        P("gens: s t u; rels: t^2 u t^-2 u^-1, s^3 t^-2, s u^-1"),
+        P("gens: a b c; rels: a b a^-1 b^-1, a c^-2"),
         P("gens: s t; rels: s^3 t^-2, s t^-1"),
-        P("gens: a b; rels: a^2, b^3, [a, b]"),
+        P("gens: a b; rels: a^2, b^3, a b a^-1 b^-1"),
     ]
     for p in cases:
         q = tietze_simplify(p).presentation
@@ -381,8 +417,8 @@ def test_coset_enumeration_known_orders():
     # transitive free action, so closure at order n is self-certifying
     cases = [
         ("gens: a; rels: a^5", 5),
-        ("gens: a b; rels: a^3, b^2, (a b)^2", 6),       # dihedral, order 6
-        ("gens: a b; rels: a^2, b^2, [a, b]", 4),        # Klein four-group
+        ("gens: a b; rels: a^3, b^2, a b a b", 6),  # dihedral, order 6
+        ("gens: a b; rels: a^2, b^2, a b a^-1 b^-1", 4),  # Klein four-group
         ("gens: s t; rels: s^3 t^-2, s t^-1", 1),
         ("gens: a b; rels: a^4, b^2 a^-2, b a b^-1 a", 8),  # quaternions
     ]
@@ -454,8 +490,8 @@ def test_count_homs_s3():
 def test_count_homs_invariant_under_tietze():
     targets = [symmetric_group(3), cyclic_group(8), cyclic_group(5)]
     pres = [
-        P("gens: s t u; rels: [t^2, u], s^3 t^-2, s u^-1"),
-        P("gens: a b c; rels: [a, b], a c^-2"),
+        P("gens: s t u; rels: t^2 u t^-2 u^-1, s^3 t^-2, s u^-1"),
+        P("gens: a b c; rels: a b a^-1 b^-1, a c^-2"),
         P("gens: s t; rels: s^3 t^-2, s t^-1"),
     ]
     for p in pres:
@@ -582,7 +618,7 @@ def test_pipeline_full_space_is_simply_connected():
 
 def test_pipeline_band_piece():
     out = tietze_simplify(pushout(pushout_band_piece()))
-    assert same_up_to_renaming(out.presentation, P("gens: b c; rels: [c^2, b]"))
+    assert same_up_to_renaming(out.presentation, P("gens: b c; rels: c^2 b c^-2 b^-1"))
 
 
 def test_pipeline_complement_is_trefoil_group():
