@@ -18,62 +18,74 @@ sd1 simplex of each orbit with a sorted barycentre are mapped: a sixth of
 the top chains at k = 3.  That rests on the torus triangulation being
 symmetric, which the build checks before relying on it.  The second
 subdivision is enumerated chain by chain, each chain built directly as its
-quotient simplex, a sorted tuple of quotient vertex ids extended by appends,
-since the ids are numbered in dimension order and rise along every chain (a
-build where one does not is refused); it is never validated or sorted as a
-whole, and the flag memo holds only chains ending at a proper face of a
-mapped sd1 simplex.  Torus coordinates are integers scaled by lcm(1..k+1)**2,
-so the barycentres of barycentres that key the identification are exact
-without fractions.  Each stage lets go of its inputs once the next holds what
-it needs: the torus and its barycentre, domain and id dicts once the first
-subdivision exists; the first subdivision, its labels, the representatives
-and the key dict once the quotient chains are collected, only the key list
-surviving; and each dimension's list of chains once it is deduplicated.  So
-the build peaks while the quotient's top simplices are validated, holding
-only the quotient's simplices, the lookup dict of its triangles and its face
-tables.
+packed quotient simplex (see below), extended by a shift and an or, since
+the quotient vertex ids are numbered in dimension order and rise along every
+chain (a build where one does not is refused); it is never validated or
+sorted as a whole, and the flag memo holds only chains ending at a proper
+face of a mapped sd1 simplex, which _flags finds through the face tables.
+Torus coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres
+of barycentres that key the identification are exact without fractions.
+Each stage lets go of its inputs once the next holds what it needs: the
+torus and its barycentre, domain and id lists once the chains of the first
+subdivision are collected; the first subdivision, its labels, the
+representatives and the key dict once the quotient chains are, only the key
+list surviving; and each dimension's array of chains once it is
+deduplicated.  So the build peaks while the quotient's top simplices are
+validated, holding only the quotient's simplices, the lookup dict of its
+triangles and its face tables.
 
-A complex keeps each dimension in the order its simplices were first given,
-so nothing the build makes is sorted.  The pair stratum L of exp_3 is coned
-off (K u CL, homotopy equivalent to K/L), so relative homology is the
-absolute homology of an ordinary complex and chain_complex is the one
-simplicial chain-complex constructor.
+A complex stores each simplex packed into one int, its sorted vertex ids in
+fixed-width fields, the lowest id most significant, and each dimension is an
+array('Q') of them, so a complex holds no Python object per simplex and
+packed simplices sort as their vertex tuples do; _tuples gives the tuples
+back, for error messages and tests.  Each dimension is kept in the order its
+simplices were first given, so nothing the build makes is sorted.  The pair
+stratum L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), so
+relative homology is the absolute homology of an ordinary complex and
+chain_complex is the one simplicial chain-complex constructor; L and the
+strata of ExpModel.full are picked by passes in C over the packed fields
+(_inside).
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  A SparseIntMatrix is compressed sparse
 column: flat tables of row indices and values and the offsets of each
 column in them.  Validation looks up every facet of a complex once, by
-position: facet i of all the d-simplices is picked from their vertex
-tuples by one itemgetter, looked up in a dict of the dimension below and
-written into the strided slice i::d + 1 of the face table, the d + 1 facet
-rows of each d-simplex in turn.  Only a failed check or lookup sends the
-dimension through the per-simplex loop that names the faulty simplex.  The
-face table is already the flat row table of the boundary, so every
-boundary shares it, beside offsets that step by d + 1 and the signs
-repeated; the chain complex copies nothing of the complex and checks none
-of its rows again, each being the index of a facet that was found.  The
-d o d check proves a composite of two face tables zero from the face
-identity (facet j of facet i is facet i - 1 of facet j, for j < i): for
+position: facet i of all the d-simplices is cut out of the packed ints by
+shift and mask passes in C, looked up in a dict of the dimension below keyed
+by packed ints and written into the strided slice i::d + 1 of the face
+table, the d + 1 facet rows of each d-simplex in turn.  Only a failed check
+or lookup sends the dimension through the per-simplex loop that names the
+faulty simplex.  The face table is already the flat row table of the
+boundary, so every boundary shares it, beside offsets that step by d + 1
+and the signs repeated; the chain complex copies nothing of the complex and
+checks none of its rows again, each being the index of a facet that was
+found.  The d o d check proves a composite of two face tables zero from the
+face identity (facet j of facet i is facet i - 1 of facet j, for j < i): for
 each pair of positions it compares two tuples, each made by one itemgetter
-call over a whole position of every column, and sums exactly only the
-columns whose rows differ, or every column when a boundary is laid out
-otherwise; no product matrix is built.  Then the boundaries are reduced
-top-down, the highest first, by smith_normal_form, the column reduction of
-persistent homology: each column is reduced on its lowest row index, and
-the unit pivots are consumed.  A column becomes a tuple of rows and a tuple
-of values only when the reduction reaches it; a pivot is that pair of
-tuples with its +-1 at the lowest row, and only a column that meets a pivot
-is copied into a dict, whose lowest row is read as max(col): the working
-columns are short, so a scan costs less than keeping their rows sorted.
-Clearing (Chen-Kerber) skips every column of a boundary that is a unit
-pivot row of the boundary one degree up, since that column is an integer
-combination of the others (see ChainComplexZ.homology); those rows pass
-from one reduction to the next as a mask of one byte per row.  The small
-remainder of non-unit columns, the only place torsion can appear, is
-finished by dense_smith_normal_form, the textbook routine on a dense list
-of rows (here one row per column), which the small matrices of the group
-layer call directly.  The results, AbelianInvariants per dimension in a
-HomologyResult, are immutable tuples.
+call over a chunk of DD_CHUNK_COLUMNS columns, reading both face tables
+through strided views, and sums exactly only the columns whose rows differ,
+or every column when a boundary is laid out otherwise; no product matrix is
+built, and no object per column outlives its chunk.  Then the boundaries are
+reduced top-down, the highest first, by smith_normal_form, the column
+reduction of persistent homology: each column is reduced on its lowest row
+index, and the unit pivots are consumed.  A column becomes a tuple of rows
+and a tuple of values only when the reduction reaches it.  A unit pivot
+taken from an unreduced column is kept as that column's index alone, in an
+int array by row, and its rows are reread from the face table when a column
+meets it, as Ripser recomputes a column from its index (Bauer, J. Appl.
+Comput. Topol. 5, 2021); a reduced pivot is kept as its two tuples with its
++-1 at the lowest row.  Only a column that meets a pivot is copied into a
+dict, whose lowest row is read as max(col): the working columns are short,
+so a scan costs less than keeping their rows sorted.  Clearing
+(Chen-Kerber) skips every column of a boundary that is a unit pivot row of
+the boundary one degree up, since that column is an integer combination of
+the others (see ChainComplexZ.homology); those rows pass from one reduction
+to the next as a mask of one byte per row.  The small remainder of non-unit
+columns, the only place torsion can appear, is finished by
+dense_smith_normal_form, the textbook routine on a dense list of rows (here
+one row per column), which the small matrices of the group layer call
+directly.  The results, AbelianInvariants per dimension in a HomologyResult,
+are immutable tuples.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ from array import array
 from collections import namedtuple
 from itertools import accumulate, chain, combinations, compress, count, islice, permutations, repeat
 from math import gcd, lcm
-from operator import gt, itemgetter, lt, ne, not_
+from operator import and_, gt, itemgetter, lshift, lt, ne, not_, or_, rshift
 
 
 # ---------------------------------------------------------------------------
@@ -90,30 +102,42 @@ from operator import gt, itemgetter, lt, ne, not_
 # ---------------------------------------------------------------------------
 
 class SimplicialComplex:
-    """Finite simplicial complex: vertices 0..n-1 and sorted vertex tuples
-    per dimension, closed under taking faces.
+    """Finite simplicial complex: vertices 0..n-1 and the simplices of each
+    dimension, closed under taking faces.
 
-    Each dimension lists its simplices once, in the order first given;
-    dimension 0 is the vertices in order.  A dict drops each dimension's
-    repeats, and another, mapping the dimension below to its indices, looks
-    up the facets; each is dropped once used, so at most one dimension's
-    dict is alive.  faces[d] is the face table of dimension d: for each
-    d-simplex in order, the indices in simplices[d - 1] of its d + 1
-    facets, facet i dropping vertex i (faces[0] is empty)."""
+    A d-simplex is stored packed: its sorted vertex ids in d + 1 fields of
+    bits bits each, the lowest id most significant (_pack), so packed
+    simplices sort as their vertex tuples do.  bits is the width of the
+    largest id, n - 1 (_bits); a dimension whose fields would pass 64 bits
+    is refused.  simplices[d] is an array('Q') of the packed d-simplices,
+    each once, in the order first given; dimension 0 is the vertices in
+    order.  _tuples gives simplices back as vertex tuples.  A dict drops each
+    dimension's repeats, and another, mapping the dimension below to its
+    indices, looks up the facets; each is dropped once used, so at most one
+    dimension's dict is alive.  faces[d] is the face table of dimension d:
+    for each d-simplex in order, the indices in simplices[d - 1] of its
+    d + 1 facets, facet i dropping vertex i (faces[0] is empty)."""
 
     def __init__(self, vertex_count: int, simplices_by_dim):
-        self.vertex_count = vertex_count
+        """simplices_by_dim lists each dimension's packed simplices."""
+        self.vertex_count, self.bits = vertex_count, _bits(vertex_count)
         self.simplices = []
         self.faces = []
-        # map holds no given list once it has deduplicated it, so one that
-        # nothing else holds is dropped before its dimension is validated
-        for d, ss in enumerate(map(_distinct, simplices_by_dim)):
+        # map holds no given sequence once it has deduplicated it, so one
+        # that nothing else holds is dropped before its dimension is
+        # validated, and so is the dict once it is an array (enumerate would
+        # keep it in the pair it reuses)
+        for ss in map(dict.fromkeys, simplices_by_dim):
+            d = len(self.simplices)
+            if ss:
+                _check_width(d + 1, self.bits)
+            ss = array("Q", ss)
             if d:  # the lookup dict of the dimension below lives for this call only
-                self.faces.append(_face_table(d, ss, dict(zip(self.simplices[-1], count()))))
+                self.faces.append(_face_table(d, ss, self.bits, dict(zip(self.simplices[-1], count()))))
             else:
-                ss.sort()
-                if ss != [(v,) for v in range(vertex_count)]:
+                if sorted(ss) != list(range(vertex_count)):
                     raise ValueError("dimension 0 must list every vertex exactly once")
+                ss = array("Q", range(vertex_count))
                 self.faces.append(array("I"))
             self.simplices.append(ss)
         while self.simplices and not self.simplices[-1]:
@@ -124,20 +148,23 @@ class SimplicialComplex:
 
     @classmethod
     def from_maximal(cls, simplices):
-        """Close a set of simplices (any dimensions) under taking faces;
-        each dimension is listed in sorted order."""
-        by_dim: dict[int, set] = {}
-        for s in simplices:
-            s = tuple(sorted(set(s)))
-            for k in range(1, len(s) + 1):
-                by_dim.setdefault(k - 1, set()).update(combinations(s, k))
-        if not by_dim:
+        """Close a set of simplices, given as vertex sequences of any
+        dimensions, under taking faces; each dimension is listed in sorted
+        order."""
+        tops = [t for t in map(sorted, map(set, simplices)) if t]
+        verts = sorted(set(chain.from_iterable(tops)))
+        if not verts:
             raise ValueError("empty complex")
-        verts = sorted(v for (v,) in by_dim[0])
         if verts != list(range(len(verts))):
             raise ValueError("vertices must be 0..n-1 with no gaps")
-        dim = max(by_dim)
-        return cls(len(verts), [sorted(by_dim.get(d, ())) for d in range(dim + 1)])
+        bits = _bits(len(verts))
+        by_dim = [set() for _ in range(max(map(len, tops)))]
+        for t in tops:
+            by_dim[len(t) - 1].add(_pack(t, bits))
+        for d in reversed(range(1, len(by_dim))):  # each dimension adds its facets below
+            for i in range(d + 1):
+                by_dim[d - 1].update(_facets(by_dim[d], d, i, bits))
+        return cls(len(verts), map(sorted, by_dim))
 
     @property
     def dim(self) -> int:
@@ -149,82 +176,163 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
 
+    def vertex_tuples(self):
+        """Every simplex as its vertex tuple, in dimension order."""
+        return chain.from_iterable(_tuples(ss, d + 1, self.bits) for d, ss in enumerate(self.simplices))
+
     def cone(self, vertices) -> SimplicialComplex:
         """K u CL, this complex K with a cone on L, the full subcomplex on a
         vertex set; the apex is a new last vertex.
 
         K's simplices and face rows keep their indices, and the cone on each
-        simplex of L is appended to the dimension above it.  Facet i of the
+        simplex of L is appended to the dimension above it.  L is picked by
+        passes in C over the packed vertex fields (_inside); K's simplices
+        are repacked only when the apex needs a wider field.  Facet i of the
         cone on s is the cone on facet i of s, and its last facet is s; each
         is looked up through K's face table, and one outside L is refused.
         K itself is not validated again."""
         keep = set(vertices)
         apex = self.vertex_count
-        simplices = [ss[:] for ss in self.simplices] + [[]]
+        bits = _bits(apex + 1)
+        if bits == self.bits:
+            simplices = [ss[:] for ss in self.simplices]
+        else:  # every field widened
+            _check_width(self.dim + 1, bits)
+            simplices = [_relabel(ss, d + 1, self.bits, bits, range(apex))
+                         for d, ss in enumerate(self.simplices)]
+        simplices.append(array("Q"))
         faces = [table[:] for table in self.faces] + [array("I")]
-        simplices[0].append((apex,))
+        simplices[0].append(apex)
         cone_of = {}  # index of a simplex of L, one dimension down -> its cone's
         for d, (ss, rows) in enumerate(zip(self.simplices, self.faces)):
-            base = [j for j, s in enumerate(ss) if keep.issuperset(s)]
+            w = d + 1
+            base = _inside(ss, w, self.bits, keep)
             if not base:  # L is closed under faces: nothing above either
                 break
-            table = faces[d + 1]
-            for j in base:
-                # the cone on a vertex has the apex for its facet 0
-                fs = [cone_of.get(f) for f in rows[j * (d + 1):(j + 1) * (d + 1)]] if d else [apex]
-                if None in fs:
-                    s, i = ss[j], fs.index(None)
-                    raise ValueError(f"missing face {s[:i] + s[i + 1:] + (apex,)} of {s + (apex,)}")
-                table.extend(fs)
-                table.append(j)
+            _check_width(w + 1, bits)
+            # facet i of each cone, the cone on facet i of its base, then the
+            # base itself; the cone on a vertex has the apex for its facet 0
+            table = array("I", [0]) * ((w + 1) * len(base))
+            try:
+                for i in range(w):
+                    table[i::w + 1] = array("I", map(cone_of.__getitem__, map(rows[i::w].__getitem__, base))) \
+                        if d else array("I", [apex]) * len(base)
+            except KeyError:
+                j, i = next((j, i) for j in base for i, f in enumerate(rows[j * w:(j + 1) * w])
+                            if f not in cone_of)
+                s = next(_tuples(ss[j:j + 1], w, self.bits))
+                raise ValueError(f"missing face {s[:i] + s[i + 1:] + (apex,)} of {s + (apex,)}") from None
+            table[w::w + 1] = base
+            faces[d + 1] += table
             cone_of = dict(zip(base, count(len(simplices[d + 1]))))
-            simplices[d + 1] += [ss[j] + (apex,) for j in base]
+            simplices[d + 1] += array("Q", map(or_, map(lshift, map(simplices[d].__getitem__, base),
+                                                         repeat(bits)), repeat(apex)))
         while not simplices[-1]:
             simplices.pop()
             faces.pop()
         # K is valid and every new facet was found, so nothing is validated
         out = object.__new__(SimplicialComplex)
-        out.vertex_count, out.simplices, out.faces = apex + 1, simplices, faces
+        out.vertex_count, out.bits, out.simplices, out.faces = apex + 1, bits, simplices, faces
         return out
 
     def __repr__(self):
         return f"SimplicialComplex(counts={self.counts()})"
 
 
-def _distinct(ss) -> list:
-    """The simplices ss as tuples, each once, in the order first given."""
-    return list(dict.fromkeys(map(tuple, ss)))
+def _bits(vertex_count: int) -> int:
+    """The field width of one vertex id of a packed simplex on vertex_count
+    vertices: the width of the largest id, and at least one bit."""
+    return max(1, (vertex_count - 1).bit_length())
 
 
-def _face_table(d: int, ss: list, row: dict) -> array:
-    """The face table of the d-simplices ss, row mapping each (d-1)-simplex
-    to its index; refuses a simplex that is degenerate, unsorted or missing
-    a facet."""
-    # facet i of every simplex at once, picked by position and written into
+def _check_width(w: int, bits: int) -> None:
+    """Refuse simplices of w vertices in fields of bits bits that pass 64 bits."""
+    if w * bits > 64:
+        raise ValueError(f"{w} vertex ids of {bits} bits pass the 64 bits of a packed simplex")
+
+
+def _pack(vertices, bits: int) -> int:
+    """The packed simplex of a vertex sequence, the first vertex most significant."""
+    out = 0
+    for v in vertices:
+        out = out << bits | v
+    return out
+
+
+def _field(ss, w: int, bits: int, i: int):
+    """Vertex i of each packed simplex of w vertices in ss, a sequence, by
+    a shift and a mask pass; the bits above the w fields stay in vertex 0."""
+    shift = (w - 1 - i) * bits
+    out = map(rshift, ss, repeat(shift)) if shift else iter(ss)
+    return map(and_, out, repeat((1 << bits) - 1)) if i else out
+
+
+def _tuples(ss, w: int, bits: int):
+    """The packed simplices of w vertices in ss, a sequence, as vertex tuples."""
+    return zip(*[_field(ss, w, bits, i) for i in range(w)])
+
+
+def _facets(ss, d: int, i: int, bits: int):
+    """Facet i, dropping vertex i, of each packed d-simplex in ss, a
+    collection, packed: the fields after vertex i cut out by a mask and those
+    before it shifted down over it."""
+    low = (d - i) * bits
+    after = map(and_, ss, repeat((1 << low) - 1))
+    if not i:
+        return after
+    before = map(rshift, ss, repeat(low + bits))
+    return map(or_, map(lshift, before, repeat(low)), after) if low else before
+
+
+def _inside(ss: array, w: int, bits: int, keep: set) -> array:
+    """The positions, in order, of the packed simplices of w vertices in ss
+    whose vertices are all in keep.  Vertex i is read only for the simplices
+    whose later vertices are in, the last vertex first: it has the largest
+    id, and a stratum of ids numbered early, as the pair stratum of exp_3,
+    is rarely the last vertex of a simplex."""
+    at = array("I", compress(count(), map(keep.__contains__, _field(ss, w, bits, w - 1))))
+    for i in reversed(range(w - 1)):
+        part = array("Q", map(ss.__getitem__, at))
+        at = array("I", compress(at, map(keep.__contains__, _field(part, w, bits, i))))
+    return at
+
+
+def _relabel(ss, w: int, bits: int, new_bits: int, label) -> array:
+    """The packed simplices of w vertices in ss, a sequence, each vertex v
+    replaced by label[v] and packed in fields of new_bits bits."""
+    out = None
+    for i in range(w):
+        field = map(label.__getitem__, _field(ss, w, bits, i))
+        out = field if out is None else map(or_, map(lshift, out, repeat(new_bits)), field)
+    return array("Q", out)
+
+
+def _face_table(d: int, ss: array, bits: int, row: dict) -> array:
+    """The face table of the packed d-simplices ss, row mapping each packed
+    (d-1)-simplex to its index; refuses a simplex that is degenerate,
+    unsorted or missing a facet."""
+    # facet i of every simplex at once, cut out by _facets and written into
     # its strided slice.  The keys of row are strictly increasing (checked
     # one dimension down), so a simplex of d + 1 >= 3 vertices whose facets
-    # are all found is too, its first and last facets overlapping; an edge's
-    # two vertices are compared.  On any failure the per-simplex loop names
-    # it
+    # are all found is too, its first and last facets overlapping, and its
+    # last facet, ss >> bits, keeps any bits above its fields; an edge's two
+    # vertices are compared.  On any failure the per-simplex loop names it
     w = d + 1
     table = array("I", [0]) * (w * len(ss))
     try:
-        if set(map(len, ss)) <= {w} and (
-                d > 1 or all(map(lt, map(itemgetter(0), ss), map(itemgetter(1), ss)))):
+        if d > 1 or all(map(lt, _field(ss, 2, bits, 0), _field(ss, 2, bits, 1))):
             for i in range(w):
-                drop = itemgetter(*range(i), *range(i + 1, w))
-                facets = map(drop, ss) if d > 1 else zip(map(drop, ss))
-                table[i::w] = array("I", map(row.__getitem__, facets))
+                table[i::w] = array("I", map(row.__getitem__, _facets(ss, d, i, bits)))
             return table
     except KeyError:
         pass
-    for s in ss:
-        if len(s) != w or len(set(s)) != w:
+    for s in _tuples(ss, w, bits):
+        if len(set(s)) != w:
             raise ValueError(f"degenerate simplex {s} in dimension {d}")
         if list(s) != sorted(s):
             raise ValueError(f"unsorted simplex {s}")
         for f in combinations(s, d):
-            if f not in row:
+            if _pack(f, bits) not in row:
                 raise ValueError(f"missing face {f} of {s}")
     raise AssertionError("a face table refused by position passed the per-simplex checks")
 
@@ -238,48 +346,89 @@ def _proper_faces(s):
         yield from combinations(s, k)
 
 
-def _flags(k: SimplicialComplex, labels, ends):
-    """Every chain of the face poset ending at a simplex in ends, as the
-    tuple of its elements' labels (labels maps a simplex of k to an int); a
-    chain of length L is an (L-1)-simplex of the subdivision.  Every element
-    of such a chain is a face of its last one, so chains are memoised only
-    on the proper faces of ends: a top simplex is no one's face.
+def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
+    """Every chain of the face poset ending at a simplex flagged in ends,
+    packed: the labels of its elements in fields of bits bits, as
+    SimplicialComplex packs a simplex.  labels[g] and ends[g] belong to the
+    g-th simplex of k in dimension order, labels ints below 2**bits; a chain
+    of length L is an (L-1)-simplex of the subdivision.  Returns one
+    array('Q') per length, the chains of length L at index L - 1 in the
+    order they are met, repeats kept.  Every element of such a chain is a
+    face of its last one, so chains are memoised only on the proper faces of
+    ends: a top simplex is no one's face.
 
-    Labels must rise along the face poset, as labels assigned in dimension
-    order do, so every chain is sorted and is extended by an append.  Each
-    proper face's label is checked below its coface's once; an equal label
-    means an identification degenerates a simplex."""
-    need = {f for s in ends for f in _proper_faces(s)}
-    memo: dict[tuple, list] = {}
-    for s in chain.from_iterable(k.simplices):
-        wanted = s in ends
-        if wanted or s in need:
-            label = labels[s]
-            tail = (label,)
-            cs = [tail]
-            for f in _proper_faces(s):
-                if labels[f] >= label:
-                    if labels[f] == label:
+    The proper faces of every d-simplex are read from k's face tables, one
+    array per set of kept vertex positions, in the order _proper_faces lists
+    them, so no vertex tuple is made.  Labels must rise along the face
+    poset, as labels assigned in dimension order do, so every chain is
+    sorted and is extended by c << bits | label; the memo keeps each chain
+    shifted already, so extending it is one or.  Each proper face's label is
+    checked below its coface's; an equal label means an identification
+    degenerates a simplex.  Every d-simplex lists its chains in one order,
+    its own label and then each proper face's chains extended, so the
+    chains of one length sit at the same positions for all of them: the
+    ends' chains are kept end after end, one array per dimension, and split
+    by length once, by strided slices."""
+    _check_width(k.dim + 1, bits)
+    # facet[d][i][j]: the index of facet i of d-simplex j
+    facet = [[table[i::d + 1] for i in range(d + 1)] for d, table in enumerate(k.faces)]
+    faces = []  # faces[d]: per proper face position, (its dimension, its index in each d-simplex)
+    for d, ss in enumerate(k.simplices):
+        faces.append([])
+        for kept in _proper_faces(range(d + 1)):
+            e, at = d, range(len(ss))
+            for i in reversed([i for i in range(d + 1) if i not in kept]):
+                e, at = e - 1, array("I", map(facet[e][i].__getitem__, at))
+            faces[d].append((e, at))
+    del facet
+    offsets = list(accumulate(k.counts(), initial=0))
+    need = [set() for _ in k.simplices]  # the proper faces of ends, by dimension
+    for d, by_position in enumerate(faces):
+        mine = ends[offsets[d]:offsets[d + 1]]
+        for e, at in by_position:
+            need[e].update(compress(at, mine))
+    memo = [[None] * len(ss) for ss in k.simplices]  # chains << bits of the faces of ends
+    met = []  # met[d]: the chains of the d-simplices of ends, end after end
+    for d, by_position in enumerate(faces):
+        lo, hi = offsets[d], offsets[d + 1]
+        needed = bytes(map(need[d].__contains__, range(hi - lo)))
+        met.append(array("Q"))
+        face_chains = zip(*[map(memo[e].__getitem__, at) for e, at in by_position]) if d else repeat(())
+        for j, label, end, wanted, fs in zip(count(), labels[lo:hi], ends[lo:hi], needed, face_chains):
+            if end or wanted:
+                if fs and max(map(itemgetter(0), fs)) >> bits >= label:
+                    s = next(_tuples(k.simplices[d][j:j + 1], d + 1, k.bits))
+                    f, lower = next((tuple(map(s.__getitem__, kept)), c[0] >> bits)
+                                    for kept, c in zip(_proper_faces(range(d + 1)), fs)
+                                    if c[0] >> bits >= label)
+                    if lower == label:
                         raise ValueError("identification degenerates a simplex; the action is "
                                          "not regular even after two subdivisions")
-                    raise ValueError(f"label {labels[f]} of {f} is not below label {label} of {s}")
-                cs += [c + tail for c in memo[f]]
-            if s in need:
-                memo[s] = cs
-            if wanted:
-                yield from cs
+                    raise ValueError(f"label {lower} of {f} is not below label {label} of {s}")
+                cs = [label]
+                cs += map(or_, chain.from_iterable(fs), repeat(label))
+                if wanted:
+                    memo[d][j] = list(map(lshift, cs, repeat(bits)))
+                if end:
+                    met[d] += array("Q", cs)
+    del faces, need, memo
+    lengths = [[1]]  # lengths[d]: the length of each chain a d-simplex lists, in order
+    for d in range(1, k.dim + 1):
+        lengths.append([1] + [x + 1 for f in _proper_faces(range(d + 1)) for x in lengths[len(f) - 1]])
+    out = [array("Q") for _ in lengths]
+    for d, ls in enumerate(lengths):
+        chains, met[d] = met[d], None
+        for w in range(1, d + 2):
+            slices = [chains[i::len(ls)] for i, x in enumerate(ls) if x == w]
+            out[w - 1] += array("Q", chain.from_iterable(zip(*slices)))
+    return out
 
 
-def _complex_of_chains(chains, dim: int, vertex_count: int):
-    """The complex on vertices 0..vertex_count-1 of the chains, a _flags
-    generator over a complex of dimension dim.  The generator is exhausted
-    before the complex is validated, which frees its complex, labels and
-    ends once no caller holds them, and each dimension's list of chains is
+def _complex_of_chains(chains: list, vertex_count: int) -> SimplicialComplex:
+    """The complex on vertices 0..vertex_count-1 of the chains _flags
+    returns, packed in _bits(vertex_count) bits; each length's array is
     popped as it is handed over, so it goes once it is deduplicated."""
-    out = [[] for _ in range(dim + 1)]
-    for c in chains:
-        out[len(c) - 1].append(c)
-    return SimplicialComplex(vertex_count, map(out.pop, repeat(0, len(out))))
+    return SimplicialComplex(vertex_count, map(chains.pop, repeat(0, len(chains))))
 
 
 def _barycenter(simplex, coords, period: int):
@@ -365,9 +514,9 @@ def _check_simplicial(k: SimplicialComplex, perms) -> None:
     for d in range(1, k.dim + 1):
         have = set(k.simplices[d])
         for perm in perms:
-            for s in k.simplices[d]:
-                img = tuple(sorted(perm[v] for v in s))
-                if len(set(img)) != d + 1 or img not in have:
+            for s in _tuples(k.simplices[d], d + 1, k.bits):
+                img = sorted(map(perm.__getitem__, s))
+                if len(set(img)) != d + 1 or _pack(img, k.bits) not in have:
                     raise ValueError("action does not carry simplices to simplices")
 
 
@@ -375,10 +524,11 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     """Subdivide k1 once more, identifying vertices on the fly.
 
     k1 is the first subdivision; its simplices are the vertices of the
-    second.  label_fn maps an sd1 simplex to (key, is_representative), and
-    equal keys become one quotient vertex, numbered in dimension order, so
-    _flags builds each chain as its quotient simplex by appends; a quotient
-    simplex met by several chains is kept once by SimplicialComplex.
+    second.  label_fn maps an sd1 simplex, a vertex tuple, to (key,
+    is_representative), and equal keys become one quotient vertex, numbered
+    in dimension order, so _flags builds each chain as its packed quotient
+    simplex by appending a field; a quotient simplex met by several chains
+    is kept once by SimplicialComplex.
     Returns the quotient and the list of its vertex keys, keys[q] being the
     key of quotient vertex q.  Raises if the identification degenerates a
     simplex, the telltale of an insufficiently subdivided action, and if a
@@ -388,26 +538,24 @@ def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
     (_build_exp_with_boundary) marks exactly one representative in each
     orbit of the coordinate permutations acting on k1, the sd1 simplex with
     a sorted barycentre, and both its keys are invariant under them.  Then
-    a chain c and its image g.c have the same quotient tuple and the same
+    a chain c and its image g.c have the same quotient simplex and the same
     degeneracy, and every orbit of chains holds a chain ending at a
     representative (move its last element there), so the representatives'
     chains give exactly the quotient of all chains.
     """
     qid_by_key: dict = {}
-    labels = {}
-    ends = set()
-    for s in chain.from_iterable(k1.simplices):
+    labels, ends = array("I"), bytearray()  # by position in k1, dimension order
+    for s in k1.vertex_tuples():
         key, is_representative = label_fn(s)
-        labels[s] = qid_by_key.setdefault(key, len(qid_by_key))
-        if is_representative:
-            ends.add(s)
+        labels.append(qid_by_key.setdefault(key, len(qid_by_key)))
+        ends.append(is_representative)
     keys = list(qid_by_key)
-    chains, dim = _flags(k1, labels, ends), k1.dim
-    # the generator is left the only holder of k1, the labels and the ends,
-    # so they go once the chains are collected and before the quotient is
-    # validated (the caller hands k1 over without keeping it)
+    chains = _flags(k1, labels, ends, _bits(len(keys)))
+    # k1, the labels and the ends go once the chains are collected and
+    # before the quotient is validated (the caller hands k1 over without
+    # keeping it)
     del qid_by_key, k1, labels, ends
-    return _complex_of_chains(chains, dim, len(keys)), keys
+    return _complex_of_chains(chains, len(keys)), keys
 
 
 def _underlying_set(point) -> tuple:
@@ -434,36 +582,39 @@ class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
         in order, so its simplices stay sorted, and ids[i] the model's id of
         its vertex i.
 
-        Every facet of a kept simplex is kept, so its face rows are the
-        model's, renumbered through the simplices kept one dimension down,
-        as cone reuses K's rows: no facet is looked up again.  A row naming
-        a simplex outside the stratum is refused, as cone refuses it."""
+        A simplex is kept when its packed vertex fields are all in the
+        stratum (_inside).  Every facet of a kept simplex is kept, so its face
+        rows are the model's, renumbered through the simplices kept one
+        dimension down, as cone reuses K's rows: no facet is looked up
+        again.  A row naming a simplex outside the stratum is refused, as
+        cone refuses it."""
         ids = self.vertices(pred)
         if not ids:
             raise ValueError("empty stratum: no vertex key satisfies the predicate")
         cx, keep = self.complex, set(ids)
-        # below[j] is 1 when simplex j one dimension down is kept, and new[j]
-        # the count kept before it, so its new index; a vertex's index is its id
-        below = bytes(map(keep.__contains__, range(cx.vertex_count)))
-        new = renumber = list(accumulate(below, initial=0))
-        simplices, faces = [[(v,) for v in range(len(ids))]], [array("I")]
+        # new[j]: the new index of kept simplex j one dimension down; a
+        # vertex's index is its id
+        new = renumber = dict(zip(ids, count()))
+        bits = _bits(len(ids))
+        simplices, faces = [array("Q", range(len(ids)))], [array("I")]
         for d in range(1, cx.dim + 1):
             ss, rows, w = cx.simplices[d], cx.faces[d], d + 1
-            kept = bytes(map(keep.issuperset, ss))
-            table = array("I", [0]) * (w * kept.count(1))
-            if not table:  # nothing above an empty dimension either
+            kept = _inside(ss, w, cx.bits, keep)
+            if not kept:  # nothing above an empty dimension either
                 break
-            for i in range(w):
-                row = list(compress(rows[i::w], kept))
-                if not all(map(below.__getitem__, row)):
-                    s = next(s for s, f in zip(compress(ss, kept), row) if not below[f])
-                    raise ValueError(f"missing face {s[:i] + s[i + 1:]} of {s}")
-                table[i::w] = array("I", map(new.__getitem__, row))
-            simplices.append([tuple(map(renumber.__getitem__, s)) for s in compress(ss, kept)])
+            table = array("I", [0]) * (w * len(kept))
+            kept_ss = array("Q", map(ss.__getitem__, kept))
+            try:
+                for i in range(w):
+                    table[i::w] = array("I", map(new.__getitem__, map(rows[i::w].__getitem__, kept)))
+            except KeyError:
+                s = next(s for s, j in zip(_tuples(kept_ss, w, cx.bits), kept) if rows[j * w + i] not in new)
+                raise ValueError(f"missing face {s[:i] + s[i + 1:]} of {s}") from None
+            simplices.append(_relabel(kept_ss, w, cx.bits, bits, renumber))
             faces.append(table)
-            below, new = kept, list(accumulate(kept, initial=0))
+            new = dict(zip(kept, count()))
         out = object.__new__(SimplicialComplex)
-        out.vertex_count, out.simplices, out.faces = len(ids), simplices, faces
+        out.vertex_count, out.bits, out.simplices, out.faces = len(ids), bits, simplices, faces
         return out, ids
 
 
@@ -502,17 +653,22 @@ def _build_exp_with_boundary(k: int, n: int, key=_underlying_set) -> ExpModel:
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
     coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
-    bcs = {s: _barycenter(s, coords0, period) for s in chain.from_iterable(k0.simplices)}
-    domain = {f for s, bc in bcs.items() if list(bc) == sorted(bc)
+    simplices0 = list(k0.vertex_tuples())
+    bcs = [_barycenter(s, coords0, period) for s in simplices0]
+    domain = {f for s, bc in zip(simplices0, bcs) if list(bc) == sorted(bc)
               for f in chain(_proper_faces(s), [s])}
-    ids = {s: i for i, s in enumerate(s for s in bcs if s in domain)}
-    coords1 = [bcs[s] for s in ids]
-    # the torus stage goes once the first subdivision exists.  That is held
-    # in a list only to be popped into the call below: CPython 3.11 and later
-    # move a call's arguments into the callee's frame, so nothing here keeps
-    # the first subdivision once its chains are mapped
-    first = [_complex_of_chains(_flags(k0, ids, domain), k0.dim, len(ids))]
-    del k0, coords0, bcs, domain, ids
+    # the g-th torus simplex, when in the domain, is sd1 vertex ids[g]
+    in_domain = bytes(map(domain.__contains__, simplices0))
+    ids = list(accumulate(in_domain, initial=0))
+    coords1 = list(compress(bcs, in_domain))
+    # the torus stage goes once the chains of the first subdivision are
+    # collected.  That is held in a list only to be popped into the call
+    # below: CPython 3.11 and later move a call's arguments into the callee's
+    # frame, so nothing here keeps the first subdivision once its chains are
+    # mapped
+    chains = _flags(k0, ids, in_domain, _bits(len(coords1)))
+    del k0, coords0, simplices0, bcs, domain, in_domain, ids
+    first = [_complex_of_chains(chains, len(coords1))]
 
     def label_fn(s):
         bc = _barycenter(s, coords1, period)
@@ -611,22 +767,23 @@ class SparseIntMatrix:
         return cls(len(dense), len(indptr) - 1, indices, indptr, values)
 
     def columns(self, keep):
-        """The columns flagged in keep, one flag per column, each as a tuple
-        of its rows and a tuple of its values, in order; a column left out
-        never becomes a tuple.
+        """The columns flagged in keep, one flag per column, each as its
+        index, a tuple of its rows and a tuple of its values, in order; a
+        column left out never becomes a tuple.
 
         Columns of one width w are zipped from strided slices of the flat
         tables, indices[i::w]; when the values repeat one pattern, every
         column shares one values tuple."""
         indices, values, indptr = self.indices, self.values, self.indptr
+        at = compress(count(), keep)
         if not isinstance(indptr, range):
             spans = compress(map(slice, indptr, islice(indptr, 1, None)), keep)
-            return ((tuple(indices[span]), tuple(values[span])) for span in spans)
+            return ((c, tuple(indices[span]), tuple(values[span])) for c, span in zip(at, spans))
         w = indptr.step
         rows = zip(*[compress(indices[i::w], keep) for i in range(w)])
         if values[:w] * self.ncols == values:
-            return zip(rows, repeat(tuple(values[:w])))
-        return zip(rows, zip(*[compress(values[i::w], keep) for i in range(w)]))
+            return zip(at, rows, repeat(tuple(values[:w])))
+        return zip(at, rows, zip(*[compress(values[i::w], keep) for i in range(w)]))
 
     def nnz(self) -> int:
         return len(self.indices)
@@ -721,6 +878,14 @@ def _subtract(col: dict, v: int, pivot: tuple) -> None:
                 del col[r]
 
 
+def _reread(m: SparseIntMatrix, c: int, low: int) -> tuple:
+    """The pivot (rows, vals, unit) of column c of m, unreduced, whose +-1
+    unit is at its lowest row low: its spans of m's tables."""
+    span = slice(m.indptr[c], m.indptr[c + 1])
+    rows, vals = m.indices[span], m.values[span]
+    return rows, vals, vals[rows.index(low)]
+
+
 def smith_normal_form(m: SparseIntMatrix, clearing):
     """Diagonal invariants d1 | d2 | ... of a SparseIntMatrix, by column
     reduction on the lowest row index, pivoting on units only.
@@ -737,16 +902,20 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
 
     A column becomes a tuple of rows and a tuple of values only when the
     reduction reaches it, so a skipped column is never copied.  A pivot is
-    a triple (rows, vals, unit) of two tuples and its +-1 at the lowest row;
-    an entry v there is cleared by subtracting v * unit times the pivot, so
-    no negated copy is made.  A column whose lowest row is free and holds
-    +-1 becomes a pivot on those tuples as they are.  Only a column that
-    meets a pivot, or is left for the residual pass, is copied into a
-    working dict, and a reduced column that becomes a pivot is stored back
-    as two tuples.  Its lowest row is max(col), a scan in C per step: a
-    column that grows to L entries over S steps costs S * L scanned
-    entries, but on the homology 3 boundaries a working column takes about
-    two steps at a mean 2 to 12 entries (at most 2 952 at n = 6).
+    a triple (rows, vals, unit) of its rows, its values and its +-1 at the
+    lowest row; an entry v there is cleared by subtracting v * unit times
+    the pivot, so no negated copy is made.  A column whose lowest row is
+    free and holds +-1 becomes a pivot as it is: only its index is kept, in
+    pivot[row], an array of one int per row, and its rows and values are
+    reread from m's tables when a column meets it (Ripser's recomputed
+    columns), so a unit pivot costs four bytes.  Only a column that meets a
+    pivot, or is left for the residual pass, is copied into a working dict,
+    and a reduced column that becomes a pivot is stored back as two tuples,
+    in the dict reduced, pivot[row] reading -2.  Its lowest row is max(col),
+    a scan in C per step: a column that grows to L entries over S steps
+    costs S * L scanned entries, but on the homology 3 boundaries a working
+    column takes about two steps at a mean 2 to 12 entries (at most 2 952 at
+    n = 6).
 
     clearing, a bytearray, is for the boundaries of a chain complex (see
     ChainComplexZ.homology): on entry it has one byte per column, nonzero
@@ -755,27 +924,40 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
     """
     if len(clearing) != m.ncols:
         raise ValueError(f"clearing mask has {len(clearing)} bytes for {m.ncols} columns")
-    pivots: dict[int, tuple] = {}  # lowest row -> (rows, vals, unit)
+    indices, indptr, values = m.indices, m.indptr, m.values
+    pivot = array("i", [-1]) * m.nrows  # row -> its pivot column's index, -1 for none, -2 reduced
+    reduced: dict[int, tuple] = {}  # row -> (rows, vals, unit) of a reduced pivot column
     residual = []
-    for rows, vals in m.columns(bytes(map(not_, clearing))):
+    for c, rows, vals in m.columns(bytes(map(not_, clearing))):
         if not rows:
             continue
         low = max(rows)
-        if low in pivots:
-            col = dict(zip(rows, vals))
-            while low in pivots:
-                _subtract(col, col[low], pivots[low])
-                low = max(col, default=None)
+        if pivot[low] == -1:
+            if vals[rows.index(low)] in (1, -1):
+                pivot[low] = c
+            else:
+                residual.append((rows, vals))
+            continue
+        col = dict(zip(rows, vals))
+        while (p := pivot[low]) != -1:
+            if p < 0:
+                met = reduced[low]
+            else:  # _reread inlined: most pivots met are unreduced
+                span = slice(indptr[p], indptr[p + 1])
+                prows, pvals = indices[span], values[span]
+                met = prows, pvals, pvals[prows.index(low)]
+            _subtract(col, col[low], met)
             if not col:
-                continue
+                break
+            low = max(col)
+        else:  # the column is left nonzero, its lowest row free
             rows, vals = tuple(col), tuple(col.values())
             v = col[low]
-        else:
-            v = vals[rows.index(low)]
-        if v == 1 or v == -1:
-            pivots[low] = (rows, vals, v)
-        else:
-            residual.append((rows, vals))
+            if v == 1 or v == -1:
+                pivot[low] = -2
+                reduced[low] = (rows, vals, v)
+            else:
+                residual.append((rows, vals))
     # a row may have gained its pivot after a residual column was swept past
     # it; clear the highest pivot row first, since subtracting a pivot column
     # can only add entries at smaller row indices than its own, so only the
@@ -783,18 +965,17 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
     cleared = []
     for rows, vals in residual:
         col = dict(zip(rows, vals))
-        hit = [r for r in col if r in pivots]
+        hit = [r for r in col if pivot[r] != -1]
         while hit:
             low = max(hit)
-            _subtract(col, col[low], pivots[low])
-            hit = [r for r in col if r < low and r in pivots]
+            p = pivot[low]
+            _subtract(col, col[low], reduced[low] if p < 0 else _reread(m, p, low))
+            hit = [r for r in col if r < low and pivot[r] != -1]
         cleared.append(col)
-    clearing[:] = bytes(m.nrows)
-    for r in pivots:
-        clearing[r] = 1
+    clearing[:] = bytes(map(ne, pivot, repeat(-1)))
     rows = sorted({r for col in cleared for r in col})
     dense = [[col.get(r, 0) for r in rows] for col in cleared]
-    return [1] * len(pivots) + dense_smith_normal_form(dense)
+    return [1] * (m.nrows - pivot.count(-1)) + dense_smith_normal_form(dense)
 
 
 def _signs(n: int) -> tuple:
@@ -813,33 +994,52 @@ def _composite_column_is_zero(low: SparseIntMatrix, rows, vals) -> bool:
     return not any(acc.values())
 
 
-def _face_rows(m: SparseIntMatrix, w: int):
-    """The rows of m by position, rows[i][c] being row i of column c, when m
-    is laid out as a face table: offsets stepping by w and the values
-    (+1, -1, ...) in every column.  None for any other matrix."""
-    if m.indptr != range(0, m.nnz() + 1, w):
-        return None
+def _is_face_table(m: SparseIntMatrix, w: int) -> bool:
+    """Whether m is laid out as a face table: its rows in an array, offsets
+    stepping by w and the values (+1, -1, ...) in every column."""
+    if not isinstance(m.indices, array) or m.indptr != range(0, m.nnz() + 1, w):
+        return False
     for i, sign in enumerate(_signs(w)):
         vs = m.values[i::w]
         if vs.count(sign) != len(vs):
-            return None
-    return [m.indices[i::w].tolist() for i in range(w)]
+            return False
+    return True
 
 
-def _composite_is_zero(low, lrows, high, hrows) -> bool:
-    """Whether low * high is zero, given each boundary's rows by position,
-    or None for one that is not a face table (_face_rows); see
-    ChainComplexZ.check_boundary_squared."""
-    if lrows is None or hrows is None or high.ncols < 2:  # itemgetter needs two indices
-        unproved = range(high.ncols)
-    else:
-        unproved = set()
-        pick = [itemgetter(*rows) for rows in hrows]
-        for j, i in combinations(range(len(hrows)), 2):
-            left, right = pick[i](lrows[j]), pick[j](lrows[i - 1])
+# columns of the high side gathered at once by the d o d check: a chunk's
+# gathered rows are its only objects per column
+DD_CHUNK_COLUMNS = 4096
+
+
+def _unproved_columns(low: SparseIntMatrix, high: SparseIntMatrix) -> list:
+    """The columns of high, in order, whose rows fail the face identity
+    against low, both face tables (see ChainComplexZ.check_boundary_squared)."""
+    w = high.indptr.step
+    # each side's rows by position, as strided views of its face table
+    lows = [memoryview(low.indices)[j::w - 1] for j in range(w - 1)]
+    highs = memoryview(high.indices)
+    unproved = []
+    for start in range(0, high.ncols, DD_CHUNK_COLUMNS):
+        stop = min(start + DD_CHUNK_COLUMNS, high.ncols)
+        pick = [itemgetter(*highs[start * w + i:stop * w:w]) for i in range(w)]
+        bad = set()
+        for j, i in combinations(range(w), 2):
+            left, right = pick[i](lows[j]), pick[j](lows[i - 1])
+            if stop - start == 1:  # itemgetter of one index gives no tuple
+                left, right = (left,), (right,)
             if left != right:
-                unproved.update(compress(count(), map(ne, left, right)))
-        unproved = sorted(unproved)
+                bad.update(compress(count(start), map(ne, left, right)))
+        unproved += sorted(bad)
+    return unproved
+
+
+def _composite_is_zero(low, low_is_face_table, high, high_is_face_table) -> bool:
+    """Whether low * high is zero, given whether each boundary is a face
+    table (_is_face_table); see ChainComplexZ.check_boundary_squared."""
+    if low_is_face_table and high_is_face_table:
+        unproved = _unproved_columns(low, high)
+    else:
+        unproved = range(high.ncols)
     for c in unproved:
         span = slice(high.indptr[c], high.indptr[c + 1])
         if not _composite_column_is_zero(low, high.indices[span], high.values[span]):
@@ -865,8 +1065,8 @@ class ChainComplexZ:
 
         Each boundary is classified whole: it is a face table when its
         offsets step by its width and every column has the values
-        (+1, -1, +1, ...) (see _face_rows).  In the d-th composite of two
-        face tables every column of high has d + 2 rows, and each low
+        (+1, -1, +1, ...) (see _is_face_table).  In the d-th composite of
+        two face tables every column of high has d + 2 rows, and each low
         column it names has d + 1.  The composite column is then the sum of
         the terms (i, j): row j of the column's i-th low column, with sign
         (-1)**(i + j).  For j < i the term (j, i - 1) has the opposite sign,
@@ -874,20 +1074,20 @@ class ChainComplexZ:
         if row j of low column i equals row i - 1 of low column j for every
         j < i, all terms cancel in pairs.  A simplicial boundary passes,
         since both rows are the simplex less its vertices j and i.  Each
-        pair (j, i) is tested for all columns at once: an itemgetter of
-        high's rows at one position picks the named low rows in one call,
-        and two such tuples are compared.  Each boundary is sliced into its
-        rows by position once, as the high side of one composite and the
-        low side of the next.
+        pair (j, i) is tested for DD_CHUNK_COLUMNS columns of high at once
+        (_unproved_columns): an itemgetter of the chunk's rows at one
+        position picks the named low rows, from low's face table sliced by
+        position, in one call, and two such tuples are compared.  So the
+        objects made per column live for one chunk, whatever the size of
+        the boundary.
 
-        A column whose rows differ at some pair, every column of a
-        composite with a side that is not a face table, and a high side of
-        fewer than two columns, whose itemgetter would give no tuple, are
-        summed exactly by _composite_column_is_zero, and the first nonzero
-        one ends the check.  No product matrix is built."""
-        below = None  # a boundary and its rows by position
+        A column whose rows differ at some pair, and every column of a
+        composite with a side that is not a face table, are summed exactly
+        by _composite_column_is_zero, and the first nonzero one ends the
+        check.  No product matrix is built."""
+        below = None  # a boundary and whether it is a face table
         for w, high in enumerate(self.boundaries, 2):
-            above = (high, _face_rows(high, w))
+            above = (high, _is_face_table(high, w))
             if below is not None and not _composite_is_zero(*below, *above):
                 return False
             below = above

@@ -20,7 +20,8 @@ def asymmetric_torus(monkeypatch):
         assert k == 2
         a, b, c, d = (complexes._grid_index(p, n) for p in ((0, 1), (1, 1), (0, 2), (1, 2)))
         cut = {tuple(sorted(t)) for t in ((a, b, d), (a, c, d))}
-        tops = [t for t in build(k, n).simplices[2] if t not in cut]
+        torus = build(k, n)
+        tops = [t for t in complexes._tuples(torus.simplices[2], 3, torus.bits) if t not in cut]
         assert len(cut) == 2 and len(tops) == 2 * n * n - 2
         return complexes.SimplicialComplex.from_maximal(tops + [(a, b, c), (b, c, d)])
 
