@@ -42,9 +42,9 @@ back, for error messages and tests.  Each dimension is kept in the order its
 simplices were first given, so nothing the build makes is sorted.  The pair
 stratum L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), so
 relative homology is the absolute homology of an ordinary complex and
-chain_complex is the one simplicial chain-complex constructor; L and the
-strata of ExpModel.full are picked by passes in C over the packed fields
-(_inside).
+chain_complex is the one simplicial chain-complex constructor.  cone and
+ExpModel.full take a stratum by one walk, SimplicialComplex._stratum, which
+picks it by passes in C over the packed fields and renumbers its face rows.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  A SparseIntMatrix is compressed sparse
@@ -92,9 +92,9 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import accumulate, chain, combinations, compress, count, islice, permutations, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, permutations, repeat
 from math import gcd, lcm
-from operator import and_, gt, itemgetter, lshift, lt, ne, not_, or_, rshift
+from operator import add, and_, gt, itemgetter, lshift, lt, ne, not_, or_, rshift
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +180,53 @@ class SimplicialComplex:
         """Every simplex as its vertex tuple, in dimension order."""
         return chain.from_iterable(_tuples(ss, d + 1, self.bits) for d, ss in enumerate(self.simplices))
 
+    @classmethod
+    def _unchecked(cls, vertex_count: int, simplices: list, faces: list) -> SimplicialComplex:
+        """The complex of packed simplices and face tables laid out as the
+        constructor lays them out, in fields of _bits(vertex_count) bits,
+        built from a valid complex (cone, ExpModel.full), so not validated."""
+        out = object.__new__(cls)
+        out.vertex_count, out.bits = vertex_count, _bits(vertex_count)
+        out.simplices, out.faces = simplices, faces
+        return out
+
+    def _stratum(self, keep):
+        """The full subcomplex L on the vertices in keep, one dimension at a
+        time up to L's top: (at, rows), at the positions in this complex K of
+        L's simplices, in order, and rows their face table renumbered into
+        L's positions one dimension down (empty for the vertices).
+
+        L is picked by passes in C over the packed vertex fields (_inside).
+        Every facet of a simplex of L is in L, so no facet is looked up
+        again: K's face rows are mapped through the positions kept one
+        dimension down, and a row naming a simplex outside L is refused."""
+        new = {}  # K's position of a simplex of L, one dimension down -> L's
+        for d, (ss, table) in enumerate(zip(self.simplices, self.faces)):
+            w = d + 1
+            at = _inside(ss, w, self.bits, keep)
+            if not at:  # L is closed under faces: nothing above either
+                return
+            rows = array("I", [0]) * (d and w * len(at))  # a vertex has no facet rows
+            try:
+                for i in range(d and w):
+                    rows[i::w] = array("I", map(new.__getitem__, map(table[i::w].__getitem__, at)))
+            except KeyError:
+                s = next(s for s, j in zip(_tuples(array("Q", map(ss.__getitem__, at)), w, self.bits), at)
+                         if table[j * w + i] not in new)
+                raise ValueError(f"missing face {s[:i] + s[i + 1:]} of {s}") from None
+            yield at, rows
+            new = dict(zip(at, count()))
+
     def cone(self, vertices) -> SimplicialComplex:
         """K u CL, this complex K with a cone on L, the full subcomplex on a
-        vertex set; the apex is a new last vertex.
+        vertex set (_stratum); the apex is a new last vertex.
 
         K's simplices and face rows keep their indices, and the cone on each
-        simplex of L is appended to the dimension above it.  L is picked by
-        passes in C over the packed vertex fields (_inside); K's simplices
+        simplex of L is appended to the dimension above it; K's simplices
         are repacked only when the apex needs a wider field.  Facet i of the
-        cone on s is the cone on facet i of s, and its last facet is s; each
-        is looked up through K's face table, and one outside L is refused.
-        K itself is not validated again."""
-        keep = set(vertices)
+        cone on s is the cone on facet i of s, L's row shifted past K's
+        simplices, and its last facet is s.  K itself is not validated
+        again."""
         apex = self.vertex_count
         bits = _bits(apex + 1)
         if bits == self.bits:
@@ -203,37 +238,22 @@ class SimplicialComplex:
         simplices.append(array("Q"))
         faces = [table[:] for table in self.faces] + [array("I")]
         simplices[0].append(apex)
-        cone_of = {}  # index of a simplex of L, one dimension down -> its cone's
-        for d, (ss, rows) in enumerate(zip(self.simplices, self.faces)):
+        for d, (at, rows) in enumerate(self._stratum(set(vertices))):
             w = d + 1
-            base = _inside(ss, w, self.bits, keep)
-            if not base:  # L is closed under faces: nothing above either
-                break
             _check_width(w + 1, bits)
-            # facet i of each cone, the cone on facet i of its base, then the
-            # base itself; the cone on a vertex has the apex for its facet 0
-            table = array("I", [0]) * ((w + 1) * len(base))
-            try:
-                for i in range(w):
-                    table[i::w + 1] = array("I", map(cone_of.__getitem__, map(rows[i::w].__getitem__, base))) \
-                        if d else array("I", [apex]) * len(base)
-            except KeyError:
-                j, i = next((j, i) for j in base for i, f in enumerate(rows[j * w:(j + 1) * w])
-                            if f not in cone_of)
-                s = next(_tuples(ss[j:j + 1], w, self.bits))
-                raise ValueError(f"missing face {s[:i] + s[i + 1:] + (apex,)} of {s + (apex,)}") from None
-            table[w::w + 1] = base
-            faces[d + 1] += table
-            cone_of = dict(zip(base, count(len(simplices[d + 1]))))
-            simplices[d + 1] += array("Q", map(or_, map(lshift, map(simplices[d].__getitem__, base),
-                                                         repeat(bits)), repeat(apex)))
-        while not simplices[-1]:
-            simplices.pop()
-            faces.pop()
-        # K is valid and every new facet was found, so nothing is validated
-        out = object.__new__(SimplicialComplex)
-        out.vertex_count, out.bits, out.simplices, out.faces = apex + 1, bits, simplices, faces
-        return out
+            # the cone on L's j-th (d-1)-simplex is K's d-simplex len(K_d) + j;
+            # the cone on a vertex has the apex, vertex len(K_0), for facet 0
+            shift = len(self.simplices[d])
+            table = array("I", [shift]) * ((w + 1) * len(at))
+            for i in range(d and w):
+                table[i::w + 1] = array("I", map(add, rows[i::w], repeat(shift)))
+            table[w::w + 1] = at
+            faces[w] += table
+            simplices[w] += array("Q", map(or_, map(lshift, map(simplices[d].__getitem__, at),
+                                                     repeat(bits)), repeat(apex)))
+        if not simplices[-1]:  # L misses K's top dimension
+            del simplices[-1], faces[-1]
+        return SimplicialComplex._unchecked(apex + 1, simplices, faces)
 
     def __repr__(self):
         return f"SimplicialComplex(counts={self.counts()})"
@@ -580,42 +600,16 @@ class ExpModel(namedtuple("ExpModel", ("complex", "keys", "period"))):
     def full(self, pred):
         """(complex, ids): the full subcomplex on vertices(pred), renumbered
         in order, so its simplices stay sorted, and ids[i] the model's id of
-        its vertex i.
-
-        A simplex is kept when its packed vertex fields are all in the
-        stratum (_inside).  Every facet of a kept simplex is kept, so its face
-        rows are the model's, renumbered through the simplices kept one
-        dimension down, as cone reuses K's rows: no facet is looked up
-        again.  A row naming a simplex outside the stratum is refused, as
-        cone refuses it."""
+        its vertex i.  It is the complex's stratum walk
+        (SimplicialComplex._stratum), the kept simplices repacked."""
         ids = self.vertices(pred)
         if not ids:
             raise ValueError("empty stratum: no vertex key satisfies the predicate")
-        cx, keep = self.complex, set(ids)
-        # new[j]: the new index of kept simplex j one dimension down; a
-        # vertex's index is its id
-        new = renumber = dict(zip(ids, count()))
-        bits = _bits(len(ids))
-        simplices, faces = [array("Q", range(len(ids)))], [array("I")]
-        for d in range(1, cx.dim + 1):
-            ss, rows, w = cx.simplices[d], cx.faces[d], d + 1
-            kept = _inside(ss, w, cx.bits, keep)
-            if not kept:  # nothing above an empty dimension either
-                break
-            table = array("I", [0]) * (w * len(kept))
-            kept_ss = array("Q", map(ss.__getitem__, kept))
-            try:
-                for i in range(w):
-                    table[i::w] = array("I", map(new.__getitem__, map(rows[i::w].__getitem__, kept)))
-            except KeyError:
-                s = next(s for s, j in zip(_tuples(kept_ss, w, cx.bits), kept) if rows[j * w + i] not in new)
-                raise ValueError(f"missing face {s[:i] + s[i + 1:]} of {s}") from None
-            simplices.append(_relabel(kept_ss, w, cx.bits, bits, renumber))
-            faces.append(table)
-            new = dict(zip(kept, count()))
-        out = object.__new__(SimplicialComplex)
-        out.vertex_count, out.bits, out.simplices, out.faces = len(ids), bits, simplices, faces
-        return out, ids
+        cx, renumber = self.complex, dict(zip(ids, count()))
+        kept, faces = zip(*cx._stratum(set(ids)))  # by dimension
+        simplices = [_relabel(array("Q", map(ss.__getitem__, at)), d + 1, cx.bits, _bits(len(ids)), renumber)
+                     for d, (ss, at) in enumerate(zip(cx.simplices, kept))]
+        return SimplicialComplex._unchecked(len(ids), simplices, list(faces)), ids
 
 
 def _build_exp_with_boundary(k: int, n: int, key=_underlying_set) -> ExpModel:
@@ -1033,20 +1027,6 @@ def _unproved_columns(low: SparseIntMatrix, high: SparseIntMatrix) -> list:
     return unproved
 
 
-def _composite_is_zero(low, low_is_face_table, high, high_is_face_table) -> bool:
-    """Whether low * high is zero, given whether each boundary is a face
-    table (_is_face_table); see ChainComplexZ.check_boundary_squared."""
-    if low_is_face_table and high_is_face_table:
-        unproved = _unproved_columns(low, high)
-    else:
-        unproved = range(high.ncols)
-    for c in unproved:
-        span = slice(high.indptr[c], high.indptr[c + 1])
-        if not _composite_column_is_zero(low, high.indices[span], high.values[span]):
-            return False
-    return True
-
-
 class ChainComplexZ:
     """Integer chain complex: ranks per degree and boundary matrices."""
 
@@ -1085,12 +1065,12 @@ class ChainComplexZ:
         composite with a side that is not a face table, are summed exactly
         by _composite_column_is_zero, and the first nonzero one ends the
         check.  No product matrix is built."""
-        below = None  # a boundary and whether it is a face table
-        for w, high in enumerate(self.boundaries, 2):
-            above = (high, _is_face_table(high, w))
-            if below is not None and not _composite_is_zero(*below, *above):
-                return False
-            below = above
+        tables = [_is_face_table(b, w) for w, b in enumerate(self.boundaries, 2)]
+        for (low, low_is_table), (high, high_is_table) in pairwise(zip(self.boundaries, tables)):
+            for c in _unproved_columns(low, high) if low_is_table and high_is_table else range(high.ncols):
+                span = slice(high.indptr[c], high.indptr[c + 1])
+                if not _composite_column_is_zero(low, high.indices[span], high.values[span]):
+                    return False
         return True
 
     def homology(self) -> HomologyResult:

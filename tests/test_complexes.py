@@ -865,18 +865,6 @@ def test_cone_keeps_the_complex_and_matches_the_pair(case):
     assert got[:len(want)] == want and set(got[len(want):]) <= {AbelianInvariants(0)}
 
 
-def test_cone_refuses_a_facet_outside_the_stratum():
-    # the face table of a tampered sphere names the edge (1, 3) as facet 0
-    # of the triangle (0, 1, 2); on {0, 1, 2} the cone needs (1, 2, 4)
-    cx = sphere_complex()
-    assert _tuples_of(cx)[2][0] == (0, 1, 2) and _tuples_of(cx)[1][4] == (1, 3)
-    assert cx.cone([0, 1, 2]).counts() == [5, 9, 7, 1]
-    cx.faces[2][0] = 4
-    with pytest.raises(ValueError, match=r"missing face \(1, 2, 4\) of \(0, 1, 2, 4\)"):
-        cx.cone([0, 1, 2])
-    assert cx.cone([0, 1]).counts() == [5, 8, 5]
-
-
 def _rows_by_tuple(cx):
     """Every simplex of cx as a vertex tuple, mapped to the vertex tuples of
     its facets as its face table names them, in order."""
@@ -1106,21 +1094,46 @@ def test_full_refuses_an_empty_stratum():
     assert model.vertices(lambda key: len(key) == 3) == []
 
 
-def test_full_refuses_a_face_row_outside_the_stratum():
-    # the facet-0 row of the singleton edge (0, 34) tampered to name vertex
-    # 1, a pair: full once renumbered it to a vertex of the circle, while
-    # cone on the same ids refuses it
+def _sphere_stratum(tamper):
+    """The sphere keyed by vertex id, its stratum {0, 1, 2}, one stratum
+    that misses the triangle (0, 1, 2), and, tampered, facet 0 of that
+    triangle naming the edge (1, 3)."""
+    cx = sphere_complex()
+    assert _tuples_of(cx)[2][0] == (0, 1, 2) and _tuples_of(cx)[1][4] == (1, 3)
+    if tamper:
+        cx.faces[2][0] = 4
+    return ExpModel(cx, list(range(4)), 4), (lambda key: key < 3), (lambda key: key < 2)
+
+
+def _exp2_stratum(tamper):
+    """build_exp_model(2, 3), its circle stratum, its pair stratum, which
+    misses the singleton edge (0, 34), and, tampered, facet 0 of that edge
+    naming vertex 1, a pair."""
     model = build_exp_model(2, 3)
-    cx, circle = model.complex, (lambda key: len(key) < 2)
+    cx = model.complex
     j = cx.simplices[1].index(_pack((0, 34), cx.bits))
     assert cx.faces[1][2 * j] == 34 and len(model.keys[1]) == 2
-    cx.faces[1][2 * j] = 1
-    with pytest.raises(ValueError, match=r"missing face \(34, 168\) of \(0, 34, 168\)"):
-        cx.cone(model.vertices(circle))
-    with pytest.raises(ValueError, match=r"missing face \(34,\) of \(0, 34\)"):
-        model.full(circle)
-    # the pairs do not need the row: their stratum is built as before
-    assert model.full(lambda key: len(key) == 2)[0].counts() == [156, 432, 276]
+    if tamper:
+        cx.faces[1][2 * j] = 1
+    return model, (lambda key: len(key) < 2), (lambda key: len(key) == 2)
+
+
+@pytest.mark.parametrize("make, missing", [
+    (_exp2_stratum, r"\(34,\) of \(0, 34\)"),
+    (_sphere_stratum, r"\(1, 2\) of \(0, 1, 2\)"),
+], ids=["dim1", "dim2"])
+@pytest.mark.parametrize("caller", [
+    lambda model, pred: model.complex.cone(model.vertices(pred)),
+    lambda model, pred: model.full(pred)[0],
+], ids=["cone", "full"])
+def test_stratum_walk_refuses_a_face_row_outside_the_stratum(caller, make, missing):
+    # cone and full share one walk and one message, naming the model's
+    # simplex and its missing facet, not a simplex renumbered past the row
+    model, stratum, other = make(tamper=True)
+    with pytest.raises(ValueError, match=rf"^missing face {missing}$"):
+        caller(model, stratum)
+    # a stratum that does not need the row is built as before
+    assert caller(model, other).counts() == caller(make(tamper=False)[0], other).counts()
 
 
 @pytest.mark.parametrize("k, n, counts", [
