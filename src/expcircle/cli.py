@@ -134,10 +134,10 @@ def cmd_knot(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    # the op allocates about 150k tuples, dicts and arrays, none of them in a
-    # reference cycle, so the cyclic GC is paused (imported here, where the
-    # op needs it, not at start-up); it only walks them, about 200 times at
-    # n=3.  The caller's GC state comes back on every path out
+    # the op's tuples, dicts and arrays are in no reference cycle, so the
+    # cyclic GC is paused (imported here, where the op needs it, not at
+    # start-up): it would only walk them, 8 times at n=3, all in the build.
+    # The caller's GC state comes back on every path out
     import gc
 
     enabled = gc.isenabled()

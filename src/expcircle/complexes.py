@@ -73,19 +73,21 @@ and a tuple of values only when the reduction reaches it.  A unit pivot
 taken from an unreduced column is kept as that column's index alone, in an
 int array by row, and its rows are reread from the face table when a column
 meets it, as Ripser recomputes a column from its index (Bauer, J. Appl.
-Comput. Topol. 5, 2021); a reduced pivot is kept as its two tuples with its
-+-1 at the lowest row.  Only a column that meets a pivot is copied into a
-dict, whose lowest row is read as max(col): the working columns are short,
-so a scan costs less than keeping their rows sorted.  Clearing
-(Chen-Kerber) skips every column of a boundary that is a unit pivot row of
-the boundary one degree up, since that column is an integer combination of
-the others (see ChainComplexZ.homology); those rows pass from one reduction
-to the next as a mask of one byte per row.  The small remainder of non-unit
-columns, the only place torsion can appear, is finished by
-dense_smith_normal_form, the textbook routine on a dense list of rows (here
-one row per column), which the small matrices of the group layer call
-directly.  The results, AbelianInvariants per dimension in a HomologyResult,
-are immutable tuples.
+Comput. Topol. 5, 2021); a reduced pivot is appended to one flat column
+store, its rows in an array('I'), its values in a list and its +-1 in an
+array('b'), beside an offsets array, as Ripser and PHAT keep reduced
+columns (Bauer-Kerber-Reininghaus-Wagner, J. Symb. Comput. 78, 2017).
+Only a column that meets a pivot is copied into a dict, whose lowest row is
+read as max(col): the working columns are short, so a scan costs less than
+keeping their rows sorted.  Clearing (Chen-Kerber) skips every column of a
+boundary that is a unit pivot row of the boundary one degree up, since that
+column is an integer combination of the others (see
+ChainComplexZ.homology); those rows pass from one reduction to the next as
+a mask of one byte per row.  The small remainder of non-unit columns, the
+only place torsion can appear, is finished by dense_smith_normal_form, the
+textbook routine on a dense list of rows (here one row per column), which
+the small matrices of the group layer call directly.  The results,
+AbelianInvariants per dimension in a HomologyResult, are immutable tuples.
 """
 
 from __future__ import annotations
@@ -853,33 +855,6 @@ def dense_smith_normal_form(rows):
     return diag
 
 
-def _subtract(col: dict, v: int, pivot: tuple) -> None:
-    """Clear the entry v of col at the lowest row of pivot, a triple (rows,
-    vals, unit) with unit = +-1 at that row: col -= v * unit * pivot, since
-    unit * unit = 1.  Entries that cancel are dropped; a row the column
-    gains is appended to the dict."""
-    rows, vals, unit = pivot
-    q = v * unit
-    for r, w in zip(rows, vals):
-        x = col.get(r)
-        if x is None:
-            col[r] = -q * w
-        else:
-            x -= q * w
-            if x:
-                col[r] = x
-            else:
-                del col[r]
-
-
-def _reread(m: SparseIntMatrix, c: int, low: int) -> tuple:
-    """The pivot (rows, vals, unit) of column c of m, unreduced, whose +-1
-    unit is at its lowest row low: its spans of m's tables."""
-    span = slice(m.indptr[c], m.indptr[c + 1])
-    rows, vals = m.indices[span], m.values[span]
-    return rows, vals, vals[rows.index(low)]
-
-
 def smith_normal_form(m: SparseIntMatrix, clearing):
     """Diagonal invariants d1 | d2 | ... of a SparseIntMatrix, by column
     reduction on the lowest row index, pivoting on units only.
@@ -895,21 +870,24 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
     modified: its flat tables are only read.
 
     A column becomes a tuple of rows and a tuple of values only when the
-    reduction reaches it, so a skipped column is never copied.  A pivot is
-    a triple (rows, vals, unit) of its rows, its values and its +-1 at the
-    lowest row; an entry v there is cleared by subtracting v * unit times
-    the pivot, so no negated copy is made.  A column whose lowest row is
-    free and holds +-1 becomes a pivot as it is: only its index is kept, in
-    pivot[row], an array of one int per row, and its rows and values are
-    reread from m's tables when a column meets it (Ripser's recomputed
-    columns), so a unit pivot costs four bytes.  Only a column that meets a
-    pivot, or is left for the residual pass, is copied into a working dict,
-    and a reduced column that becomes a pivot is stored back as two tuples,
-    in the dict reduced, pivot[row] reading -2.  Its lowest row is max(col),
-    a scan in C per step: a column that grows to L entries over S steps
-    costs S * L scanned entries, but on the homology 3 boundaries a working
-    column takes about two steps at a mean 2 to 12 entries (at most 2 952 at
-    n = 6).
+    reduction reaches it, so a skipped column is never copied.  pivot[row],
+    an array of one int per row, reads -1 for no pivot, c >= 0 for column c
+    of m, a pivot as it is (its lowest row was free and held +-1), and
+    -2 - k for stored pivot k.  Column c is reread from m's tables when a
+    column meets it (Ripser's recomputed columns), so a unit pivot costs
+    four bytes.  Only a column that meets a pivot, or is left for the
+    residual pass, is copied into a working dict, and a reduced column that
+    becomes a pivot is appended to one column store: its rows to an
+    array('I'), its values to a list, so they stay exact ints of any size,
+    its end to an offsets array and its +-1 at the lowest row to an
+    array('b'), about twelve bytes per entry.  clear reads either kind of
+    pivot and clears the entry v of a column at the pivot's lowest row by
+    subtracting v * unit times the pivot, so no negated copy is made; an
+    entry is popped and put back only if nonzero.  A working column's lowest
+    row is max(col), a scan in C per step: a column that grows to L entries
+    over S steps costs S * L scanned entries, but on the homology 3
+    boundaries a working column takes about two steps at a mean 2 to 12
+    entries (at most 2 952 at n = 6).
 
     clearing, a bytearray, is for the boundaries of a chain complex (see
     ChainComplexZ.homology): on entry it has one byte per column, nonzero
@@ -919,8 +897,26 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
     if len(clearing) != m.ncols:
         raise ValueError(f"clearing mask has {len(clearing)} bytes for {m.ncols} columns")
     indices, indptr, values = m.indices, m.indptr, m.values
-    pivot = array("i", [-1]) * m.nrows  # row -> its pivot column's index, -1 for none, -2 reduced
-    reduced: dict[int, tuple] = {}  # row -> (rows, vals, unit) of a reduced pivot column
+    pivot = array("i", [-1]) * m.nrows  # row -> -1 none, c >= 0 column c of m, -2 - k stored pivot k
+    # the column store: pivot k's rows and values at ends[k]:ends[k + 1], its +-1 in units[k]
+    stored_rows, stored_vals, ends, units = array("I"), [], array("I", [0]), array("b")
+
+    def clear(col, low, p):
+        """Subtract from col its entry at row low times the pivot of that
+        row, unreduced or stored, and times the pivot's unit there."""
+        if p >= 0:
+            a, b = indptr[p], indptr[p + 1]
+            rows, vals = indices[a:b], values[a:b]
+            q = col[low] * vals[rows.index(low)]
+        else:
+            a, b = ends[-2 - p], ends[-1 - p]
+            rows, vals = stored_rows[a:b], stored_vals[a:b]
+            q = col[low] * units[-2 - p]
+        for r, w in zip(rows, vals):
+            x = col.pop(r, 0) - q * w
+            if x:
+                col[r] = x
+
     residual = []
     for c, rows, vals in m.columns(bytes(map(not_, clearing))):
         if not rows:
@@ -934,24 +930,20 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
             continue
         col = dict(zip(rows, vals))
         while (p := pivot[low]) != -1:
-            if p < 0:
-                met = reduced[low]
-            else:  # _reread inlined: most pivots met are unreduced
-                span = slice(indptr[p], indptr[p + 1])
-                prows, pvals = indices[span], values[span]
-                met = prows, pvals, pvals[prows.index(low)]
-            _subtract(col, col[low], met)
+            clear(col, low, p)
             if not col:
                 break
             low = max(col)
         else:  # the column is left nonzero, its lowest row free
-            rows, vals = tuple(col), tuple(col.values())
             v = col[low]
             if v == 1 or v == -1:
-                pivot[low] = -2
-                reduced[low] = (rows, vals, v)
+                pivot[low] = -2 - len(units)
+                units.append(v)
+                stored_rows.extend(col)
+                stored_vals += col.values()
+                ends.append(len(stored_rows))
             else:
-                residual.append((rows, vals))
+                residual.append((tuple(col), tuple(col.values())))
     # a row may have gained its pivot after a residual column was swept past
     # it; clear the highest pivot row first, since subtracting a pivot column
     # can only add entries at smaller row indices than its own, so only the
@@ -962,8 +954,7 @@ def smith_normal_form(m: SparseIntMatrix, clearing):
         hit = [r for r in col if pivot[r] != -1]
         while hit:
             low = max(hit)
-            p = pivot[low]
-            _subtract(col, col[low], reduced[low] if p < 0 else _reread(m, p, low))
+            clear(col, low, pivot[low])
             hit = [r for r in col if r < low and pivot[r] != -1]
         cleared.append(col)
     clearing[:] = bytes(map(ne, pivot, repeat(-1)))

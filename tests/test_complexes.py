@@ -484,6 +484,34 @@ def test_snf_sparse_large_with_torsion():
     assert any(x > 1 for x in diag)
 
 
+def test_snf_stored_pivots_stay_exact():
+    # reduced pivots live in one column store whose values are a list, so
+    # entries beyond 2**64 must come back exact.  Column 1 meets column 0's
+    # pivot at row 4 and is stored as the pivot of row 1 (unit +1), column 2
+    # likewise as the pivot of row 2 (unit -1); column 3 meets both stored
+    # pivots and ends in the residual list, and column 4, a residual from
+    # the start (2 at its free row 3), is cleared against both stored
+    # pivots in the residual pass, the torsion path
+    b, c = 2**70, 2**65 + 1
+    m = [[0, b, 3, 7, 0],
+         [0, 1, 0, -1, c],
+         [0, 0, -1, b, 1],
+         [0, 0, 0, 0, 2],
+         [1, 5, b, 0, 0],
+         [0, 0, 0, 0, 0]]
+    invs, mask = _snf_twice(SparseIntMatrix.from_dense(m))
+    assert invs == dense_smith_normal_form(m) == [1, 1, 1, 1, 2 * (7 + 4 * b)]
+    assert mask == bytearray([0, 1, 1, 0, 1, 0])  # the unit pivot rows
+    # random matrices with entries of both signs past 2**64: reduced
+    # columns carry them into the store, and the residual pass out of it
+    rng = random.Random(41)
+    entries = (0, 0, 0, 1, -1, 2, 2**64 + 1, -(2**70) - 3)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        assert _snf(SparseIntMatrix.from_dense(m)) == dense_smith_normal_form(m)
+
+
 # ---------------------------------------------------------------------------
 # homology of standard complexes
 # ---------------------------------------------------------------------------
@@ -1444,10 +1472,12 @@ def test_exp3_homology_is_sphere_n3():
 # dict per pivot column, 10.36 MB with pivots on the boundary's own tuples
 # (Python 3.11), which read 10.63 MB on the machine that measured the next
 # figure: 6.11 MB with the boundaries sharing the complex's face tables and
-# a column made a tuple only when the reduction reaches it.  The bound sits
-# halfway between the last two.  tracemalloc counts Python allocations, so
-# the figure repeats.
-HOMOLOGY_PEAK_BOUND = 8_370_000
+# a column made a tuple only when the reduction reaches it.  With packed
+# simplices and an unreduced unit pivot kept as its column's index it read
+# 3.86 MB, and 1.71 MB with the reduced pivots in one column store of flat
+# arrays (Python 3.11.7, one machine).  The bound sits halfway between the
+# last two.  tracemalloc counts Python allocations, so the figure repeats.
+HOMOLOGY_PEAK_BOUND = 2_784_000
 
 
 @pytest.mark.slow
@@ -1467,7 +1497,7 @@ def _phase_peaks(n):
     """The tracemalloc peaks of homology 3's phases at mesh n, in bytes: the
     build from nothing traced, and the d o d check and the largest of the
     three Smith forms above what was traced before each, as cmd_homology
-    runs them with the model dropped."""
+    runs them with the model dropped; and what the chain complex holds."""
     tracemalloc.start()
     try:
         cx = build_exp_model(3, n).complex
@@ -1475,7 +1505,7 @@ def _phase_peaks(n):
         chains = chain_complex(cx)
         del cx
         tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+        held = before = tracemalloc.get_traced_memory()[0]
         assert chains.check_boundary_squared()
         dd = tracemalloc.get_traced_memory()[1] - before
         clearing, snf = bytearray(chains.dims[-1]), 0
@@ -1486,7 +1516,7 @@ def _phase_peaks(n):
             snf = max(snf, tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    return {"build": build, "dd_check": dd, "smith_form": snf}
+    return {"build": build, "dd_check": dd, "smith_form": snf, "chains": held}
 
 
 # the tracemalloc peak of each phase of homology 3 at n=3 (_phase_peaks), in
@@ -1496,9 +1526,12 @@ def _phase_peaks(n):
 # and the Smith form (d3) 5.50 MB; with packed simplices, the check in chunks
 # of DD_CHUNK_COLUMNS columns read through views of the face tables and an
 # unreduced unit pivot kept as its column's index, 4.71, 1.43 and 4.09 MB.
-# Each bound sits halfway between the two, so a phase that no longer sets
-# the op's peak still fails here if it grows back
-PHASE_PEAK_BOUNDS = {"build": 6_465_000, "dd_check": 3_955_000, "smith_form": 4_795_000}
+# Each bound sat halfway between the two, so a phase that no longer sets
+# the op's peak still fails here if it grows back.  With the reduced pivots
+# in one column store of flat arrays the Smith form read 1.50 MB against
+# 4.08 MB at its parent on one machine (build 4.84 MB on both), and its
+# bound sits halfway between those two
+PHASE_PEAK_BOUNDS = {"build": 6_465_000, "dd_check": 3_955_000, "smith_form": 2_791_000}
 
 
 @pytest.mark.slow
@@ -1506,6 +1539,15 @@ def test_exp3_phase_peak_memory():
     peaks = _phase_peaks(3)
     for phase, bound in PHASE_PEAK_BOUNDS.items():
         assert peaks[phase] < bound, f"{phase} peak {peaks[phase] / 1e6:.2f} MB"
+
+
+@pytest.mark.slow
+def test_exp3_smith_form_stays_below_the_build_n5():
+    # while each reduced pivot kept a tuple per entry, the top Smith form set
+    # the op's peak from n=5 on (the chain complex 4.49 MiB plus 18.50 MiB
+    # against a build of 21.22 MiB); from one column store it stays below
+    peaks = _phase_peaks(5)
+    assert peaks["chains"] + peaks["smith_form"] < peaks["build"], {k: v / 2**20 for k, v in peaks.items()}
 
 
 @pytest.mark.slow
