@@ -35,68 +35,57 @@ validated, holding only the quotient's simplices, the lookup dict of its
 triangles and its face tables.
 
 A complex stores each simplex packed into one int, its sorted vertex ids in
-fixed-width fields, the lowest id most significant, and each dimension is an
-array('Q') of them, so a complex holds no Python object per simplex and
-packed simplices sort as their vertex tuples do; _tuples gives the tuples
-back, for error messages and tests.  Each dimension is kept in the order its
-simplices were first given, so nothing the build makes is sorted.  The pair
-stratum L of exp_3 is coned off (K u CL, homotopy equivalent to K/L), so
-relative homology is the absolute homology of an ordinary complex and
-chain_complex is the one simplicial chain-complex constructor.  cone and
-ExpModel.full take a stratum by one walk, SimplicialComplex._stratum, which
-picks it by passes in C over the packed fields and renumbers its face rows.
+fields of 8, 16 or 32 bits, the lowest id most significant, and each
+dimension is an array('Q') of them: no Python object per simplex, and packed
+simplices sort as their vertex tuples do.  One vertex of every simplex is a
+strided memoryview of the array's bytes (_field), so the passes that read or
+rebuild simplices, for facets, strata and relabelling, are strided slices in
+C.  Each dimension is kept in the order its simplices were first given, so
+nothing the build makes is sorted.  The pair stratum L of exp_3 is coned off
+(K u CL, homotopy equivalent to K/L), so relative homology is the absolute
+homology of an ordinary complex and chain_complex is the one simplicial
+chain-complex constructor.  cone and ExpModel.full take a stratum by one
+walk, SimplicialComplex._stratum.
 
 Homology is computed over the integers through Smith normal form with exact
 (arbitrary precision) arithmetic.  A SparseIntMatrix is compressed sparse
-column: flat tables of row indices and values and the offsets of each
-column in them.  Validation looks up every facet of a complex once, by
-position: facet i of all the d-simplices is cut out of the packed ints by
-shift and mask passes in C, looked up in a dict of the dimension below keyed
-by packed ints and written into the strided slice i::d + 1 of the face
-table, the d + 1 facet rows of each d-simplex in turn.  Only a failed check
-or lookup sends the dimension through the per-simplex loop that names the
-faulty simplex.  The face table is already the flat row table of the
-boundary, so every boundary shares it, beside offsets that step by d + 1
-and the signs repeated; the chain complex copies nothing of the complex and
+column: flat tables of row indices and values and the offsets of each column
+in them.  Validation looks up every facet of a complex once, by position:
+facet i of a chunk of d-simplices is copied field by field out of the packed
+ints, looked up in a dict of the dimension below keyed by packed ints and
+written into the strided slice i::d + 1 of the face table.  Only a failed
+check or lookup sends the dimension through the per-simplex loop that names
+the faulty simplex.  The face table is already the flat row table of the
+boundary, so every boundary shares it, beside offsets that step by d + 1 and
+the signs repeated; the chain complex copies nothing of the complex and
 checks none of its rows again, each being the index of a facet that was
 found.  The d o d check proves a composite of two face tables zero from the
-face identity (facet j of facet i is facet i - 1 of facet j, for j < i): for
-each pair of positions it compares two tuples, each made by one itemgetter
-call over a chunk of DD_CHUNK_COLUMNS columns, reading both face tables
-through strided views, and sums exactly only the columns whose rows differ,
-or every column when a boundary is laid out otherwise; no product matrix is
-built, and no object per column outlives its chunk.  Then the boundaries are
-reduced top-down, the highest first, by smith_normal_form, the column
-reduction of persistent homology: each column is reduced on its lowest row
-index, and the unit pivots are consumed.  A column becomes a tuple of rows
-and a tuple of values only when the reduction reaches it.  A unit pivot
-taken from an unreduced column is kept as that column's index alone, in an
-int array by row, and its rows are reread from the face table when a column
-meets it, as Ripser recomputes a column from its index (Bauer, J. Appl.
-Comput. Topol. 5, 2021); a reduced pivot is appended to one flat column
-store, its rows in an array('I'), its values in a list and its +-1 in an
-array('b'), beside an offsets array, as Ripser and PHAT keep reduced
-columns (Bauer-Kerber-Reininghaus-Wagner, J. Symb. Comput. 78, 2017).
-Only a column that meets a pivot is copied into a dict, whose lowest row is
-read as max(col): the working columns are short, so a scan costs less than
-keeping their rows sorted.  Clearing (Chen-Kerber) skips every column of a
-boundary that is a unit pivot row of the boundary one degree up, since that
-column is an integer combination of the others (see
-ChainComplexZ.homology); those rows pass from one reduction to the next as
-a mask of one byte per row.  The small remainder of non-unit columns, the
-only place torsion can appear, is finished by dense_smith_normal_form, the
-textbook routine on a dense list of rows (here one row per column), which
-the small matrices of the group layer call directly.  The results,
-AbelianInvariants per dimension in a HomologyResult, are immutable tuples.
+face identity (facet j of facet i is facet i - 1 of facet j, for j < i),
+comparing itemgetter tuples over chunks of DD_CHUNK_COLUMNS columns, and
+sums exactly only the columns whose rows differ, or every column when a
+boundary is laid out otherwise; no product matrix is built.  Then the
+boundaries are reduced top-down, with clearing (Chen-Kerber), by
+smith_normal_form, the column reduction of persistent homology on the
+lowest row index with unit pivots.  A unit pivot taken from an unreduced
+column is kept as its index and reread from the face table, as Ripser
+recomputes a column (Bauer, J. Appl. Comput. Topol. 5, 2021); a reduced
+pivot is appended to one flat column store, as Ripser and PHAT keep reduced
+columns (Bauer-Kerber-Reininghaus-Wagner, J. Symb. Comput. 78, 2017).  The
+small remainder of non-unit columns, the only place torsion can appear, is
+finished by dense_smith_normal_form, the textbook routine on a dense list
+of rows, which the small matrices of the group layer call directly.  The
+results, AbelianInvariants per dimension in a HomologyResult, are immutable
+tuples.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import namedtuple
 from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, permutations, repeat
 from math import gcd, lcm
-from operator import add, and_, gt, itemgetter, lshift, lt, ne, not_, or_, rshift
+from operator import add, gt, itemgetter, lshift, lt, ne, not_, or_
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +98,8 @@ class SimplicialComplex:
 
     A d-simplex is stored packed: its sorted vertex ids in d + 1 fields of
     bits bits each, the lowest id most significant (_pack), so packed
-    simplices sort as their vertex tuples do.  bits is the width of the
-    largest id, n - 1 (_bits); a dimension whose fields would pass 64 bits
+    simplices sort as their vertex tuples do.  bits is the byte width of
+    the largest id, n - 1 (_bits); a dimension whose fields would pass 64 bits
     is refused.  simplices[d] is an array('Q') of the packed d-simplices,
     each once, in the order first given; dimension 0 is the vertices in
     order.  _tuples gives simplices back as vertex tuples.  A dict drops each
@@ -161,11 +150,13 @@ class SimplicialComplex:
             raise ValueError("vertices must be 0..n-1 with no gaps")
         bits = _bits(len(verts))
         by_dim = [set() for _ in range(max(map(len, tops)))]
+        _check_width(len(by_dim), bits)
         for t in tops:
             by_dim[len(t) - 1].add(_pack(t, bits))
         for d in reversed(range(1, len(by_dim))):  # each dimension adds its facets below
+            ss = array("Q", by_dim[d])
             for i in range(d + 1):
-                by_dim[d - 1].update(_facets(by_dim[d], d, i, bits))
+                by_dim[d - 1].update(_facets(ss, d, i, bits))
         return cls(len(verts), map(sorted, by_dim))
 
     @property
@@ -263,8 +254,9 @@ class SimplicialComplex:
 
 def _bits(vertex_count: int) -> int:
     """The field width of one vertex id of a packed simplex on vertex_count
-    vertices: the width of the largest id, and at least one bit."""
-    return max(1, (vertex_count - 1).bit_length())
+    vertices: 8, 16 or 32, the least byte width that holds the largest id,
+    so that each field is one item of the packed array's bytes (_field)."""
+    return 8 if vertex_count <= 1 << 8 else 16 if vertex_count <= 1 << 16 else 32
 
 
 def _check_width(w: int, bits: int) -> None:
@@ -281,74 +273,80 @@ def _pack(vertices, bits: int) -> int:
     return out
 
 
-def _field(ss, w: int, bits: int, i: int):
-    """Vertex i of each packed simplex of w vertices in ss, a sequence, by
-    a shift and a mask pass; the bits above the w fields stay in vertex 0."""
-    shift = (w - 1 - i) * bits
-    out = map(rshift, ss, repeat(shift)) if shift else iter(ss)
-    return map(and_, out, repeat((1 << bits) - 1)) if i else out
+def _field(ss: array, w: int, bits: int, i: int) -> memoryview:
+    """Vertex i of each packed simplex of w vertices in ss, an array('Q'), a
+    writable strided view of its bytes as bits-bit items: item w - 1 - i from
+    the low end of each int, which a big-endian machine stores last."""
+    per = 64 // bits
+    slot = w - 1 - i if sys.byteorder == "little" else per - w + i
+    return memoryview(ss).cast("B").cast({8: "B", 16: "H", 32: "I"}[bits])[slot::per]
 
 
 def _tuples(ss, w: int, bits: int):
-    """The packed simplices of w vertices in ss, a sequence, as vertex tuples."""
+    """The packed simplices of w vertices in ss, an array('Q'), as vertex tuples."""
     return zip(*[_field(ss, w, bits, i) for i in range(w)])
 
 
-def _facets(ss, d: int, i: int, bits: int):
-    """Facet i, dropping vertex i, of each packed d-simplex in ss, a
-    collection, packed: the fields after vertex i cut out by a mask and those
-    before it shifted down over it."""
-    low = (d - i) * bits
-    after = map(and_, ss, repeat((1 << low) - 1))
-    if not i:
-        return after
-    before = map(rshift, ss, repeat(low + bits))
-    return map(or_, map(lshift, before, repeat(low)), after) if low else before
+def _facets(ss, d: int, i: int, bits: int) -> array:
+    """Facet i, dropping vertex i, of each packed d-simplex in ss, an
+    array('Q'), packed into a fresh array: field j is a strided copy of
+    field j of the simplices, or of field j + 1 from vertex i on."""
+    out = array("Q", [0]) * len(ss)
+    for j in range(d):
+        _field(out, d, bits, j)[:] = _field(ss, d + 1, bits, j + (j >= i))
+    return out
 
 
 def _inside(ss: array, w: int, bits: int, keep: set) -> array:
     """The positions, in order, of the packed simplices of w vertices in ss
-    whose vertices are all in keep.  Vertex i is read only for the simplices
+    whose vertices are all in keep.  Vertex i is read only at the positions
     whose later vertices are in, the last vertex first: it has the largest
-    id, and a stratum of ids numbered early, as the pair stratum of exp_3,
-    is rarely the last vertex of a simplex."""
+    id, and few simplices end in a stratum numbered early (exp_3's pairs)."""
     at = array("I", compress(count(), map(keep.__contains__, _field(ss, w, bits, w - 1))))
     for i in reversed(range(w - 1)):
-        part = array("Q", map(ss.__getitem__, at))
-        at = array("I", compress(at, map(keep.__contains__, _field(part, w, bits, i))))
+        at = array("I", compress(at, map(keep.__contains__, map(_field(ss, w, bits, i).__getitem__, at))))
     return at
 
 
 def _relabel(ss, w: int, bits: int, new_bits: int, label) -> array:
-    """The packed simplices of w vertices in ss, a sequence, each vertex v
-    replaced by label[v] and packed in fields of new_bits bits."""
-    out = None
+    """The packed simplices of w vertices in ss, an array('Q'), each vertex v
+    replaced by label[v], copied field by field into new_bits-bit fields."""
+    out = array("Q", [0]) * len(ss)
     for i in range(w):
-        field = map(label.__getitem__, _field(ss, w, bits, i))
-        out = field if out is None else map(or_, map(lshift, out, repeat(new_bits)), field)
-    return array("Q", out)
+        field = _field(out, w, new_bits, i)
+        field[:] = array(field.format, map(label.__getitem__, _field(ss, w, bits, i)))
+    return out
+
+
+# simplices whose facets _face_table cuts out at once
+FACET_CHUNK_SIMPLICES = 512
 
 
 def _face_table(d: int, ss: array, bits: int, row: dict) -> array:
     """The face table of the packed d-simplices ss, row mapping each packed
-    (d-1)-simplex to its index; refuses a simplex that is degenerate,
-    unsorted or missing a facet."""
-    # facet i of every simplex at once, cut out by _facets and written into
-    # its strided slice.  The keys of row are strictly increasing (checked
-    # one dimension down), so a simplex of d + 1 >= 3 vertices whose facets
-    # are all found is too, its first and last facets overlapping, and its
-    # last facet, ss >> bits, keeps any bits above its fields; an edge's two
-    # vertices are compared.  On any failure the per-simplex loop names it
+    (d-1)-simplex to its index; refuses a simplex that has bits above its
+    d + 1 fields or is degenerate, unsorted or missing a facet."""
+    # facet i of a chunk at once, written into its strided slice.  The keys
+    # of row are strictly increasing (checked one dimension down), so a
+    # simplex of d + 1 >= 3 vertices whose facets are all found is too; an
+    # edge's two vertices are compared.  No field reads the bits above the
+    # fields, so one check refuses them.  On any failure the per-simplex
+    # loop names the simplex, those bits read as part of vertex 0
     w = d + 1
     table = array("I", [0]) * (w * len(ss))
     try:
-        if d > 1 or all(map(lt, _field(ss, 2, bits, 0), _field(ss, 2, bits, 1))):
-            for i in range(w):
-                table[i::w] = array("I", map(row.__getitem__, _facets(ss, d, i, bits)))
+        edges_sorted = d > 1 or all(map(lt, _field(ss, 2, bits, 0), _field(ss, 2, bits, 1)))
+        if edges_sorted and not (ss and max(ss) >> w * bits):
+            for start in range(0, len(ss), FACET_CHUNK_SIMPLICES):
+                part = ss[start:start + FACET_CHUNK_SIMPLICES]
+                for i in range(w):
+                    facets = map(row.__getitem__, _facets(part, d, i, bits))
+                    table[start * w + i:(start + len(part)) * w:w] = array("I", facets)
             return table
     except KeyError:
         pass
-    for s in _tuples(ss, w, bits):
+    for packed, s in zip(ss, _tuples(ss, w, bits)):
+        s = (packed >> d * bits,) + s[1:]
         if len(set(s)) != w:
             raise ValueError(f"degenerate simplex {s} in dimension {d}")
         if list(s) != sorted(s):
@@ -370,14 +368,13 @@ def _proper_faces(s):
 
 def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
     """Every chain of the face poset ending at a simplex flagged in ends,
-    packed: the labels of its elements in fields of bits bits, as
-    SimplicialComplex packs a simplex.  labels[g] and ends[g] belong to the
-    g-th simplex of k in dimension order, labels ints below 2**bits; a chain
-    of length L is an (L-1)-simplex of the subdivision.  Returns one
-    array('Q') per length, the chains of length L at index L - 1 in the
-    order they are met, repeats kept.  Every element of such a chain is a
-    face of its last one, so chains are memoised only on the proper faces of
-    ends: a top simplex is no one's face.
+    packed as SimplicialComplex packs a simplex, the labels of its elements
+    in fields of bits bits.  labels[g] and ends[g] belong to the g-th
+    simplex of k in dimension order, labels ints below 2**bits.  Returns one
+    array('Q') per length, the chains of length L, (L-1)-simplices of the
+    subdivision, at index L - 1 in the order met, repeats kept.  Every
+    element of such a chain is a face of its last one, so chains are
+    memoised only on the proper faces of ends: a top simplex is no one's.
 
     The proper faces of every d-simplex are read from k's face tables, one
     array per set of kept vertex positions, in the order _proper_faces lists
@@ -390,7 +387,7 @@ def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
     its own label and then each proper face's chains extended, so the
     chains of one length sit at the same positions for all of them: the
     ends' chains are kept end after end, one array per dimension, and split
-    by length once, by strided slices."""
+    by length by strided slice assignment."""
     _check_width(k.dim + 1, bits)
     # facet[d][i][j]: the index of facet i of d-simplex j
     facet = [[table[i::d + 1] for i in range(d + 1)] for d, table in enumerate(k.faces)]
@@ -441,8 +438,11 @@ def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
     for d, ls in enumerate(lengths):
         chains, met[d] = met[d], None
         for w in range(1, d + 2):
-            slices = [chains[i::len(ls)] for i, x in enumerate(ls) if x == w]
-            out[w - 1] += array("Q", chain.from_iterable(zip(*slices)))
+            at = [i for i, x in enumerate(ls) if x == w]
+            split = array("Q", [0]) * (len(at) * (len(chains) // len(ls)))
+            for j, i in enumerate(at):
+                split[j::len(at)] = chains[i::len(ls)]
+            out[w - 1] += split
     return out
 
 

@@ -487,6 +487,17 @@ def test_homology_k2():
     assert rec["boundary_check"] is True
 
 
+@pytest.mark.slow
+def test_homology_2_at_the_size_cap():
+    # the largest model the cap admits, 47**2 * 36 = 79 524 top simplices;
+    # its 39 856 vertices take 16-bit fields in a packed simplex
+    code, out = run_cli("--mesh-n", "47", "homology", "2")
+    rec = json.loads(out)
+    assert code == 0
+    assert rec["counts"] == [39856, 119380, 79524] and rec["euler"] == 0
+    assert rec["betti"] == [1, 1, 0] and rec["torsion"] == [[], [], []]
+
+
 def test_homology_bad_k():
     code, _, err = run_proc("homology", "4")
     assert code == 2

@@ -8,6 +8,7 @@ from array import array
 from itertools import combinations, permutations
 from math import gcd, lcm, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,10 +26,14 @@ from expcircle.complexes import (
     _check_simplicial,
     _bits,
     _face_table,
+    _facets,
+    _field,
     _flags,
     _grid_index,
     _grid_point,
+    _inside,
     _pack,
+    _relabel,
     _tuples,
     _with_base_point,
     build_exp_model,
@@ -562,7 +567,7 @@ def test_euler_characteristic_matches_betti():
     (2, [[(0,), (1,)], [(1, 1)]], r"degenerate simplex \(1, 1\) in dimension 1"),
     (2, [[(0,), (1,)], [(0, 1)], [(0, 1, 1)]], r"degenerate simplex \(0, 1, 1\) in dimension 2"),
     (2, [[(0,), (1,)], [(0,)]], r"degenerate simplex \(0, 0\) in dimension 1"),
-    (3, [[(0,), (1,), (2,)], [(1, 1, 2)]], r"unsorted simplex \(5, 2\)"),
+    (3, [[(0,), (1,), (2,)], [(1, 1, 2)]], r"unsorted simplex \(257, 2\)"),
     (3, [[(0,), (1,)]], "dimension 0 must list every vertex"),
     (2, [[(0,), (5,)]], "dimension 0 must list every vertex"),
     (1, [[(0,), (0, 1)]], "dimension 0 must list every vertex"),
@@ -610,26 +615,108 @@ def dimensions_with_rows(draw):
     return d, ss, {s: i for i, s in enumerate(simplices[d - 1])}, cx.bits
 
 
-@given(dimensions_with_rows())
-def test_face_table_by_position_matches_combinations(case):
-    # facet i cut out of the packed simplices by shifts and masks, against
-    # the facets of the vertex tuples
+@given(dimensions_with_rows(), st.sampled_from([1, 2, 3, complexes.FACET_CHUNK_SIMPLICES]))
+def test_face_table_by_position_matches_combinations(case, chunk):
+    # facet i cut out of the packed simplices by strided copies, a chunk of
+    # simplices at a time, against the facets of the vertex tuples
     d, ss, row, bits = case
     packed = array("Q", [_pack(s, bits) for s in ss])
     rows = {_pack(s, bits): i for s, i in row.items()}
-    assert _face_table(d, packed, bits, rows) == _face_table_by_combinations(d, ss, row)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "FACET_CHUNK_SIMPLICES", chunk)
+        assert _face_table(d, packed, bits, rows) == _face_table_by_combinations(d, ss, row)
 
 
 def test_face_table_by_position_edge_cases():
     # an empty dimension, a dimension of one simplex and edges, whose
     # facets are the vertex ids themselves
     row0 = {v: v for v in range(4)}
-    row1 = {_pack(f, 2): i for i, f in enumerate([(0, 1), (0, 2), (1, 2)])}
-    assert _face_table(1, array("Q"), 2, row0) == _face_table(3, array("Q"), 2, {}) == array("I")
-    assert _face_table(1, array("Q", [_pack((0, 3), 2)]), 2, row0) == array("I", [3, 0])
-    assert _face_table(2, array("Q", [_pack((0, 1, 2), 2)]), 2, row1) == array("I", [2, 1, 0])
+    row1 = {_pack(f, 8): i for i, f in enumerate([(0, 1), (0, 2), (1, 2)])}
+    assert _face_table(1, array("Q"), 8, row0) == _face_table(3, array("Q"), 8, {}) == array("I")
+    assert _face_table(1, array("Q", [_pack((0, 3), 8)]), 8, row0) == array("I", [3, 0])
+    assert _face_table(2, array("Q", [_pack((0, 1, 2), 8)]), 8, row1) == array("I", [2, 1, 0])
     # a trailing empty dimension is looked up and dropped
     assert _complex(3, [[(0,), (1,), (2,)], [(0, 1)], []]).counts() == [3, 1]
+
+
+def _field_by_mask(p, w, bits, i):
+    """Vertex i of the packed simplex p of w vertices, by a shift and a mask."""
+    return p >> (w - 1 - i) * bits & (1 << bits) - 1
+
+
+def _facet_by_mask(p, d, i, bits):
+    """Facet i of the packed d-simplex p: the fields after vertex i cut out
+    by a mask and those before it shifted down over it."""
+    low = (d - i) * bits
+    return p >> low + bits << low | p & (1 << low) - 1
+
+
+@st.composite
+def packed_fields(draw):
+    """Packed simplices of w fields of bits bits, any values in any order,
+    with a set of kept values and a relabelling into new_bits bits."""
+    bits = draw(st.sampled_from([8, 16, 32]))
+    w = draw(st.integers(1, 64 // bits))
+    value = st.sampled_from([0, 1, 2, (1 << bits) - 1]) | st.integers(0, (1 << bits) - 1)
+    simplices = draw(st.lists(st.lists(value, min_size=w, max_size=w), max_size=12))
+    values = sorted({v for s in simplices for v in s})
+    new_bits = draw(st.sampled_from([b for b in (8, 16, 32) if w * b <= 64]))
+    images = st.lists(st.integers(0, (1 << new_bits) - 1), min_size=len(values), max_size=len(values))
+    keep = draw(st.sets(st.sampled_from(values))) if values else set()
+    return bits, w, [_pack(s, bits) for s in simplices], keep, new_bits, dict(zip(values, draw(images)))
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@given(case=packed_fields())
+def test_packed_fields_match_shift_and_mask(order, case):
+    # each field is one item of the packed array's bytes.  A machine of the
+    # other byte order is simulated by byteswapped arrays, in and out: the
+    # fields then sit at its slots but with their bytes in its order, so the
+    # values read and written through a field, a vertex id, a label or a
+    # kept id, are byteswapped too
+    bits, w, packed, keep, new_bits, label = case
+    swap = order != sys.byteorder
+    ss = array("Q", packed)
+    if swap:
+        ss.byteswap()
+
+    def values(out):
+        out = array("Q", out)
+        if swap:
+            out.byteswap()
+        return list(out)
+
+    def item(v, b):
+        return int.from_bytes(v.to_bytes(b // 8, "little"), "big") if swap else v
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "sys", SimpleNamespace(byteorder=order))
+        for i in range(w):
+            want = [_field_by_mask(p, w, bits, i) for p in packed]
+            assert [item(v, bits) for v in _field(ss, w, bits, i)] == want
+            if w > 1:
+                assert values(_facets(ss, w - 1, i, bits)) == [_facet_by_mask(p, w - 1, i, bits) for p in packed]
+        read_label = {item(v, bits): item(image, new_bits) for v, image in label.items()}
+        assert values(_relabel(ss, w, bits, new_bits, read_label)) == [
+            _pack([label[_field_by_mask(p, w, bits, i)] for i in range(w)], new_bits) for p in packed]
+        assert list(_inside(ss, w, bits, {item(v, bits) for v in keep})) == [
+            j for j, p in enumerate(packed) if all(_field_by_mask(p, w, bits, i) in keep for i in range(w))]
+
+
+def test_bits_above_the_fields_are_refused():
+    # no field reads the bits above a simplex's fields, so its facets would
+    # all be found; one check refuses them, and the per-simplex loop names
+    # the simplex with those bits read as part of vertex 0, in order
+    edges = [_pack(e, 8) for e in [(0, 1), (0, 2), (1, 2)]]
+    with pytest.raises(ValueError, match=r"^unsorted simplex \(16777216, 1, 2\)$"):
+        SimplicialComplex(3, [[0, 1, 2], edges, [_pack((0, 1, 2), 8) | 1 << 40]])
+    with pytest.raises(ValueError, match=r"^unsorted simplex \(4096, 1\)$"):
+        SimplicialComplex(3, [[0, 1, 2], [edges[0] | 1 << 20, _pack((1, 1), 8)]])
+    with pytest.raises(ValueError, match=r"^degenerate simplex \(1, 1\) in dimension 1$"):
+        SimplicialComplex(3, [[0, 1, 2], [_pack((1, 1), 8), edges[0] | 1 << 20]])
+    # sixteen-bit fields fill a tetrahedron's 64 bits: nothing lies above
+    tops = [(0, 1, 2, 3), (0, 1, 2, 256)]
+    assert SimplicialComplex.from_maximal(tops + [(v,) for v in range(257)]).counts() == [257, 9, 7, 2]
 
 
 def test_simplicial_complex_lists_each_simplex_once():
@@ -637,7 +724,7 @@ def test_simplicial_complex_lists_each_simplex_once():
     # that the vertices are listed 0..n-1
     cx = _complex(3, [[(2,), [0], (1,), (0,), (2,)], [(1, 2), [0, 1], (1, 2), (0, 1)]])
     assert _tuples_of(cx) == [[(0,), (1,), (2,)], [(1, 2), (0, 1)]]
-    assert cx.simplices == [array("Q", [0, 1, 2]), array("Q", [1 << 2 | 2, 0 << 2 | 1])]
+    assert cx.simplices == [array("Q", [0, 1, 2]), array("Q", [1 << 8 | 2, 0 << 8 | 1])]
     assert list(cx.faces[1]) == [2, 1, 1, 0]
     # the face rows follow that order; facet i drops vertex i
     cx = _complex(3, [[(0,), (1,), (2,)], [(0, 2), (1, 2), (0, 1)], [(0, 1, 2)]])
@@ -943,8 +1030,9 @@ def test_full_matches_from_maximal(build, n):
 
 
 def test_packed_width_past_64_bits_is_refused():
-    # four vertex ids of 17 bits pass 64: a tetrahedron on 2**17 vertices
-    with pytest.raises(ValueError, match="4 vertex ids of 17 bits pass the 64 bits"):
+    # fields are 8, 16 or 32 bits wide: four vertex ids of 32 bits pass 64,
+    # a tetrahedron on 2**17 vertices, refused before any array is built
+    with pytest.raises(ValueError, match="4 vertex ids of 32 bits pass the 64 bits"):
         SimplicialComplex.from_maximal([(v,) for v in range(2**17)] + [(0, 1, 2, 3)])
     # on 2**16 - 1 vertices the apex keeps 16-bit fields: the cone on an
     # edge fits, and the cone on a tetrahedron would need five fields
@@ -952,14 +1040,15 @@ def test_packed_width_past_64_bits_is_refused():
     assert cx.bits == 16 and cx.cone([0, 1]).counts()[1:] == [8, 5, 1]
     with pytest.raises(ValueError, match="5 vertex ids of 16 bits pass the 64 bits"):
         cx.cone([0, 1, 2, 3])
-    # on 2**16 vertices the apex widens every field to 17 bits, which K's
+    # on 2**16 vertices the apex widens every field to 32 bits, which K's
     # own tetrahedra cannot take
     cx = SimplicialComplex.from_maximal([(v,) for v in range(2**16)] + [(0, 1, 2, 3)])
-    with pytest.raises(ValueError, match="4 vertex ids of 17 bits pass the 64 bits"):
+    with pytest.raises(ValueError, match="4 vertex ids of 32 bits pass the 64 bits"):
         cx.cone([0, 1])
-    # a 4-simplex of 13-bit ids passes 64 bits too
-    with pytest.raises(ValueError, match="5 vertex ids of 13 bits pass the 64 bits"):
+    # a 4-simplex of 16-bit ids passes 64 bits too; on 256 vertices it fits
+    with pytest.raises(ValueError, match="5 vertex ids of 16 bits pass the 64 bits"):
         SimplicialComplex.from_maximal([(v,) for v in range(2**13)] + [(0, 1, 2, 3, 4)])
+    assert SimplicialComplex.from_maximal([(v,) for v in range(2**8)] + [(0, 1, 2, 3, 4)]).bits == 8
 
 
 # ---------------------------------------------------------------------------
