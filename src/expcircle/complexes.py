@@ -12,27 +12,25 @@ coordinates give the symmetric product SP^k, tuples identified up to
 permutation only.  The build returns an ExpModel, the quotient with each
 vertex's key, and a stratum is its full(pred), the full subcomplex on the
 vertices whose keys satisfy pred.  Both keys are invariant under permuting
-coordinates, so only a fundamental domain is subdivided, the closure of the
-torus simplices with a sorted barycentre, and only chains ending at the one
-sd1 simplex of each orbit with a sorted barycentre are mapped: a sixth of
-the top chains at k = 3.  That rests on the torus triangulation being
-symmetric, which the build checks before relying on it.  The second
-subdivision is enumerated chain by chain, each chain built directly as its
-packed quotient simplex (see below), extended by a shift and an or, since
-the quotient vertex ids are numbered in dimension order and rise along every
-chain (a build where one does not is refused); it is never validated or
-sorted as a whole, and the flag memo holds only chains ending at a proper
-face of a mapped sd1 simplex, which _flags finds through the face tables.
-Torus coordinates are integers scaled by lcm(1..k+1)**2, so the barycentres
-of barycentres that key the identification are exact without fractions.
-Each stage lets go of its inputs once the next holds what it needs: the
-torus and its barycentre, domain and id lists once the chains of the first
-subdivision are collected; the first subdivision, its labels, the
-representatives and the key dict once the quotient chains are, only the key
-list surviving; and each dimension's array of chains once it is
-deduplicated.  So the build peaks while the quotient's top simplices are
-validated, holding only the quotient's simplices, the lookup dict of its
-triangles and its face tables.
+coordinates, so only a fundamental domain L is subdivided, the closure of
+the torus simplices with a sorted barycentre: a permutation carries every
+chain of the torus's second subdivision to one of sd1(L).  That rests on the
+torus triangulation being symmetric, which the build checks before relying
+on it.  Both subdivisions are one routine, _subdivide, which numbers the
+names of the new vertices, barycentres and then keys, and has _flags
+enumerate the chains, each built directly as its packed simplex, extended
+by a shift and an or, since the ids are numbered in dimension order and
+rise along every chain (a build where one does not is refused); no
+subdivision is sorted as a whole.  Torus coordinates are integers scaled by
+lcm(1..k+1)**2, so the barycentres of barycentres that key the
+identification are exact without fractions.  Each stage lets go of its
+inputs once the next holds what it needs: the torus and its barycentres
+once the chains of the first subdivision are collected, the first
+subdivision and its labels once the quotient chains are, only the key list
+surviving, and each dimension's array of chains once it is deduplicated.
+So the build peaks while the quotient's top simplices are validated,
+holding only its simplices, the lookup dict of its triangles and its face
+tables.
 
 A complex stores each simplex packed into one int, its sorted vertex ids in
 fields of 8, 16 or 32 bits, the lowest id most significant, and each
@@ -370,11 +368,11 @@ def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
     """Every chain of the face poset ending at a simplex flagged in ends,
     packed as SimplicialComplex packs a simplex, the labels of its elements
     in fields of bits bits.  labels[g] and ends[g] belong to the g-th
-    simplex of k in dimension order, labels ints below 2**bits.  Returns one
-    array('Q') per length, the chains of length L, (L-1)-simplices of the
-    subdivision, at index L - 1 in the order met, repeats kept.  Every
-    element of such a chain is a face of its last one, so chains are
-    memoised only on the proper faces of ends: a top simplex is no one's.
+    simplex of k in dimension order, labels ints below 2**bits, and ends
+    must be closed under faces.  Returns one array('Q') per length, the
+    chains of length L, (L-1)-simplices of the subdivision, at index L - 1
+    in the order met, repeats kept.  Every element of such a chain is an
+    end, so the chains of each end below the top dimension are memoised.
 
     The proper faces of every d-simplex are read from k's face tables, one
     array per set of kept vertex positions, in the order _proper_faces lists
@@ -401,20 +399,14 @@ def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
             faces[d].append((e, at))
     del facet
     offsets = list(accumulate(k.counts(), initial=0))
-    need = [set() for _ in k.simplices]  # the proper faces of ends, by dimension
-    for d, by_position in enumerate(faces):
-        mine = ends[offsets[d]:offsets[d + 1]]
-        for e, at in by_position:
-            need[e].update(compress(at, mine))
-    memo = [[None] * len(ss) for ss in k.simplices]  # chains << bits of the faces of ends
+    memo = [[None] * len(ss) for ss in k.simplices]  # chains << bits of the ends below the top
     met = []  # met[d]: the chains of the d-simplices of ends, end after end
     for d, by_position in enumerate(faces):
         lo, hi = offsets[d], offsets[d + 1]
-        needed = bytes(map(need[d].__contains__, range(hi - lo)))
         met.append(array("Q"))
         face_chains = zip(*[map(memo[e].__getitem__, at) for e, at in by_position]) if d else repeat(())
-        for j, label, end, wanted, fs in zip(count(), labels[lo:hi], ends[lo:hi], needed, face_chains):
-            if end or wanted:
+        for j, label, end, fs in zip(count(), labels[lo:hi], ends[lo:hi], face_chains):
+            if end:
                 if fs and max(map(itemgetter(0), fs)) >> bits >= label:
                     s = next(_tuples(k.simplices[d][j:j + 1], d + 1, k.bits))
                     f, lower = next((tuple(map(s.__getitem__, kept)), c[0] >> bits)
@@ -426,11 +418,10 @@ def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
                     raise ValueError(f"label {lower} of {f} is not below label {label} of {s}")
                 cs = [label]
                 cs += map(or_, chain.from_iterable(fs), repeat(label))
-                if wanted:
+                if d < k.dim:
                     memo[d][j] = list(map(lshift, cs, repeat(bits)))
-                if end:
-                    met[d] += array("Q", cs)
-    del faces, need, memo
+                met[d] += array("Q", cs)
+    del faces, memo
     lengths = [[1]]  # lengths[d]: the length of each chain a d-simplex lists, in order
     for d in range(1, k.dim + 1):
         lengths.append([1] + [x + 1 for f in _proper_faces(range(d + 1)) for x in lengths[len(f) - 1]])
@@ -446,11 +437,23 @@ def _flags(k: SimplicialComplex, labels, ends, bits: int) -> list:
     return out
 
 
-def _complex_of_chains(chains: list, vertex_count: int) -> SimplicialComplex:
-    """The complex on vertices 0..vertex_count-1 of the chains _flags
-    returns, packed in _bits(vertex_count) bits; each length's array is
-    popped as it is handed over, so it goes once it is deduplicated."""
-    return SimplicialComplex(vertex_count, map(chains.pop, repeat(0, len(chains))))
+def _subdivide(k: SimplicialComplex, names, ends) -> tuple:
+    """The barycentric subdivision of the subcomplex of k flagged in ends,
+    its vertices identified by name: (complex, names), names[q] the name of
+    vertex q.  names and ends belong to the simplices of k in dimension
+    order; names is read once, and ends must be closed under faces.  Equal
+    names are one vertex, numbered in order of first sight, so _flags builds
+    each chain as its packed simplex; a simplex met by several chains is
+    kept once.  Raises if the identification degenerates a simplex, the
+    telltale of an insufficiently subdivided action, or if a face's id is
+    not below its coface's.  k and the labels go before the subdivision is
+    validated, so a caller that hands k over keeps one complex at a time."""
+    ids: dict = {}
+    labels = array("I", [ids.setdefault(name, len(ids)) if end else 0 for name, end in zip(names, ends)])
+    names = list(ids)
+    chains = _flags(k, labels, ends, _bits(len(names)))
+    del ids, k, labels, ends
+    return SimplicialComplex(len(names), map(chains.pop, repeat(0, len(chains)))), names
 
 
 def _barycenter(simplex, coords, period: int):
@@ -542,44 +545,6 @@ def _check_simplicial(k: SimplicialComplex, perms) -> None:
                     raise ValueError("action does not carry simplices to simplices")
 
 
-def _identify_after_two_subdivisions(k1: SimplicialComplex, label_fn):
-    """Subdivide k1 once more, identifying vertices on the fly.
-
-    k1 is the first subdivision; its simplices are the vertices of the
-    second.  label_fn maps an sd1 simplex, a vertex tuple, to (key,
-    is_representative), and equal keys become one quotient vertex, numbered
-    in dimension order, so _flags builds each chain as its packed quotient
-    simplex by appending a field; a quotient simplex met by several chains
-    is kept once by SimplicialComplex.
-    Returns the quotient and the list of its vertex keys, keys[q] being the
-    key of quotient vertex q.  Raises if the identification degenerates a
-    simplex, the telltale of an insufficiently subdivided action, and if a
-    face's quotient id is not below its coface's (see _flags).
-
-    Only chains ending at a representative are mapped.  The torus build
-    (_build_exp_with_boundary) marks exactly one representative in each
-    orbit of the coordinate permutations acting on k1, the sd1 simplex with
-    a sorted barycentre, and both its keys are invariant under them.  Then
-    a chain c and its image g.c have the same quotient simplex and the same
-    degeneracy, and every orbit of chains holds a chain ending at a
-    representative (move its last element there), so the representatives'
-    chains give exactly the quotient of all chains.
-    """
-    qid_by_key: dict = {}
-    labels, ends = array("I"), bytearray()  # by position in k1, dimension order
-    for s in k1.vertex_tuples():
-        key, is_representative = label_fn(s)
-        labels.append(qid_by_key.setdefault(key, len(qid_by_key)))
-        ends.append(is_representative)
-    keys = list(qid_by_key)
-    chains = _flags(k1, labels, ends, _bits(len(keys)))
-    # k1, the labels and the ends go once the chains are collected and
-    # before the quotient is validated (the caller hands k1 over without
-    # keeping it)
-    del qid_by_key, k1, labels, ends
-    return _complex_of_chains(chains, len(keys)), keys
-
-
 def _underlying_set(point) -> tuple:
     """The subset-space key of a torus point: its distinct coordinates,
     sorted."""
@@ -624,53 +589,47 @@ def _build_exp_with_boundary(k: int, n: int, key=_underlying_set) -> ExpModel:
     smaller subsets in one stroke: the subset space, whose keys[q] is the
     sorted point set (see relative_quotient_homology for the stratum of
     short keys).  The sorted coordinates merge permutations only: the
-    symmetric product (build_symmetric_product).  Either key is invariant
-    under permuting coordinates, so only chains ending at the sd1 simplex
-    whose barycentre is sorted are mapped: barycentres of distinct simplices
-    are distinct, so each orbit has exactly one.  That needs the torus
-    triangulation to be symmetric, which is checked, not assumed.
+    symmetric product (build_symmetric_product).  Both subdivisions are
+    _subdivide: the first of a fundamental domain L, its vertices named by
+    their barycentres, and the second of all of sd1(L), its vertices named
+    by their keys.
 
-    Only a fundamental domain is subdivided: L, the closure of the torus
-    simplices whose barycentre is sorted.  An sd1 simplex is a flag of torus
-    simplices, and its barycentre lies in the relative interior of the flag's
-    last simplex sigma.  There coordinate i is g_i + f_i (scaled), g the
-    grid cube's corner and f_i in [0, 1) depending only on the step of
-    sigma's staircase at which coordinate i first increments, so every
-    point of that interior has the same order type.  Hence an sd1 simplex
-    has a sorted barycentre exactly when its sigma does; every face of such
-    a representative is a flag inside the closure of sigma, which lies in L.
-    So sd1(L) holds every chain that is mapped, and each key is met there
-    (an orbit's representative is in sd1(L)); quotient vertices are numbered
-    in first-seen order over sd1(L).
+    L is the closure of the torus simplices whose barycentre is sorted.  An
+    sd1 simplex is a flag of torus simplices, and its barycentre lies in the
+    relative interior of the flag's last simplex sigma.  There coordinate i
+    is g_i + f_i (scaled), g the grid cube's corner and f_i in [0, 1)
+    depending only on the step of sigma's staircase at which coordinate i
+    first increments, so every point of that interior has the same order
+    type, and some coordinate permutation p sorts it.  Then p.sigma lies in
+    L, and so do its faces, so p carries every chain of the second
+    subdivision ending at that sd1 simplex to a chain of sd1(L).  Both keys
+    are invariant under p, so a chain and its image have the same quotient
+    simplex and degeneracy, and the chains of sd1(L) give exactly the
+    quotient of all chains.  That needs p to carry simplices to simplices,
+    which is checked, not assumed.
     """
-    k0 = build_torus_complex(k, n)
-    _check_simplicial(k0, coordinate_permutation_action(k, n))
+    # each complex is handed to _subdivide popped from stage, and the
+    # quotient's ends are made in the call: CPython 3.11 and later move a
+    # call's arguments into the callee's frame, so nothing here keeps them
+    # once the chains are collected.  The keys are read lazily, before that
+    stage = [build_torus_complex(k, n)]
+    _check_simplicial(stage[0], coordinate_permutation_action(k, n))
     # means of at most k + 1 points, taken twice, divide exactly
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
-    coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
-    simplices0 = list(k0.vertex_tuples())
+    coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(stage[0].vertex_count)]
+    simplices0 = list(stage[0].vertex_tuples())
     bcs = [_barycenter(s, coords0, period) for s in simplices0]
     domain = {f for s, bc in zip(simplices0, bcs) if list(bc) == sorted(bc)
               for f in chain(_proper_faces(s), [s])}
-    # the g-th torus simplex, when in the domain, is sd1 vertex ids[g]
-    in_domain = bytes(map(domain.__contains__, simplices0))
-    ids = list(accumulate(in_domain, initial=0))
-    coords1 = list(compress(bcs, in_domain))
-    # the torus stage goes once the chains of the first subdivision are
-    # collected.  That is held in a list only to be popped into the call
-    # below: CPython 3.11 and later move a call's arguments into the callee's
-    # frame, so nothing here keeps the first subdivision once its chains are
-    # mapped
-    chains = _flags(k0, ids, in_domain, _bits(len(coords1)))
-    del k0, coords0, simplices0, bcs, domain, in_domain, ids
-    first = [_complex_of_chains(chains, len(coords1))]
-
-    def label_fn(s):
-        bc = _barycenter(s, coords1, period)
-        return key(bc), list(bc) == sorted(bc)
-
-    return ExpModel(*_identify_after_two_subdivisions(first.pop(), label_fn), period)
+    ends = bytes(map(domain.__contains__, simplices0))
+    del coords0, simplices0, domain
+    sd1, coords1 = _subdivide(stage.pop(), bcs, ends)
+    stage.append(sd1)
+    keys = (key(_barycenter(s, coords1, period)) for s in sd1.vertex_tuples())
+    size = sum(sd1.counts())
+    del bcs, ends, sd1
+    return ExpModel(*_subdivide(stage.pop(), keys, b"\1" * size), period)
 
 
 def build_exp_model(k: int, n: int) -> ExpModel:

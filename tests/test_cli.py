@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -293,10 +294,15 @@ def test_homology_verification_failure_exits_1(monkeypatch, request, capsys, fai
     if fail == "dd":
         monkeypatch.setattr(complexes.ChainComplexZ, "check_boundary_squared", lambda self: False)
     elif fail == "identification":
-        # every sd1 simplex gets one key, so the first edge degenerates
-        identify = complexes._identify_after_two_subdivisions
-        monkeypatch.setattr(complexes, "_identify_after_two_subdivisions",
-                            lambda k1, label_fn: identify(k1, lambda s: (0,) + label_fn(s)[1:]))
+        # the second subdivision names every sd1 simplex alike, so its first
+        # edge degenerates
+        subdivide, calls = complexes._subdivide, []
+
+        def one_name(k, names, ends):
+            calls.append(None)
+            return subdivide(k, repeat(0) if len(calls) == 2 else names, ends)
+
+        monkeypatch.setattr(complexes, "_subdivide", one_name)
     else:
         request.getfixturevalue("asymmetric_torus")
     if relative:

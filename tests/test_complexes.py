@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from array import array
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import gcd, lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,7 +34,9 @@ from expcircle.complexes import (
     _grid_point,
     _inside,
     _pack,
+    _proper_faces,
     _relabel,
+    _subdivide,
     _tuples,
     _with_base_point,
     build_exp_model,
@@ -111,7 +114,7 @@ def _all_chains(k):
 def barycentric_subdivision(k):
     """First barycentric subdivision (combinatorial flags construction)."""
     size = sum(k.counts())
-    return complexes._complex_of_chains(_flags(k, range(size), b"\1" * size, _bits(size)), size)
+    return _subdivide(k, range(size), b"\1" * size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1115,12 +1118,9 @@ def _symmetric_product_by_orbit_minimum(k, n):
                   for i in range(k0.vertex_count)]
         lifted.append([ids[tuple(sorted(vertex[v] for v in s))] for s in origin])
 
-    def label_fn(s):
-        label = min(tuple(sorted(table[v] for v in s)) for table in lifted)
-        return label, label == s
-
     k1, coords1, period = _sd1_barycentres(k, n)
-    cx, labels = complexes._identify_after_two_subdivisions(k1, label_fn)
+    names = [min(tuple(sorted(table[v] for v in s)) for table in lifted) for s in k1.vertex_tuples()]
+    cx, labels = _subdivide(k1, names, b"\1" * len(names))
     return ExpModel(cx, [tuple(sorted(_barycenter(s, coords1, period))) for s in labels], period)
 
 
@@ -1271,22 +1271,23 @@ def test_open_strata(k, n, counts):
 
 
 # ---------------------------------------------------------------------------
-# the orbit filter of the second subdivision
+# the subdivisions of the build against references
 # ---------------------------------------------------------------------------
 
-def _identify_all_chains(k1, label_fn):
-    """Reference for complexes._identify_after_two_subdivisions: maps every
-    chain of the second subdivision, whether or not it ends at an orbit
-    representative."""
-    _, origin = _subdivision_data(k1)
+def _identify_all_chains(k, names, ends):
+    """Reference for complexes._subdivide: every chain of k's face poset
+    whose elements are all flagged in ends, each mapped through the names
+    by itself and sorted, the flagged names numbered in order of first
+    sight."""
     qid_by_key = {}
-    qid_of_vertex = [qid_by_key.setdefault(label_fn(s)[0], len(qid_by_key)) for s in origin]
-    out = [set() for _ in range(k1.dim + 1)]
-    for c in _all_chains(k1):
-        q = tuple(sorted(qid_of_vertex[v] for v in c))
+    qid = [qid_by_key.setdefault(name, len(qid_by_key)) if end else None for name, end in zip(names, ends)]
+    out = [set() for _ in range(k.dim + 1)]
+    for c in _all_chains(k):
+        if None in (q := [qid[v] for v in c]):
+            continue
         if len(set(q)) != len(q):
             raise ValueError("identification degenerates a simplex")
-        out[len(q) - 1].add(q)
+        out[len(q) - 1].add(tuple(sorted(q)))
     cx = _complex(len(qid_by_key), [sorted(s) for s in out])
     return cx, list(qid_by_key)
 
@@ -1298,9 +1299,8 @@ def _sd1_barycentres(k, n):
     scale = lcm(*range(1, k + 2)) ** 2
     period = n * scale
     coords0 = [tuple(x * scale for x in _grid_point(i, k, n)) for i in range(k0.vertex_count)]
-    _, origin0 = _subdivision_data(k0)
-    coords1 = [_barycenter(s, coords0, period) for s in origin0]
-    return barycentric_subdivision(k0), coords1, period
+    bcs = [_barycenter(s, coords0, period) for s in k0.vertex_tuples()]
+    return (*_subdivide(k0, bcs, b"\1" * len(bcs)), period)
 
 
 def _is_sorted(point):
@@ -1308,16 +1308,12 @@ def _is_sorted(point):
 
 
 def _identify_whole_torus(k, n):
-    """Reference for _build_exp_with_boundary: the same keys and
-    representatives on the first subdivision of the whole torus, not only
-    of the closure of the torus simplices with a sorted barycentre."""
+    """Reference for _build_exp_with_boundary: the same keys on the first
+    subdivision of the whole torus, not only of the fundamental domain, the
+    closure of the torus simplices with a sorted barycentre."""
     k1, coords1, period = _sd1_barycentres(k, n)
-
-    def label_fn(s):
-        bc = _barycenter(s, coords1, period)
-        return tuple(sorted(set(bc))), _is_sorted(bc)
-
-    return ExpModel(*complexes._identify_after_two_subdivisions(k1, label_fn), period)
+    keys = [tuple(sorted(set(_barycenter(s, coords1, period)))) for s in k1.vertex_tuples()]
+    return ExpModel(*_subdivide(k1, keys, b"\1" * len(keys)), period)
 
 
 def _marked_by_masks(k, n):
@@ -1398,21 +1394,38 @@ def _quotient_data(model):
     *(lambda n=n: build_symmetric_product(2, n) for n in (3, 5)),
 ], ids=["exp2-n3", "exp2-n4", "exp2-n5", "exp2-n6", "T2-n3", "T2-n5"])
 def test_orbit_filter_matches_all_chains(monkeypatch, build):
+    # the orbit filter is the fundamental domain L: the build maps only the
+    # chains of sd1(L), which meet every orbit of the torus's chains.  Its
+    # second subdivision against the reference, which maps each chain of
+    # sd1(L) by itself: the same quotient, vertex for vertex
     got = _quotient_data(build())
-    monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
+    _second_subdivision_by(monkeypatch, _identify_all_chains)
     assert got == _quotient_data(build())
 
 
+def _second_subdivision_by(monkeypatch, subdivide):
+    """Make the second call of _subdivide in each build, the quotient's, a
+    call of subdivide."""
+    calls, first = [], complexes._subdivide
+
+    def second(k, names, ends):
+        calls.append(None)
+        return (subdivide if len(calls) % 2 == 0 else first)(k, names, ends)
+
+    monkeypatch.setattr(complexes, "_subdivide", second)
+
+
 def _off_top_keys(k1, own_vertex):
-    """label_fn giving each top sd1 simplex the key of one sd1 vertex, which
-    is numbered before it: off the simplex, or on it if own_vertex.  Those
-    quotient ids decrease along the chains ending at a top simplex."""
-    def label_fn(s):
+    """Names of the simplices of k1 giving each top simplex the name of one
+    vertex, which is numbered before it: off the simplex, or on it if
+    own_vertex.  Those quotient ids decrease along the chains ending at a
+    top simplex."""
+    def name(s):
         if len(s) == k1.dim + 1:
             others = sorted(set(range(k1.vertex_count)) - set(s))
-            return ((s[0] if own_vertex else others[len(others) // 2]),), True
-        return s, True
-    return label_fn
+            return ((s[0] if own_vertex else others[len(others) // 2]),)
+        return s
+    return [name(s) for s in k1.vertex_tuples()]
 
 
 @pytest.mark.parametrize("k", [circle_complex(5), rp2_complex(), build_torus_complex(2, 3)],
@@ -1422,30 +1435,33 @@ def test_non_rising_labels_are_refused(k):
     # one equal to a face's degenerates the simplex, which the reference
     # refuses too
     k1 = barycentric_subdivision(k)
+    every = b"\1" * sum(k1.counts())
     # the refusal names the face and the simplex as vertex tuples
     with pytest.raises(ValueError, match=r"label \d+ of \(\d+(, \d+)*,?\) is not below label "
                                          r"\d+ of \(\d+(, \d+)+\)$"):
-        complexes._identify_after_two_subdivisions(k1, _off_top_keys(k1, own_vertex=False))
-    for identify in (complexes._identify_after_two_subdivisions, _identify_all_chains):
+        _subdivide(k1, _off_top_keys(k1, own_vertex=False), every)
+    for identify in (_subdivide, _identify_all_chains):
         with pytest.raises(ValueError, match="identification degenerates a simplex"):
-            identify(k1, _off_top_keys(k1, own_vertex=True))
+            identify(k1, _off_top_keys(k1, own_vertex=True), every)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_flags_closure_memo_matches_brute_force(seed):
-    # random ends and random labels that rise in dimension order, shuffled
-    # within each dimension, with gaps; the memo only on the proper faces
-    # of the ends
+    # random ends closed under faces, as _flags requires, and random labels
+    # that rise in dimension order, shuffled within each dimension, with gaps
     rng = random.Random(seed)
     k1 = barycentric_subdivision(rp2_complex() if seed % 2 else build_torus_complex(2, 3))
-    size = sum(k1.counts())
+    position, origin = _subdivision_data(k1)
+    size = len(origin)
     values = sorted(rng.sample(range(3 * size), size))
     labels = []  # by position in dimension order
     for ss in k1.simplices:
         block = values[len(labels):len(labels) + len(ss)]
         rng.shuffle(block)
         labels += block
-    ends = set(rng.sample(range(size), size // 5))
+    ends = {position[f] for g in rng.sample(range(size), size // 5)
+            for f in chain(_proper_faces(origin[g]), [origin[g]])}
+    assert len(ends) < size
     want = sorted(tuple(sorted(labels[v] for v in c)) for c in _all_chains(k1) if c[-1] in ends)
     mask = bytes(g in ends for g in range(size))
     assert sorted(_chains(k1, labels, mask, _bits(3 * size))) == want
@@ -1461,35 +1477,47 @@ def test_pair_builds_at_the_size_cap(build):
 
 @pytest.mark.slow
 def test_orbit_filter_matches_all_chains_exp3(monkeypatch):
-    # S_3 acts freely on the 3888 top sd1 simplices, so a sixth of them are
-    # representatives; 68 840 of the 407 160 chains are mapped
-    counts = {"top_representatives": 0, "mapped": 0}
-    identify = complexes._identify_after_two_subdivisions
-    subdivided = []
-
-    def counting_identify(k1, label_fn):
-        def label(s):
-            key, is_representative = label_fn(s)
-            if is_representative and len(s) == k1.dim + 1:
-                counts["top_representatives"] += 1
-            return key, is_representative
-        subdivided.append(k1)
-        return identify(k1, label)
+    # the fundamental domain's first subdivision has 3 170 simplices, and
+    # 69 846 of the 407 160 chains of the torus's second subdivision end
+    # there
+    mapped = []
 
     def counting_flags(k, labels, ends, bits):
-        # the chains of the second subdivision, not those building the first
         out = _flags(k, labels, ends, bits)
-        counts["mapped"] += sum(map(len, out)) if k in subdivided else 0
+        mapped.append(sum(map(len, out)))
         return out
 
-    monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", counting_identify)
     monkeypatch.setattr(complexes, "_flags", counting_flags)
     model = _build_exp_with_boundary(3, 3)
-    assert counts == {"top_representatives": 648, "mapped": 68840}
+    assert mapped == [3170, 69846]
     assert _short_by_key(model, 3) == _marked_by_masks(3, 3)
-    got = _quotient_data(model)
-    monkeypatch.setattr(complexes, "_identify_after_two_subdivisions", _identify_all_chains)
-    assert got == _quotient_data(_build_exp_with_boundary(3, 3))
+    _second_subdivision_by(monkeypatch, _identify_all_chains)
+    assert _quotient_data(model) == _quotient_data(_build_exp_with_boundary(3, 3))
+
+
+def _model_digest(model):
+    """sha256 of a model simplex for simplex: its vertex count, each
+    dimension's packed simplices and face table as lists of ints, its keys
+    and its period, so the figure does not depend on the machine's byte
+    order."""
+    cx = model.complex
+    data = (cx.vertex_count, [ss.tolist() for ss in cx.simplices], [t.tolist() for t in cx.faces],
+            model.keys, model.period)
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, k, n, digest", [
+    (build_exp_model, 3, 3,
+     "58fce622a9716305c407654d4a9363cd26134f02579b1c07d0faadedaebc2a21"),
+    (build_exp_model, 2, 5,
+     "ddf069145d76526554a6e111ebbc7728effbb444793bcc390147379dd2e176c7"),
+    (build_symmetric_product, 2, 3,
+     "abe6930893671258d1f4c29fac2705c8420a802fff13805a1e04e0121a782457"),
+], ids=["exp3-n3", "exp2-n5", "SP2-n3"])
+def test_model_is_pinned_simplex_for_simplex(build, k, n, digest):
+    # the order of every dimension, the face tables and the vertex numbering
+    # are outputs too: a change to the build must leave them as they are
+    assert _model_digest(build(k, n)) == digest
 
 
 def test_build_order_does_not_depend_on_the_hash_seed():
@@ -1529,7 +1557,7 @@ def test_build_drops_each_stage_before_validating_the_quotient(monkeypatch, k):
 
 
 def test_asymmetric_torus_is_refused(asymmetric_torus):
-    # the orbit filter is only sound for a symmetric triangulation
+    # the fundamental domain is one only for a symmetric triangulation
     with pytest.raises(ValueError, match="action does not carry simplices"):
         _build_exp_with_boundary(2, 3)
 
