@@ -44,7 +44,6 @@ from .groups import (
     pushout_band_piece,
     pushout_complement,
     pushout_exp3,
-    same_up_to_renaming,
     symmetric_group,
     tietze_simplify,
 )
@@ -208,7 +207,7 @@ def cmd_pi1(args) -> int:
         ok = cert.conclusive and cert.order == 1
     elif case == "Bprime":
         expected = Presentation(("b", "c"), [(2, 2, 1, -2, -2, -1)])  # [c^2, b]
-        matches = same_up_to_renaming(simplified, expected)
+        matches = simplified == expected
         certificate = {
             "expected": format_presentation(expected),
             "matches_expected": matches,
@@ -216,8 +215,8 @@ def cmd_pi1(args) -> int:
         }
         ok = matches
     else:  # complement
-        expected = Presentation(("s", "t"), [(1, 1, 1, -2, -2)])  # s^3 t^-2
-        matches = same_up_to_renaming(simplified, expected)
+        # <s, t | s^3 t^-2> in the names Tietze leaves: u^3 t^-2
+        matches = simplified == Presentation(("t", "u"), [(2, 2, 2, -1, -1)])
         ab = tietze.abelianization
         s3 = symmetric_group(3)
         homs = count_homs(simplified, s3)

@@ -43,7 +43,6 @@ from expcircle.groups import (
     pushout_band_piece,
     pushout_complement,
     pushout_exp3,
-    same_up_to_renaming,
     symmetric_group,
     tietze_simplify,
 )
@@ -209,10 +208,10 @@ def test_criterion_7_pi1_pipeline():
         assert cert.verify(full)
 
         band = tietze_simplify(pushout(pushout_band_piece())).presentation
-        assert same_up_to_renaming(band, parse_presentation("gens: b c; rels: c^2 b c^-2 b^-1"))
+        assert band == parse_presentation("gens: b c; rels: c^2 b c^-2 b^-1")
 
         comp = tietze_simplify(pushout(pushout_complement())).presentation
-        assert same_up_to_renaming(comp, parse_presentation("gens: s t; rels: s^3 t^-2"))
+        assert comp == parse_presentation("gens: t u; rels: u^3 t^-2")
         assert abelianization(comp) == AbelianInvariants(1, ())
         s3 = symmetric_group(3)
         assert count_homs(comp, s3) == 12

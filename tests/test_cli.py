@@ -543,7 +543,30 @@ def test_pi1_complement():
     assert cert["homs_to_S3"] == 12
     assert cert["homs_to_S3_unknot"] == 6
     assert cert["distinguishes_unknot"] is True
-    assert "s^3 t^-2" in rec["simplified"] or "u^3 t^-2" in rec["simplified"]
+    assert rec["simplified"] == "gens: t u; rels: u^3 t^-2"
+
+
+@pytest.mark.parametrize("case, glue, certificate", [
+    ("exp3", "pushout_band_piece", {"order": None, "conclusive": False, "cosets": None}),
+    ("Bprime", "pushout_exp3", {"matches_expected": False}),
+    ("complement", "pushout_band_piece", {"matches_expected": False, "abelianization": "Z + Z"}),
+], ids=["exp3-inconclusive", "Bprime-mismatch", "complement-mismatch"])
+def test_pi1_with_the_wrong_gluing_exits_1(monkeypatch, case, glue, certificate):
+    # cmd_pi1 looks its gluing function up on cli per call, so each case runs
+    # on another case's data: its certificate must fail, and the record is
+    # still printed whole
+    from expcircle import groups
+
+    monkeypatch.setattr(cli, {"exp3": "pushout_exp3", "Bprime": "pushout_band_piece",
+                              "complement": "pushout_complement"}[case], getattr(groups, glue))
+    code, out = run_cli("pi1", case)
+    assert code == 1
+    rec = json.loads(out)
+    assert list(rec) == ["case", "assembled", "simplified", "certificate"]
+    assert rec["case"] == case
+    assert rec["assembled"] == groups.format_presentation(groups.pushout(getattr(groups, glue)()))
+    groups.parse_presentation(rec["simplified"])
+    assert certificate.items() <= rec["certificate"].items()
 
 
 def test_out_file(tmp_path):

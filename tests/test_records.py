@@ -150,7 +150,7 @@ def test_group_hom_checks_images_on_every_path():
     # the relator check runs too, and the three fields are the whole record
     # (namedtuple's _replace raises ValueError before 3.13, TypeError since)
     free2 = Presentation(["x", "y"])
-    with pytest.raises(ValueError, match="nontrivial in the free target"):
+    with pytest.raises(ValueError, match="neither trivial nor a target relator"):
         hom._replace(target=free2, images=[(1,), (2,)])
     with pytest.raises((TypeError, ValueError), match="unexpected field names"):
         hom._replace(verified=False)
@@ -160,5 +160,5 @@ def test_group_hom_checks_images_on_every_path():
     # that bypassed it
     bad = tuple.__new__(GroupHom, (hom.source, free2, ((1,), (2,))))
     for rebuild in (copy.copy, lambda h: pickle.loads(pickle.dumps(h))):
-        with pytest.raises(ValueError, match="nontrivial in the free target"):
+        with pytest.raises(ValueError, match="neither trivial nor a target relator"):
             rebuild(bad)
