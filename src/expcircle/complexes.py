@@ -70,10 +70,10 @@ recomputes a column (Bauer, J. Appl. Comput. Topol. 5, 2021); a reduced
 pivot is appended to one flat column store, as Ripser and PHAT keep reduced
 columns (Bauer-Kerber-Reininghaus-Wagner, J. Symb. Comput. 78, 2017).  The
 small remainder of non-unit columns, the only place torsion can appear, is
-finished by dense_smith_normal_form, the textbook routine on a dense list
-of rows, which the small matrices of the group layer call directly.  The
-results, AbelianInvariants per dimension in a HomologyResult, are immutable
-tuples.
+finished by dense_smith_normal_form on a dense list of rows, which the small
+matrices of the group layer call directly: its one rule splits off the least
+entry once that clears its row and column.  The results, AbelianInvariants
+per dimension in a HomologyResult, are immutable tuples.
 """
 
 from __future__ import annotations
@@ -746,63 +746,34 @@ class SparseIntMatrix:
 
 def dense_smith_normal_form(rows):
     """Diagonal invariants d1 | d2 | ... of an integer matrix given as a
-    dense list of rows, by the textbook routine: nonzero, in divisibility
-    order, exact.  The input is copied, not modified."""
+    dense list of rows: nonzero, in divisibility order, exact.  The input is
+    copied, not modified.
+
+    One pivot rule: take the nonzero entry p least in size, and subtract
+    from every other row, then every other column, its multiple of p's row
+    or column.  Once p's row and column hold nothing else, |p| is recorded
+    and they are deleted; otherwise a remainder smaller than |p| is left
+    there and becomes the next pivot, so the loop ends."""
     a = [list(map(int, row)) for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
     diag = []
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for r in range(t, m):
-            row = a[r]
-            for c in range(t, n):
-                x = abs(row[c])
-                if x and (best is None or x < best):
-                    best, pivot = x, (r, c)
-                    if x == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        a[t], a[pivot[0]] = a[pivot[0]], a[t]
-        swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            p = a[t][t]
-            moved = False
-            for r in range(t + 1, m):
-                if a[r][t]:
-                    q = a[r][t] // p
-                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
-                    if a[r][t]:
-                        a[t], a[r] = a[r], a[t]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for c in range(t + 1, n):
-                if a[t][c]:
-                    q = a[t][c] // p
-                    for row in a:
-                        row[c] -= q * row[t]
-                    if a[t][c]:
-                        swap_cols(t, c)
-                        moved = True
-                        break
-            if not moved:
-                break
-        diag.append(a[t][t])
-        t += 1
+    while nonzero := [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]:
+        _, i, j = min(nonzero)
+        prow = a[i]
+        p = prow[j]
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                q = row[j] // p
+                a[r] = [x - q * y for x, y in zip(row, prow)]
+        for c, x in enumerate(prow):
+            if c != j and x:
+                q = x // p
+                for row in a:
+                    row[c] -= q * row[j]
+        if prow.count(0) == len(prow) - 1 and [row[j] for row in a].count(0) == len(a) - 1:
+            diag.append(abs(p))
+            del a[i]
+            for row in a:
+                del row[j]
 
     # restore the divisibility chain d1 | d2 | ...: diag(x, y) is equivalent
     # to diag(gcd, lcm), and one pass over the pairs leaves each d_i dividing

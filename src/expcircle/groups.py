@@ -555,15 +555,11 @@ def coset_enumeration(p: Presentation, coset_limit: int = 10000) -> OrderCertifi
 # ---------------------------------------------------------------------------
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Smith form of the exponent-sum matrix: free rank plus torsion."""
-    rows = p.rank_data()
-    n = len(p.generators)
-    if not rows:
-        return AbelianInvariants(n, ())
-    diag = dense_smith_normal_form(rows)
-    rank = n - len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(rank, torsion)
+    """Smith form of the exponent-sum matrix, one row per relator: free
+    rank plus torsion.  No relators give no invariants, so the group is
+    free abelian on the generators."""
+    diag = dense_smith_normal_form(p.rank_data())
+    return AbelianInvariants(len(p.generators) - len(diag), tuple(d for d in diag if d > 1))
 
 
 class FiniteGroup:

@@ -139,7 +139,10 @@ def test_snf_examples():
     assert _snf_both([[1, 1], [1, 1]]) == [1]
     # gcd(3, -2) = 1, the extended-gcd oracle
     assert _snf_both([[3, -2]]) == [1]
-    assert _snf_both([[0, 0], [0, 0]]) == []
+    assert _snf_both([[-4]]) == [4]
+    # no rows, no columns, only zeros: no invariants
+    for m in ([], [[]], [[], [], []], [[0, 0], [0, 0]]):
+        assert _snf_both(m) == []
 
 
 def test_snf_divisibility_chain():
@@ -191,6 +194,43 @@ def test_snf_diagonal_matches_minor_gcds():
             assert g == (prod(diag[:k]) if k <= len(diag) else 0)
         for x, y in zip(diag, diag[1:]):
             assert y % x == 0
+
+
+def _unimodular(n, rng):
+    """A random n x n integer matrix of determinant +-1: the identity under
+    about 3n elementary row operations, each adding a multiple in -3..3 of
+    one row to another or negating a row."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            k = rng.randint(-3, 3)
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def test_snf_recovers_a_known_chain():
+    # U D V for a diagonal D with a known divisibility chain, zeros and
+    # entries past 2**64 among it, and random unimodular U and V: a
+    # reference that shares no step with either reduction, up to the 18 x 18
+    # Fox matrices of a cover table.  Both routines, and the dense one on
+    # the transpose, must give back the chain's nonzero entries
+    rng = random.Random(47)
+    for _ in range(150):
+        m, n = rng.randint(1, 18), rng.randint(1, 18)
+        invariants = [rng.choice((1, 1, 2, 3))]
+        while len(invariants) < min(m, n):
+            invariants.append(invariants[-1] * rng.choice((1, 1, 1, 2, 3, 5, 2**64 + 13)))
+        rank = rng.randint(0, min(m, n))
+        diagonal = invariants[:rank] + [0] * (min(m, n) - rank)
+        rng.shuffle(diagonal)
+        d = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+        a = _matmul(_matmul(_unimodular(m, rng), d), _unimodular(n, rng))
+        assert dense_smith_normal_form(a) == invariants[:rank]
+        assert dense_smith_normal_form([list(col) for col in zip(*a)]) == invariants[:rank]
+        assert _snf(SparseIntMatrix.from_dense(a)) == invariants[:rank]
 
 
 def _every_column(m):
@@ -941,10 +981,12 @@ def test_snf_leaves_its_input_unchanged():
     invs, mask = _snf_twice(d2, bytearray(d2.ncols))
     assert invs == [1] * d2.ncols and any(mask)
     assert _snf_twice(d1)[0] == _snf_twice(d1, mask)[0] == [1] * (d1.nrows - 1)
-    # a dense matrix with torsion: non-unit columns reach the residual pass
+    # a dense matrix with torsion: non-unit columns reach the residual pass,
+    # and the dense routine copies its rows, given as lists or as tuples
     m = [[2, 4, 1, 0], [0, 6, 1, 3], [4, 2, 0, 9]]
     invs, _ = _snf_twice(SparseIntMatrix.from_dense(m))
-    assert invs == dense_smith_normal_form(m) and invs[-1] > 1
+    assert invs == dense_smith_normal_form(m) == dense_smith_normal_form(tuple(map(tuple, m)))
+    assert invs[-1] > 1 and m == [[2, 4, 1, 0], [0, 6, 1, 3], [4, 2, 0, 9]]
     # under clearing, column 3 meets column 0, a pivot on the column's own
     # tuples with -1 at its low row, and column 2 is skipped
     m = [[1, 0, 1, 1], [0, 1, 1, 0], [-1, 0, 0, 1]]

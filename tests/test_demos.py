@@ -29,9 +29,12 @@ def test_demo_runs(name):
     # the homology demo runs twice: its wall times go to stderr, so its
     # stdout must repeat byte for byte
     runs = 2 if name == "homology_of_subset_spaces.py" else 1
+    # a warning fails the demo, as pytest.ini fails one in-process, and a
+    # test process in development mode runs the demo in it too
+    flags = ["-X", "dev", "-W", "error"] if sys.flags.dev_mode else ["-W", "error"]
     outs = []
     for _ in range(runs):
-        proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True,
+        proc = subprocess.run([sys.executable, *flags, str(DEMOS / name)], capture_output=True,
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr.decode()[-2000:]
         outs.append(proc.stdout)

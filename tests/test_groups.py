@@ -422,8 +422,11 @@ def test_coset_enumeration_inconclusive_on_infinite():
 def test_abelianization():
     assert abelianization(P("gens: s t; rels: s^3 t^-2")) == AbelianInvariants(1, ())
     assert abelianization(P("gens: s t; rels: s^3 t^-2, s t^-1")) == AbelianInvariants(0, ())
-    assert abelianization(P("gens: a b; rels:")) == AbelianInvariants(2, ())
     assert abelianization(P("gens: a; rels: a^4")) == AbelianInvariants(0, (4,))
+    # no relators give the Smith form no rows: the group is free abelian on
+    # its generators, the trivial group when there are none
+    assert abelianization(P("gens: a b; rels:")) == AbelianInvariants(2, ())
+    assert abelianization(Presentation([], [])) == AbelianInvariants(0, ())
 
 
 def test_count_homs_s3():
