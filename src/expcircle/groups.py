@@ -12,7 +12,9 @@ Tietze results and order certificates) are immutable tuples; the first three
 are checked on every path that builds one, _replace, copy and pickle included.
 GroupHom accepts a homomorphism only when each relator image freely reduces
 to nothing or is a target relator up to rotation and inversion, and refuses
-every other image.
+every other image.  Tietze simplification works on one list of relator words
+in its input's letters and builds one Presentation at the end; renumbering
+the surviving generators in order keeps every choice it made.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
@@ -259,9 +261,8 @@ def pushout(data: PushoutData) -> Presentation:
 # Tietze simplification
 # ---------------------------------------------------------------------------
 
-# Guards on loops that terminate by construction.
+# Guards the step loop, which terminates by construction.
 TIETZE_STEP_BUDGET = 1000
-REWRITE_ROUNDS = 64
 
 
 class TietzeResult(namedtuple("TietzeResult",
@@ -272,17 +273,7 @@ class TietzeResult(namedtuple("TietzeResult",
     __slots__ = ()
 
 
-def _drop_generator(generators, relators, gen: int, replacement: Word) -> Presentation:
-    """Remove generator gen (1-based) from the presentation on generators and
-    relators, rewriting every relator through the replacement word (which
-    must not mention gen) and renumbering the generators after it."""
-    images = [(g,) for g in range(1, gen)] + [()] + [(g,) for g in range(gen, len(generators))]
-    images[gen - 1] = _substitute(replacement, images)
-    names = [g for i, g in enumerate(generators) if i + 1 != gen]
-    return Presentation(names, [_substitute(w, images) for w in relators])
-
-
-def _power_rule_rewrites(p: Presentation):
+def _power_rule_rewrites(relators):
     """Rewrites harvested from two-letter power relators x^a y^b = 1: the
     substitutions x^a -> y^-b and y^b -> x^-a (and their inverses), the
     targeted rule that turns commutators like [x^a, z] into consequences of
@@ -290,7 +281,7 @@ def _power_rule_rewrites(p: Presentation):
     index of the source relator); a rule must never rewrite its own source,
     which would delete the power relation instead of using it."""
     rules = []
-    for src, w in enumerate(p.relators):
+    for src, w in enumerate(relators):
         if len(set(abs(x) for x in w)) != 2:
             continue
         # after cyclic reduction, a run of x then a run of y
@@ -312,104 +303,106 @@ def _power_rule_rewrites(p: Presentation):
 
 
 def _rewrite_all(word: Word, letter: int, count: int, repl: Word) -> Word:
-    """Replace every run (letter)^count (and its inverse) by repl, repeatedly
-    until none remains; the replacement never reintroduces the pattern
-    letter, so this terminates (REWRITE_ROUNDS guards it anyway)."""
-    for _ in range(REWRITE_ROUNDS):
-        hit = False
-        for sign in (1, -1):
-            pat = (sign * letter,) * count
-            rep = repl if sign > 0 else _invert(repl)
-            for start in range(len(word) - count + 1):
-                if word[start:start + count] == pat:
-                    word = _free_reduce(word[:start] + rep + word[start + count:])
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            break
-    return word
+    """Replace every run (letter)^count (and its inverse) by repl, the first
+    run of letter before any run of its inverse, until none remains.  repl
+    never holds +-letter, so each replacement removes count of them and the
+    loop ends."""
+    pats = (((letter,) * count, repl), ((-letter,) * count, _invert(repl)))
+    while True:
+        hit = next(((start, rep) for pat, rep in pats
+                    for start in range(len(word) - count + 1)
+                    if word[start:start + count] == pat), None)
+        if hit is None:
+            return word
+        start, rep = hit
+        word = _free_reduce(word[:start] + rep + word[start + count:])
 
 
 def tietze_simplify(p: Presentation) -> TietzeResult:
     """Deterministic presentation cleanup.
 
-    Rules, in fixed priority: drop trivial relators and duplicates (up to
-    rotation and inversion); eliminate a generator that occurs exactly once
-    in some relator by solving for it; shrink relators through power-relation
-    rewrites when that strictly shortens them.  The generator count never
+    Rules, in fixed priority: drop duplicate relators (up to rotation and
+    inversion); eliminate a generator that occurs exactly once in some
+    relator by solving for it; shrink relators through power-relation
+    rewrites when that strictly shortens them.  A relator that reduces to
+    nothing is dropped in the step that empties it.  The generator count never
     increases and (generators, total length) strictly decreases with every
     applied rule, so the loop terminates; exhausting TIETZE_STEP_BUDGET
     returns the current state flagged incomplete.  Every run re-checks that the
     abelianization is unchanged, and the result carries it.
+
+    The rules run on one list of cyclically reduced, nonempty relator words
+    in the input's own letters, and an eliminated generator leaves the live
+    list.  The one Presentation is built at the end, numbering the live
+    generators in order.  That renumbering is increasing and keeps signs, so
+    it keeps the order of any two letters: every choice above (least
+    rotation, least generator occurring once, rule order) falls as it would
+    on a presentation renumbered after each step.
     """
-
-    def finish(cur: Presentation, complete: bool) -> TietzeResult:
-        ab = abelianization(cur)
-        if ab != abelianization(p):
-            raise RuntimeError("internal error: simplification changed the abelianization")
-        return TietzeResult(cur, complete, steps, ab)
-
+    live = list(range(1, len(p.generators) + 1))
+    # the word each letter stands for; an eliminated generator's word is read
+    # only in the step that eliminates it
+    images = [(g,) for g in live]
+    rels = list(p.relators)
     steps = 0
-    cur = p
+    complete = False
     while steps < TIETZE_STEP_BUDGET:
-        # drop duplicates and empties
+        # drop duplicates
         seen = {}
-        for w in cur.relators:
-            key = _canonical_relator(w)
-            if key and key not in seen:
-                seen[key] = w
-        if len(seen) != len(cur.relators):
-            cur = Presentation(cur.generators, list(seen.values()))
+        for w in rels:
+            seen.setdefault(_canonical_relator(w), w)
+        if len(seen) != len(rels):
+            rels = list(seen.values())
             steps += 1
             continue
 
-        # generator elimination: a relator where some generator occurs once
-        elim = None
-        for w in cur.relators:
+        # generator elimination: in the first relator where some generator
+        # occurs once, solve for the least such generator
+        once = []
+        for used in rels:
             counts: dict[int, int] = {}
-            for x in w:
+            for x in used:
                 counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for g, c in sorted(counts.items()):
-                if c == 1:
-                    k = next(i for i, x in enumerate(w) if abs(x) == g)
-                    # w = u g v  =>  g = u^-1 v^-1 (or inverse when g appears inverted)
-                    u, mid, v = w[:k], w[k], w[k + 1:]
-                    rep = _invert(u) + _invert(v) if mid > 0 else _free_reduce(v + u)
-                    elim = (g, _free_reduce(rep), w)
-                    break
-            if elim:
+            if once := [g for g, c in counts.items() if c == 1]:
                 break
-        if elim:
-            g, rep, used = elim
-            rest = [w for w in cur.relators if w is not used]
-            cur = _drop_generator(cur.generators, rest, g, rep)
+        if once:
+            g = min(once)
+            k = next(i for i, x in enumerate(used) if abs(x) == g)
+            # used = u g v  =>  g = (v u)^-1, or v u when g appears inverted
+            vu = used[k + 1:] + used[:k]
+            images[g - 1] = _free_reduce(_invert(vu) if used[k] > 0 else vu)
+            live.remove(g)
+            rels = [w for w in (_cyclic_reduce(_substitute(w, images))
+                                for w in rels if w is not used) if w]
             steps += 1
             continue
 
         # power-relation rewriting, only when it strictly shortens
-        rules = _power_rule_rewrites(cur)
-        improved = False
-        if rules:
-            new_rels = []
-            for widx, w in enumerate(cur.relators):
-                best = w
-                for letter, count, repl, src in rules:
-                    if src == widx:
-                        continue
-                    cand = _cyclic_reduce(_rewrite_all(w, letter, count, repl))
-                    if len(cand) < len(best):
-                        best = cand
-                new_rels.append(best)
-                if best != w:
-                    improved = True
-            if improved:
-                cur = Presentation(cur.generators, [w for w in new_rels if w])
-                steps += 1
-                continue
-        return finish(cur, complete=True)
-    return finish(cur, complete=False)
+        rules = _power_rule_rewrites(rels)
+        new_rels = []
+        for widx, w in enumerate(rels):
+            best = w
+            for letter, count, repl, src in rules:
+                if src == widx:
+                    continue
+                cand = _cyclic_reduce(_rewrite_all(w, letter, count, repl))
+                if len(cand) < len(best):
+                    best = cand
+            new_rels.append(best)
+        if new_rels != rels:
+            rels = [w for w in new_rels if w]
+            steps += 1
+            continue
+        complete = True
+        break
+
+    for i, g in enumerate(live, 1):
+        images[g - 1] = (i,)
+    cur = Presentation([p.generators[g - 1] for g in live], [_substitute(w, images) for w in rels])
+    ab = abelianization(cur)
+    if ab != abelianization(p):
+        raise RuntimeError("internal error: simplification changed the abelianization")
+    return TietzeResult(cur, complete, steps, ab)
 
 
 # ---------------------------------------------------------------------------
