@@ -133,14 +133,6 @@ def cmd_knot(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    # the op's tuples, dicts and arrays are in no reference cycle, so the
-    # cyclic GC is paused (imported here, where the op needs it, not at
-    # start-up): it would only walk them, 8 times at n=3, all in the build.
-    # The caller's GC state comes back on every path out
-    import gc
-
-    enabled = gc.isenabled()
-    gc.disable()
     # the inputs are validated by now, so a ValueError from the build or the
     # homology (a degenerate identification, an asymmetric torus, a nonzero
     # d∘d) is a failed verification in either mode
@@ -182,9 +174,6 @@ def cmd_homology(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if enabled:
-            gc.enable()
     _emit(_dump(record), args.out)
     return 0 if ok else 1
 

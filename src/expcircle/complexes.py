@@ -726,19 +726,17 @@ class SparseIntMatrix:
         index, a tuple of its rows and a tuple of its values, in order; a
         column left out never becomes a tuple.
 
-        Columns of one width w are zipped from strided slices of the flat
-        tables, indices[i::w]; when the values repeat one pattern, every
-        column shares one values tuple."""
+        Columns of one width w whose values repeat one pattern, as in a face
+        table, are zipped from strided slices indices[i::w] and share one
+        values tuple; any other layout is read by slices between offsets."""
         indices, values, indptr = self.indices, self.values, self.indptr
         at = compress(count(), keep)
-        if not isinstance(indptr, range):
-            spans = compress(map(slice, indptr, islice(indptr, 1, None)), keep)
-            return ((c, tuple(indices[span]), tuple(values[span])) for c, span in zip(at, spans))
-        w = indptr.step
-        rows = zip(*[compress(indices[i::w], keep) for i in range(w)])
-        if values[:w] * self.ncols == values:
+        if isinstance(indptr, range) and values[:indptr.step] * self.ncols == values:
+            w = indptr.step
+            rows = zip(*[compress(indices[i::w], keep) for i in range(w)])
             return zip(at, rows, repeat(tuple(values[:w])))
-        return zip(at, rows, zip(*[compress(values[i::w], keep) for i in range(w)]))
+        spans = compress(map(slice, indptr, islice(indptr, 1, None)), keep)
+        return ((c, tuple(indices[span]), tuple(values[span])) for c, span in zip(at, spans))
 
     def nnz(self) -> int:
         return len(self.indices)

@@ -14,7 +14,8 @@ GroupHom accepts a homomorphism only when each relator image freely reduces
 to nothing or is a target relator up to rotation and inversion, and refuses
 every other image.  Tietze simplification works on one list of relator words
 in its input's letters and builds one Presentation at the end; renumbering
-the surviving generators in order keeps every choice it made.
+the surviving generators in order keeps every choice it made.  Each of its
+steps is a Tietze move: a power rule rewrites one relator by another.
 
 The three pushout data sets at the bottom encode the gluings used to compute
 the fundamental groups of the full subset space, of the punctured band piece,
@@ -242,14 +243,11 @@ class PushoutData(checked_namedtuple("PushoutData", ("corner", "left", "right"))
 
 
 def pushout(data: PushoutData) -> Presentation:
-    """Presentation of the pushout: generators of both targets, relators of
-    both, plus left(c) right(c)^-1 for each corner generator c."""
+    """Presentation of the pushout: generators of both targets, which may
+    share no name, relators of both, plus left(c) right(c)^-1 for each
+    corner generator c."""
     a, b = data.left.target, data.right.target
-    names = list(a.generators)
-    for name in b.generators:
-        while name in names:
-            name += "_"
-        names.append(name)
+    names = a.generators + b.generators
     shift = [(g,) for g in range(len(a.generators) + 1, len(names) + 1)]  # b's letters follow a's
     rels = list(a.relators) + [_substitute(w, shift) for w in b.relators]
     for wa, wb in zip(data.left.images, data.right.images):
@@ -323,13 +321,15 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 
     Rules, in fixed priority: drop duplicate relators (up to rotation and
     inversion); eliminate a generator that occurs exactly once in some
-    relator by solving for it; shrink relators through power-relation
-    rewrites when that strictly shortens them.  A relator that reduces to
-    nothing is dropped in the step that empties it.  The generator count never
-    increases and (generators, total length) strictly decreases with every
-    applied rule, so the loop terminates; exhausting TIETZE_STEP_BUDGET
-    returns the current state flagged incomplete.  Every run re-checks that the
-    abelianization is unchanged, and the result carries it.
+    relator by solving for it; rewrite the first relator that a power rule
+    harvested from another relator strictly shortens, by its first shortest
+    rewrite.  The rule's source relator stays, so each step is a Tietze
+    move.  A relator that reduces to nothing is dropped in the step that
+    empties it.  The generator count never increases and (generators,
+    total length) strictly decreases with every applied rule, so the loop
+    terminates; exhausting TIETZE_STEP_BUDGET returns the current state
+    flagged incomplete.  Every run re-checks that the abelianization is
+    unchanged, and the result carries it.
 
     The rules run on one list of cyclically reduced, nonempty relator words
     in the input's own letters, and an eliminated generator leaves the live
@@ -377,24 +377,19 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
             steps += 1
             continue
 
-        # power-relation rewriting, only when it strictly shortens
+        # power-relation rewriting: the first relator that a rule harvested
+        # from another relator strictly shortens takes its first shortest rewrite
         rules = _power_rule_rewrites(rels)
-        new_rels = []
         for widx, w in enumerate(rels):
-            best = w
-            for letter, count, repl, src in rules:
-                if src == widx:
-                    continue
-                cand = _cyclic_reduce(_rewrite_all(w, letter, count, repl))
-                if len(cand) < len(best):
-                    best = cand
-            new_rels.append(best)
-        if new_rels != rels:
-            rels = [w for w in new_rels if w]
-            steps += 1
-            continue
-        complete = True
-        break
+            best = min((_cyclic_reduce(_rewrite_all(w, letter, count, repl))
+                        for letter, count, repl, src in rules if src != widx), key=len, default=w)
+            if len(best) < len(w):
+                rels[widx:widx + 1] = [best] if best else []
+                steps += 1
+                break
+        else:
+            complete = True
+            break
 
     for i, g in enumerate(live, 1):
         images[g - 1] = (i,)

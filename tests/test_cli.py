@@ -317,37 +317,6 @@ def test_homology_verification_failure_exits_1(monkeypatch, request, capsys, fai
     assert captured.err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
-@pytest.mark.parametrize("relative, fails", [(False, False), (False, True), (True, True)],
-                         ids=["absolute", "absolute-refused", "relative-refused"])
-def test_homology_pauses_the_gc_and_restores_it(monkeypatch, capsys, enabled, relative, fails):
-    # the cyclic GC is off while the op builds and reduces, and the caller's
-    # state is back afterwards, also when the build raises and the op exits 1
-    seen = []
-
-    def build(k, n):
-        seen.append(gc.isenabled())
-        if fails:
-            raise ValueError("identification degenerates a simplex")
-        return complexes.build_exp_model(k, n)
-
-    monkeypatch.setattr(cli, "relative_quotient_homology" if relative else "build_exp_model",
-                        (lambda n: build(3, n)) if relative else build)
-    args = ["homology", "3", "--relative"] if relative else ["homology", "2"]
-    was = gc.isenabled()
-    try:
-        gc.enable() if enabled else gc.disable()
-        code = main(args)
-        after = gc.isenabled()
-    finally:
-        gc.enable() if was else gc.disable()
-    assert (seen, after) == ([False], enabled)
-    captured = capsys.readouterr()
-    assert code == (1 if fails else 0)
-    assert (captured.out == "") == fails
-    assert captured.err == ("error: identification degenerates a simplex\n" if fails else "")
-
-
 @given(st.lists(st.floats(), min_size=1, max_size=4))
 def test_coord_never_raises(values):
     # any float, finite or not, gives a chart record or a usage error

@@ -245,8 +245,10 @@ def test_pushout_name_collision():
     corner = Presentation(["x"])
     a = Presentation(["g"])
     b = Presentation(["g"])
-    out = pushout(PushoutData(corner, GroupHom(corner, a, [(1,)]), GroupHom(corner, b, [(1,)])))
-    assert len(set(out.generators)) == 2
+    # the targets' names are kept, so a clash is refused, not renamed
+    data = PushoutData(corner, GroupHom(corner, a, [(1,)]), GroupHom(corner, b, [(1,)]))
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        pushout(data)
 
 
 def test_hom_validation():
@@ -323,6 +325,15 @@ def test_tietze_complement_chain():
     assert out.presentation == P("gens: t u; rels: u^3 t^-2")
 
 
+def test_tietze_power_relators_that_rewrite_each_other():
+    # each is a rule for the other; a step rewrites one relator by the
+    # other, which stays, so the group stays Z/5
+    out = tietze_simplify(P("gens: a b; rels: a^2 b^3, a^3 b^2"))
+    assert out.complete and out.steps == 2
+    assert out.presentation == P("gens: b; rels: b^5")
+    assert out.abelianization == AbelianInvariants(0, (5,))
+
+
 @pytest.mark.parametrize("build", [pushout_exp3, pushout_band_piece, pushout_complement])
 def test_tietze_result_carries_the_abelianization_of_the_pushouts(build):
     p = pushout(build())
@@ -397,10 +408,9 @@ def _tietze_corpus():
 
 def test_tietze_corpus_digest():
     # Pins every output, step count, complete flag and abelianization, so a
-    # change in any choice the rules make shows here.  Some corpus inputs
-    # raise: the power-rule pass rewrites relators by rules harvested from
-    # relators it rewrites in the same pass, and the abelianization check
-    # refuses the result.  The digest pins that too.
+    # change in any choice the rules make shows here.  A run that raises is
+    # pinned as its error line; no corpus input raises, since each power
+    # rewrite changes one relator by a rule from another.
     digest = hashlib.sha256()
     for p in _tietze_corpus():
         try:
@@ -411,7 +421,7 @@ def test_tietze_corpus_digest():
             line = (f"{format_presentation(out.presentation)}|{out.steps}|"
                     f"{out.complete}|{out.abelianization}")
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == "076bc6cf1c268942e8438d55d52d2adbdfdd4198c76f47086a1acf56eb49f0a4"
+    assert digest.hexdigest() == "7ac1dc689bd0cc13f9f9d6e8a7d8f53b36d9e9a0869b0c0cbed4fe891abfadbf"
 
 
 def test_tietze_preserves_abelianization():
@@ -531,6 +541,11 @@ def test_count_homs_invariant_under_tietze():
         q = tietze_simplify(p).presentation
         for g in targets:
             assert count_homs(p, g) == count_homs(q, g)
+    # a non-abelian invariant over the corpus: a rewrite that changed the
+    # group but kept its abelianization would show here
+    s3 = targets[0]
+    for p in _tietze_corpus():
+        assert count_homs(p, s3) == count_homs(tietze_simplify(p).presentation, s3), p
 
 
 def test_finite_group_tables():
