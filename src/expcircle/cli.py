@@ -51,8 +51,8 @@ from .groups import (
 
 # Size caps, checked before any work.  The subset-space model of the
 # k-subsets at mesh n has n**k * ((k+1)!)**2 top simplices: the cap admits
-# k = 3 up to n = 5 (72 000) and k = 2 up to n = 47.
-MAX_TOP_SIMPLICES = 80_000
+# k = 3 up to n = 6 (124 416) and k = 2 up to n = 58 (121 104).
+MAX_TOP_SIMPLICES = 125_000
 MAX_SAMPLES = 100_000
 
 

@@ -13,15 +13,16 @@ orbit itself), the coalescence limits and the sampled loops, every one of
 them closed, are immutable tuples, and the order-3 element is the module
 constant moebius.GAMMA, so a chart call builds no group element it does not
 need.  The pair and triple charts build no object but their results:
-c2_coord and c3_orbit run moebius.unit_pair, canonical_entries, frame_parts
-and (for triples) gamma_frame_parts, from which BoundaryPoint, MoebiusMap,
-frame and gamma_frame_action are built, on the angles, with the matrices of
-_pair_matrix and _triple_matrix.  A subset is read-only, and the orbit of a
-triple is computed once, on the first chart call, then kept on the subset and
-shared by every later one.  The sampled pair loops (the band curve, the core
-and the singleton track of the winding diagnostic) are built by _pair_loop,
-which sets each pair's slots directly from its two reduced, ordered angles
-instead of running FiniteSubset's sort and merge scan.
+c2_coord and _triple_orbit run moebius.unit_pair, canonical_entries,
+frame_parts and (for triples) gamma_frame_parts, from which BoundaryPoint,
+MoebiusMap, frame and gamma_frame_action are built, on the angles, with the
+matrices of _pair_matrix and _triple_matrix.  A subset is an immutable
+record of its angles and, for a triple, its orbit: the orbit is computed
+once, when the triple is built, and c3_orbit only reads it.  The sampled pair
+loops (the band curve, the core and the singleton track of the winding
+diagnostic) are built by _pair_loop, which makes each pair record directly
+from its two reduced, ordered angles instead of running FiniteSubset's sort
+and merge scan.
 
 The module also provides the coalescence limits that describe how the strata
 glue (pairs degenerating to points, triples to pairs or points), sampled
@@ -83,19 +84,20 @@ def to_boundary(alpha: float) -> BoundaryPoint:
 # subsets and the quotient metric
 # ---------------------------------------------------------------------------
 
-class FiniteSubset:
-    """A subset of the circle with 1 to 3 points, stored as sorted angles.
+class FiniteSubset(checked_namedtuple("FiniteSubset", ("angles", "orbit"))):
+    """A subset of the circle with 1 to 3 points: its sorted angles and, for
+    a triple, the three frames of its normal-form orbit (else None).
 
     Construction from a tuple with repeats (closer than DISTINCT_TOL along
     the circle) collapses them, which is exactly how ordered tuples project
-    to subsets.  Every angle must be finite.  A subset is read-only: its
-    angles and the orbit that c3_orbit keeps on it cannot be reassigned, so
-    the kept orbit always belongs to the angles.
+    to subsets.  Every angle must be finite.  A subset is an immutable value:
+    it compares and hashes by its fields, and copy and pickle rebuild it from
+    its angles.
     """
 
-    __slots__ = ("angles", "_orbit")
+    __slots__ = ()
 
-    def __init__(self, angles):
+    def __new__(cls, angles):
         raw = sorted(map(norm_angle, angles))
         merged = []
         last = -math.inf
@@ -110,36 +112,19 @@ class FiniteSubset:
             merged.pop()
         if len(merged) > 3:
             raise ValueError(f"at most 3 distinct points supported, got {len(merged)}")
-        _set_angles(self, tuple(merged))
-        _set_orbit(self, None)
+        orbit = _triple_orbit(*merged) if len(merged) == 3 else None
+        return tuple.__new__(cls, (tuple(merged), orbit))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FiniteSubset is read-only, cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FiniteSubset is read-only, cannot delete {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the subset from its angles instead of
-        # setting the slots
-        return FiniteSubset, (self.angles,)
+    def __getnewargs__(self):
+        return (self.angles,)
 
     @property
     def size(self) -> int:
         return len(self.angles)
 
-    def __iter__(self):
-        return iter(self.angles)
-
     def __repr__(self):
         pts = ", ".join(f"{a:.12g}" for a in self.angles)
         return f"FiniteSubset({{{pts}}})"
-
-
-# The slots' own setters, for __init__, _pair_loop and c3_orbit;
-# FiniteSubset.__setattr__ refuses every assignment.
-_set_angles = FiniteSubset.angles.__set__
-_set_orbit = FiniteSubset._orbit.__set__
 
 
 def hausdorff_distance(s: FiniteSubset, t: FiniteSubset) -> float:
@@ -257,31 +242,28 @@ def _lex_min_frame(frames) -> Frame:
     return best
 
 
-def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
-    """All three frames of the normal-form orbit of a 3-point subset.
+def _triple_orbit(a0: float, a1: float, a2: float) -> tuple[Frame, Frame, Frame]:
+    """All three frames of the normal-form orbit of the sorted triple of
+    angles: gamma_orbit(frame(normalize_triple(p, q, r))) for the to_boundary
+    points, computed on floats."""
+    h0, h1, h2 = 0.5 * a0, 0.5 * a1, 0.5 * a2  # as in c2_coord
+    m = _triple_matrix(*unit_pair(math.sin(h0), math.cos(h0)),
+                       *unit_pair(math.sin(h1), math.cos(h1)),
+                       *unit_pair(math.sin(h2), math.cos(h2)))
+    f0 = frame_parts(*canonical_entries(*m))
+    f1 = gamma_frame_parts(*f0)
+    f2 = gamma_frame_parts(*f1)
+    # the fields are checked, so the frames are built as bare tuples
+    return (tuple.__new__(Frame, f0), tuple.__new__(Frame, f1), tuple.__new__(Frame, f2))
 
-    The orbit is computed on the first call and kept on the subset; later
-    calls, and so c3_coord, exp3_coord and coord's printed orbit, share
-    that tuple.  A subset of another size raises on every call.  It is
-    gamma_orbit(frame(normalize_triple(p, q, r))) for the to_boundary points,
-    computed on floats.
-    """
-    orbit = s._orbit
-    if orbit is None:
-        angles = s.angles
-        if len(angles) != 3:
-            raise ValueError("c3 chart needs a subset of exactly 3 points")
-        h0, h1, h2 = 0.5 * angles[0], 0.5 * angles[1], 0.5 * angles[2]  # as in c2_coord
-        m = _triple_matrix(*unit_pair(math.sin(h0), math.cos(h0)),
-                           *unit_pair(math.sin(h1), math.cos(h1)),
-                           *unit_pair(math.sin(h2), math.cos(h2)))
-        f0 = frame_parts(*canonical_entries(*m))
-        f1 = gamma_frame_parts(*f0)
-        f2 = gamma_frame_parts(*f1)
-        # the fields are checked, so the frames are built as bare tuples
-        orbit = (tuple.__new__(Frame, f0), tuple.__new__(Frame, f1), tuple.__new__(Frame, f2))
-        _set_orbit(s, orbit)
-    return orbit
+
+def c3_orbit(s: FiniteSubset) -> tuple[Frame, Frame, Frame]:
+    """All three frames of the normal-form orbit of a 3-point subset, the
+    orbit the subset was built with; c3_coord, exp3_coord and coord's
+    printed orbit share that tuple.  A subset of another size raises."""
+    if s.orbit is None:
+        raise ValueError("c3 chart needs a subset of exactly 3 points")
+    return s.orbit
 
 
 def c3_coord(s: FiniteSubset) -> Frame:
@@ -467,19 +449,17 @@ def _pair_loop(starts, sep: float) -> SampledLoop:
     """The closed loop of the pairs {x, x + sep}, x running through starts.
 
     Each endpoint goes through norm_angle and the two are ordered by one
-    comparison; the slots are set as __init__ sets them, with no sort and no
-    merge scan.  Precondition: every x is finite with 0 <= x <= 2*pi, and sep
-    lies in (DISTINCT_TOL, 2*pi - DISTINCT_TOL) by more than rounding.  Then
-    the two points are distinct both ways round the circle, the scan would
-    keep both, and every angle has the same bits as FiniteSubset([x, x + sep]).
+    comparison; the record is made as FiniteSubset makes a pair's, with no
+    sort and no merge scan.  Precondition: every x is finite with
+    0 <= x <= 2*pi, and sep lies in (DISTINCT_TOL, 2*pi - DISTINCT_TOL) by
+    more than rounding.  Then the two points are distinct both ways round the
+    circle, the scan would keep both, and every angle has the same bits as
+    FiniteSubset([x, x + sep]).
     """
-    new, pts = FiniteSubset.__new__, []
+    pts = []
     for x in starts:
         a, b = norm_angle(x), norm_angle(x + sep)
-        s = new(FiniteSubset)
-        _set_angles(s, (a, b) if a < b else (b, a))
-        _set_orbit(s, None)
-        pts.append(s)
+        pts.append(tuple.__new__(FiniteSubset, ((a, b) if a < b else (b, a), None)))
     return SampledLoop(pts)
 
 

@@ -165,13 +165,13 @@ def test_pi1_text_reads_the_same_in_the_library_and_the_benchmark_checks(monkeyp
 
 def test_knot_builds_no_finite_subset(monkeypatch):
     # the band curve, the core and the singleton track are built by
-    # config._pair_loop, which sets the slots without FiniteSubset.__init__
+    # config._pair_loop, which makes the records without FiniteSubset.__new__
     single = config.loop_a(config.FiniteSubset([0.3]), samples=720)
 
-    def refuse(self, *args):
-        raise AssertionError("FiniteSubset.__init__ called")
+    def refuse(cls, *args):
+        raise AssertionError("FiniteSubset.__new__ called")
 
-    monkeypatch.setattr(config.FiniteSubset, "__init__", refuse)
+    monkeypatch.setattr(config.FiniteSubset, "__new__", refuse)
     for case in ("--eps 0.1 --samples 720 knot", "--samples 720 knot --core"):
         code, out = run_cli(*case.split())
         assert code == 0
@@ -398,9 +398,9 @@ def _refuse_work(*args, **kwargs):
 
 
 @pytest.mark.parametrize("args", [
-    ("--mesh-n", "50", "homology", "2"),
-    ("--mesh-n", "6", "homology", "3"),
-    ("--mesh-n", "6", "homology", "3", "--relative"),
+    ("--mesh-n", "59", "homology", "2"),
+    ("--mesh-n", "7", "homology", "3"),
+    ("--mesh-n", "7", "homology", "3", "--relative"),
     ("--samples", "100000000", "knot"),
     ("homology", "2", "--relative"),
 ])
@@ -413,7 +413,7 @@ def test_size_caps_are_usage_errors(monkeypatch, capsys, args):
     assert "error:" in captured.err
 
 
-def test_size_cap_admits_exp3_at_n5(monkeypatch):
+def test_size_cap_admits_exp3_at_n6(monkeypatch):
     # the cap is checked, then the build is swapped for a small one
     calls = []
     build = cli.build_exp_model
@@ -423,10 +423,24 @@ def test_size_cap_admits_exp3_at_n5(monkeypatch):
         return build(2, 3)
 
     monkeypatch.setattr(cli, "build_exp_model", small_exp)
-    code, out = run_cli("--mesh-n", "5", "homology", "3")
+    code, out = run_cli("--mesh-n", "6", "homology", "3")
     assert code == 0
-    assert calls == [(3, 5)]
-    assert json.loads(out)["n"] == 5
+    assert calls == [(3, 6)]
+    assert json.loads(out)["n"] == 6
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("extra", [(), ("--relative",)], ids=["absolute", "relative"])
+def test_homology_3_at_n6(extra):
+    # the least mesh at which the antipodal core and the equilateral fibre
+    # are both subcomplexes, and the largest exp_3 model the cap admits
+    code, out = run_cli("--mesh-n", "6", "homology", "3", *extra)
+    rec = json.loads(out)
+    assert code == 0 and rec["n"] == 6
+    if extra:
+        assert rec["betti"] == [1, 0, 1, 1] and rec["match"] is True
+    else:
+        assert rec["betti"] == [1, 0, 0, 1]
 
 
 def test_knot_bad_samples_is_usage_error():
@@ -464,12 +478,12 @@ def test_homology_k2():
 
 @pytest.mark.slow
 def test_homology_2_at_the_size_cap():
-    # the largest model the cap admits, 47**2 * 36 = 79 524 top simplices;
-    # its 39 856 vertices take 16-bit fields in a packed simplex
-    code, out = run_cli("--mesh-n", "47", "homology", "2")
+    # the largest model the cap admits, 58**2 * 36 = 121 104 top simplices;
+    # its 60 668 vertices take 16-bit fields in a packed simplex
+    code, out = run_cli("--mesh-n", "58", "homology", "2")
     rec = json.loads(out)
     assert code == 0
-    assert rec["counts"] == [39856, 119380, 79524] and rec["euler"] == 0
+    assert rec["counts"] == [60668, 181772, 121104] and rec["euler"] == 0
     assert rec["betti"] == [1, 1, 0] and rec["torsion"] == [[], [], []]
 
 

@@ -1512,9 +1512,9 @@ def test_flags_closure_memo_matches_brute_force(seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("build", [build_exp_model, build_symmetric_product])
 def test_pair_builds_at_the_size_cap(build):
-    # n = 47 is the largest mesh the CLI admits for k = 2: the quotient ids
+    # n = 58 is the largest mesh the CLI admits for k = 2: the quotient ids
     # rise along every chain there too, so the build refuses nothing
-    assert build(2, 47).complex.counts()[-1] == 36 * 47**2
+    assert build(2, 58).complex.counts()[-1] == 36 * 58**2
 
 
 @pytest.mark.slow

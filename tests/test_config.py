@@ -168,18 +168,34 @@ def test_subset_rejects_non_finite_angles(bad):
 def test_subset_is_read_only():
     s = FiniteSubset([0.3, 2.0, 4.0])
     orbit = c3_orbit(s)
-    for name, value in (("angles", (0.1,)), ("_orbit", None), ("extra", 0)):
-        with pytest.raises(AttributeError, match="read-only"):
+    for name, value in (("angles", (0.1,)), ("orbit", None), ("extra", 0)):
+        with pytest.raises(AttributeError):
             setattr(s, name, value)
-    for name in ("angles", "_orbit"):
-        with pytest.raises(AttributeError, match="read-only"):
+    for name in ("angles", "orbit"):
+        with pytest.raises(AttributeError):
             delattr(s, name)
     assert s.angles == (0.3, 2.0, 4.0) and c3_orbit(s) is orbit
-    for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
-        assert twin.angles == s.angles and c3_orbit(twin) == orbit
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s)),
+                 *(pickle.loads(pickle.dumps(s, protocol)) for protocol in (0, 1))):
+        assert type(twin) is FiniteSubset and twin == s and twin.orbit == orbit
+    with pytest.raises(TypeError):  # a record is only ever built from its angles
+        s._replace(angles=(0.1,))
+
+
+def test_subsets_are_values():
+    # permuted angles give the same sorted angles, hence the same record;
+    # equal records hash equal
+    for angles in ([0.3, 2.0, 4.0], [0.0, math.pi], [1.0]):
+        s = FiniteSubset(angles)
+        for twin in map(FiniteSubset, permutations(angles)):
+            assert twin == s and hash(twin) == hash(s)
+            assert twin.angles == s.angles and twin.orbit == s.orbit
+    assert len({FiniteSubset([0.3, 2.0, 4.0]), FiniteSubset([4.0, 0.3, 2.0])}) == 1
+    assert FiniteSubset([0.3, 2.0, 4.0]) != FiniteSubset([0.3, 2.0, 4.1])
 
 
 def test_triple_is_charted_once(monkeypatch):
+    # a triple is charted when it is built; the chart calls read its orbit
     calls = []
     triple_matrix = config._triple_matrix
 
@@ -189,17 +205,54 @@ def test_triple_is_charted_once(monkeypatch):
 
     monkeypatch.setattr(config, "_triple_matrix", counting)
     s = FiniteSubset([4.0, 0.3, 2.0])
+    assert len(calls) == 1
     coord = exp3_coord(s)
     orbit = c3_orbit(s)
-    assert c3_orbit(s) is orbit and len(calls) == 1
+    assert orbit is s.orbit and c3_orbit(s) is orbit and len(calls) == 1
     assert (coord.c3.z, coord.c3.theta) in orbit
     twin = FiniteSubset([0.3, 2.0, 4.0])
-    assert c3_orbit(twin) == orbit and len(calls) == 2
+    assert len(calls) == 2
+    assert c3_orbit(twin) == orbit and exp3_coord(twin) == coord and len(calls) == 2
     pair = FiniteSubset([0.3, 2.0])
     for _ in range(2):
         with pytest.raises(ValueError, match="exactly 3 points"):
             c3_orbit(pair)
+    exp3_coord(pair)
+    exp3_coord(FiniteSubset([0.3]))
     assert len(calls) == 2
+
+
+# Triples at the merge threshold: bases on and beside 0, pi and 2*pi, a
+# second point one gap past the base, and a third point far off, antipodal,
+# one gap before the base (the wraparound gap) or one more gap on.
+_EDGE_BASES = (0.0, math.pi, TWO_PI, -math.pi,
+               *(b + d for b in (0.0, math.pi, TWO_PI) for d in (-1e-12, 1e-12)))
+_EDGE_GAPS = (0.4, 1 + 1e-9, 1 + 1e-6, 1.01, 1.5, 2.0, 3.0)
+
+
+def test_every_subset_the_merge_keeps_is_charted_when_built():
+    merged = 0
+    for base in _EDGE_BASES:
+        for factor in _EDGE_GAPS:
+            gap = DISTINCT_TOL * factor
+            thirds = (base + 2.0, base + math.pi, base - gap, base + 2.0 * gap)
+            for near, third in zip((False, False, True, True), thirds):
+                angles = (base, base + gap, third)
+                s = FiniteSubset(angles)
+                twins = [FiniteSubset(p) for p in permutations(angles)]
+                assert all(t == s for t in twins), angles
+                if s.size == 3:
+                    assert len(s.orbit) == 3 and all(type(f) is Frame for f in s.orbit)
+                    assert all(c3_orbit(t) == s.orbit for t in twins), angles
+                    assert exp3_coord(s).c3 in s.orbit
+                else:
+                    # only a gap at the threshold, to within rounding, merges;
+                    # gaps under half the threshold merge three near points
+                    assert s.orbit is None and factor < 1 + 1e-6, angles
+                    assert s.size == (1 if factor < 1 and near else 2), angles
+                    assert exp3_coord(s).tag == f"C{s.size}"
+                    merged += 1
+    assert merged >= 4 * len(_EDGE_BASES)  # at least the 0.4 gaps
 
 
 def test_charts_build_no_boundary_point_or_map(monkeypatch):
@@ -788,7 +841,7 @@ def _reference_loop(starts, sep):
 
 def _angles(loop):
     # norm_angle clears the sign of -0.0, so == on these tuples is bit equality
-    assert all(type(s) is FiniteSubset and s._orbit is None for s in loop.subsets)
+    assert all(type(s) is FiniteSubset and s.orbit is None for s in loop.subsets)
     return [s.angles for s in loop.subsets]
 
 
@@ -816,7 +869,7 @@ def test_singleton_track_has_the_bits_of_finite_subsets(monkeypatch):
         starts = [s.angles[0] for s in single.subsets]
         assert _angles(built[-1]) == _reference_loop(starts, config._SINGLETON_SPREAD)
     assert len(built) == 2
-    with pytest.raises(ValueError, match="exactly 3 points"):  # the orbit slot is set
+    with pytest.raises(ValueError, match="exactly 3 points"):  # a pair has no orbit
         c3_orbit(built[-1].subsets[0])
 
 
